@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assign import InfeasibleError, build_cost_matrix, solve_assignment
-from .hand import ALL_FINGERS, LEFT, FingerId, HandConfig, collision_flag, init_hands, step_hand
-from .keyboard import KEY_COUNT, KeyboardGeometry, KeyState, key_for_pitch, key_press_point
+from .assign import InfeasibleError, key_distances, solve_cost_rows
+from .hand import ALL_FINGERS, LEFT, RIGHT, FingerId, HandConfig, HandMotion, bases_collide, init_hands
+from .keyboard import KEY_COUNT, KeyboardGeometry, KeyState, OutOfRangeError, key_for_pitch, press_point_table
 from .midi import DEFAULT_STRETCH, GoalSequence, GoalStep, note_step_span, trim_shift
 from .pig import PigRecord, midi_to_spelled
 from .reward import (
@@ -112,9 +112,13 @@ def annotate_song(
     the dropped keys.  The whole rollout is deterministic.
     """
     state = init_hands(hands, geom)
-    n_fingers = len(state.fingers)
-    finger_row = {finger: i for i, finger in enumerate(state.fingers)}
-    slot_index = [ALL_FINGERS.index(finger) for finger in state.fingers]
+    fingers = state.fingers
+    n_fingers = len(fingers)
+    slot_index = [ALL_FINGERS.index(finger) for finger in fingers]
+    motion = HandMotion(fingers, hands, geom, goals.dt)
+    press_points = press_point_table(geom)
+    tips = state.fingertips
+    base = (state.base_x[LEFT], state.base_x[RIGHT])
     steps = []
     trace = np.zeros((len(goals.steps), 10, 3), dtype=np.float64)
     for t, goal in enumerate(goals.steps):
@@ -122,23 +126,26 @@ def annotate_song(
         if active:
             if len(active) > n_fingers and not best_effort:
                 raise InfeasibleStepError(t, len(active), n_fingers)
-            matrix = build_cost_matrix(state.fingertips, state.fingers, active, geom)
-            solution = solve_assignment(matrix, best_effort=best_effort)
-            pairs = tuple((matrix.key_ids[r], matrix.finger_ids[c]) for r, c in solution.pairs)
-            distance = solution.total_cost
-            dropped = tuple(matrix.key_ids[r] for r in solution.dropped_rows)
+            if active[0] < 0 or active[-1] >= KEY_COUNT:
+                raise OutOfRangeError(f"step {t}: key outside [0, {KEY_COUNT})")
+            points = press_points[active]
+            solved, distance, dropped_rows = solve_cost_rows(key_distances(points, tips).tolist(), best_effort)
+            key_rows = [r for r, _ in solved]
+            rows = [c for _, c in solved]
+            keys = [active[r] for r in key_rows]
+            targets = points[key_rows]
+            tips, base = motion.step(tips, base, rows, targets)
+            reach = tips[rows] - targets
+            reached = (np.sqrt((reach**2).sum(axis=1)) < params.threshold).tolist()
+            pairs = tuple((key, fingers[c]) for key, c in zip(keys, rows))
+            pressed = frozenset(key for key, ok in zip(keys, reached) if ok)
+            dropped = tuple(active[r] for r in dropped_rows)
         else:
+            tips, base = motion.step(tips, base, [], None)
             pairs = ()
             distance = 0.0
+            pressed = frozenset()
             dropped = ()
-        targets = {finger: key_press_point(key, geom) for key, finger in pairs}
-        state = step_hand(state, targets, goals.dt, hands, geom)
-        pressed = frozenset(
-            key
-            for key, finger in pairs
-            if float(np.linalg.norm(state.fingertips[finger_row[finger]] - np.asarray(targets[finger])))
-            < params.threshold
-        )
         steps.append(
             StepAnnotation(
                 pairs=pairs,
@@ -146,10 +153,10 @@ def annotate_song(
                 ot=ot_reward(distance, params),
                 pressed=pressed,
                 dropped_keys=dropped,
-                collision=collision_flag(state, hands),
+                collision=bases_collide(base, hands.min_base_gap),
             )
         )
-        trace[t, slot_index] = state.fingertips
+        trace[t, slot_index] = tips
     trace.flags.writeable = False
     snapshot = {"dt": goals.dt, **hands.snapshot(), **geom.snapshot(), **params.snapshot()}
     return FingeringAnnotation(

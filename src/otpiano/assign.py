@@ -4,10 +4,15 @@ Every active key must be claimed by exactly one fingertip and no fingertip
 may claim two keys; the chosen pairing minimizes the summed Euclidean
 moving distance.  The solver is a shortest-augmenting-path method with
 dual variables (Jonker-Volgenant family, as in Crouse's rectangular
-variant), followed by a refinement pass that makes tie-breaking
-reproducible: among equal-cost optima the lexicographically smallest pair
-list is returned.  An exhaustive enumerator over all injective mappings
-serves as the independent oracle for small chords.
+variant) and runs once per problem.  Ties between optima (totals within a
+relative 1e-12) break toward the lexicographically smallest pair list,
+read off the final duals: by complementary slackness an assignment's
+excess over the optimum is the sum of its reduced costs plus the negated
+duals of the columns it leaves uncovered.  A greedy pass over the rows
+therefore finds the lexicographic optimum by re-routing the solved
+matching along the cheapest chain of tight edges, without another float
+solve.  An exhaustive enumerator over all injective mappings serves as
+the independent oracle for small chords.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .keyboard import KeyboardGeometry, key_press_point
 _INF = float("inf")
 _BRUTE_MAX_ROWS = 7
 _BRUTE_MAX_MAPPINGS = 10_000_000
-# slack for "same total cost" during refinement: far above float noise in
+# slack for "same total cost" in the tie-break: far above float noise in
 # sums of ~10 entries, far below any tolerance the results are used at
 _TIE_RTOL = 1e-12
 
@@ -98,9 +103,13 @@ def build_cost_matrix(fingertips, finger_ids, active_keys, geom: KeyboardGeometr
     if tips.shape[0] != len(finger_ids):
         raise ValueError("fingertips and finger_ids disagree on finger count")
     points = np.array([key_press_point(k, geom) for k in keys], dtype=np.float64)
+    return CostMatrix(costs=key_distances(points, tips), key_ids=tuple(keys), finger_ids=tuple(finger_ids))
+
+
+def key_distances(points: np.ndarray, tips: np.ndarray) -> np.ndarray:
+    """(k, n) distances from k press points to n fingertips, both (., 3) arrays."""
     diff = points[:, None, :] - tips[None, :, :]
-    costs = np.sqrt((diff**2).sum(axis=2))
-    return CostMatrix(costs=costs, key_ids=tuple(keys), finger_ids=tuple(finger_ids))
+    return np.sqrt((diff**2).sum(axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +117,14 @@ def build_cost_matrix(fingertips, finger_ids, active_keys, geom: KeyboardGeometr
 # ---------------------------------------------------------------------------
 
 
-def _augmenting_path_solve(cost: list) -> list:
+def _augmenting_path_solve(cost: list) -> tuple:
     """Assign every row to a distinct column minimizing total cost.
 
     ``cost`` is a list of row lists with len(rows) <= len(cols); returns
-    col4row.  One Dijkstra-style search per row over reduced costs, with
-    dual updates keeping reduced costs non-negative.
+    ``(col4row, u, v)``.  One Dijkstra-style search per row over reduced
+    costs, with dual updates keeping reduced costs ``c - u - v``
+    non-negative; they are zero on the returned pairs, and columns left
+    unassigned keep ``v == 0``.
     """
     n_rows = len(cost)
     n_cols = len(cost[0])
@@ -168,73 +179,166 @@ def _augmenting_path_solve(cost: list) -> list:
             col4row[i], j = j, col4row[i]
             if i == cur_row:
                 break
+    return col4row, u, v
+
+
+def _lexicographic_optimum(cost: list, col4row: list, u: list, v: list) -> list:
+    """Rewrite a solved col4row into the lexicographically smallest optimum.
+
+    "Optimal" means a total within ``eps`` of the solved one.  With the
+    solver's final duals, an assignment's excess over the optimum is the
+    sum of its reduced costs ``c - u - v`` plus ``-v`` of every column it
+    leaves uncovered, all terms >= 0; so only tight edges (reduced cost
+    <= eps) can appear.  Row by row, the tight columns below the row's
+    current one are tried in ascending order: the cheapest re-routing of
+    the matching onto that column (see _cheapest_chain) is taken if the
+    total stays within ``eps``.  Otherwise the row keeps its current
+    column, which always does; rows before it stay fixed.
+    """
+    n_rows = len(cost)
+    n_cols = len(v)
+    eps = _TIE_RTOL * max(1.0, max(map(max, cost)))  # costs are >= 0
+    target = 0.0
+    for i, j in enumerate(col4row):
+        target += cost[i][j]
+    col4row = list(col4row)
+    row4col = [-1] * n_cols
+    for i, j in enumerate(col4row):
+        row4col[j] = i
+    fixed = [False] * n_cols
+    prefix = 0.0
+    for i, row in enumerate(cost):
+        current = col4row[i]
+        ui = u[i]
+        for j in range(current):
+            if fixed[j] or row[j] - ui - v[j] > eps:
+                continue
+            chain = _cheapest_chain(cost, u, v, eps, row4col, fixed, j, current)
+            if chain is None:
+                continue
+            movers = [row4col[col] for col in chain[:-1]]
+            moved = list(col4row)
+            for mover, col in zip(movers, chain[1:]):
+                moved[mover] = col
+            rest = 0.0
+            for r in range(i + 1, n_rows):
+                rest += cost[r][moved[r]]
+            if prefix + row[j] + rest > target + eps:
+                continue
+            col4row = moved
+            for mover, col in zip(movers, chain[1:]):
+                row4col[col] = mover
+            if chain[0] != chain[-1]:
+                row4col[chain[0]] = -1
+            break
+        fixed[col4row[i]] = True
+        prefix += row[col4row[i]]
     return col4row
 
 
-def _pairs_total(cost: list, col4row: list) -> float:
-    total = 0.0
-    for i, j in enumerate(col4row):
-        total += cost[i][j]
-    return total
+def _tree_path(tree: dict, col: int) -> list:
+    """Columns from the root of a search tree (``tree[root] == -1``) to ``col``."""
+    path = []
+    while col != -1:
+        path.append(col)
+        col = tree[col]
+    return path[::-1]
 
 
-def _lexicographic_pairs(cost: list, target: float) -> tuple:
-    """Among optima with total ~= target, pick the lexicographically first.
+def _cheapest_chain(cost, u, v, eps, row4col, fixed, start, current) -> "list | None":
+    """Cheapest column chain ``[s, .., current, start, .., t]`` handing ``start`` to the row on ``current``.
 
-    Greedy per row: fix the smallest column whose optimal completion still
-    meets the target.  A per-row-minimum lower bound prunes candidates so
-    re-solves are rare on untied instances.
+    Read pairwise, the row holding each column moves to the next one, along
+    tight edges into unfixed columns; a move costs its change in reduced
+    cost.  Either the chain closes (``s == t == current``), or it ends on
+    an unassigned column ``t`` and starts on a column ``s`` that is left
+    uncovered, at a cost of ``v[t] - v[s]``.  Label-correcting searches
+    run forward from ``start`` and backward from ``current``; the matching
+    is the cheapest for its fixed rows, so no move cycle is negative and
+    an open chain whose two halves meet costs no less than a closed one.
+    Returns None when no chain exists.
     """
-    n_rows = len(cost)
-    n_cols = len(cost[0])
-    scale = max(1.0, max(abs(x) for row in cost for x in row))
-    eps = _TIE_RTOL * scale
-    available = list(range(n_cols))
-    chosen = []
-    prefix = 0.0
-    for i in range(n_rows):
-        mins = []  # per later row: (min, argmin, second-min) over available columns
-        for r in range(i + 1, n_rows):
-            m1, a1, m2 = _INF, -1, _INF
-            row_costs = cost[r]
-            for j in available:
-                x = row_costs[j]
-                if x < m1:
-                    m2, m1, a1 = m1, x, j
-                elif x < m2:
-                    m2 = x
-            mins.append((m1, a1, m2))
-        def completion_cost(j: int) -> float:
-            if i + 1 == n_rows:
-                return prefix + cost[i][j]
-            sub_cols = [jj for jj in available if jj != j]
-            sub = [[cost[r][jj] for jj in sub_cols] for r in range(i + 1, n_rows)]
-            return prefix + cost[i][j] + _pairs_total(sub, _augmenting_path_solve(sub))
+    n_cols = len(v)
+    noise = eps * 1e-3  # smaller gains are float noise: ignoring them keeps trees acyclic
 
-        picked = -1
-        fallback_cost = _INF
-        fallback = -1
-        for j in available:
-            bound = prefix + cost[i][j]
-            for m1, a1, m2 in mins:
-                bound += m2 if a1 == j else m1
-            if bound > target + eps:
-                continue
-            candidate = completion_cost(j)
-            if candidate < fallback_cost:
-                fallback_cost = candidate
-                fallback = j
-            if candidate <= target + eps:
-                picked = j
-                break
-        if picked == -1:
-            # numerical safety net (never hit in practice): take the best
-            # completion outright, scanning without the pruning bound
-            picked = fallback if fallback != -1 else min(available, key=completion_cost)
-        chosen.append((i, picked))
-        prefix += cost[i][picked]
-        available.remove(picked)
-    return tuple(chosen)
+    def search(root, neighbours):
+        dist = {root: 0.0}
+        tree = {root: -1}
+        stack = [root]
+        while stack:
+            col = stack.pop()
+            for nxt, step in neighbours(col):
+                d = dist[col] + step
+                if nxt not in dist or d < dist[nxt] - noise:
+                    dist[nxt] = d
+                    tree[nxt] = col
+                    stack.append(nxt)
+        return dist, tree
+
+    def moves_out(col):  # the holder of col moves on
+        row = row4col[col]
+        if col == current or row == -1:
+            return
+        row_costs = cost[row]
+        ur = u[row]
+        leave = row_costs[col] - ur - v[col]
+        for nxt in range(n_cols):
+            if nxt != start and not fixed[nxt]:
+                enter = row_costs[nxt] - ur - v[nxt]
+                if enter <= eps:
+                    yield nxt, enter - leave
+
+    def moves_in(col):  # some holder moves into col
+        vc = v[col]
+        for prev in range(n_cols):
+            row = row4col[prev]
+            if prev != current and prev != start and not fixed[prev] and row != -1:
+                enter = cost[row][col] - u[row] - vc
+                if enter <= eps:
+                    yield prev, enter - (cost[row][prev] - u[row] - v[prev])
+
+    ahead, came_from = search(start, moves_out)
+    cycle = None
+    if current in ahead:
+        cycle = [current] + _tree_path(came_from, came_from[current]) + [current]
+    free = [col for col in ahead if row4col[col] == -1]
+    if not free:
+        return cycle
+    t = min(free, key=lambda col: ahead[col] + v[col])
+    behind, goes_to = search(current, moves_in)
+    s = min(behind, key=lambda col: behind[col] - v[col])
+    head = _tree_path(goes_to, s)[::-1]
+    tail = _tree_path(came_from, t)
+    # both kinds share the move off ``current``, so compare what follows it
+    if cycle is not None and (
+        ahead[current] <= behind[s] - v[s] + ahead[t] + v[t] or not set(head).isdisjoint(tail)
+    ):
+        return cycle
+    return head + tail
+
+
+def solve_cost_rows(rows: list, best_effort: bool = False) -> tuple:
+    """The solve behind solve_assignment, on a list of cost rows.
+
+    Returns ``(pairs, total_cost, dropped_rows)`` as stored in Assignment;
+    raises InfeasibleError on more rows than columns unless ``best_effort``.
+    """
+    n_keys, n_fingers = len(rows), len(rows[0])
+    dropped = ()
+    if n_keys > n_fingers:
+        if not best_effort:
+            raise InfeasibleError(f"{n_keys} keys but only {n_fingers} fingers")
+        transposed = list(zip(*rows))
+        key4finger = _lexicographic_optimum(transposed, *_augmenting_path_solve(transposed))
+        pairs = tuple(sorted((key_row, finger_col) for finger_col, key_row in enumerate(key4finger)))
+        assigned = set(key4finger)
+        dropped = tuple(r for r in range(n_keys) if r not in assigned)
+    else:
+        pairs = tuple(enumerate(_lexicographic_optimum(rows, *_augmenting_path_solve(rows))))
+    total = 0.0
+    for i, j in pairs:
+        total += rows[i][j]
+    return pairs, total, dropped
 
 
 def solve_assignment(cost: CostMatrix, best_effort: bool = False) -> Assignment:
@@ -247,30 +351,8 @@ def solve_assignment(cost: CostMatrix, best_effort: bool = False) -> Assignment:
     smallest pair list (for oversized chords, smallest in finger-major
     order on the transposed problem), so results are reproducible.
     """
-    n_keys, n_fingers = cost.n_keys, cost.n_fingers
-    rows = cost.costs.tolist()
-    if n_keys > n_fingers:
-        if not best_effort:
-            raise InfeasibleError(f"{n_keys} keys but only {n_fingers} fingers")
-        transposed = [[rows[i][j] for i in range(n_keys)] for j in range(n_fingers)]
-        base = _augmenting_path_solve(transposed)
-        target = _pairs_total(transposed, base)
-        t_pairs = _lexicographic_pairs(transposed, target)
-        pairs = tuple(sorted((key_row, finger_col) for finger_col, key_row in t_pairs))
-        total = 0.0
-        for key_row, finger_col in pairs:
-            total += rows[key_row][finger_col]
-        assigned = {key_row for key_row, _ in pairs}
-        dropped = tuple(r for r in range(n_keys) if r not in assigned)
-        return Assignment(pairs=pairs, total_cost=total, dropped_rows=dropped)
-
-    base = _augmenting_path_solve(rows)
-    target = _pairs_total(rows, base)
-    pairs = _lexicographic_pairs(rows, target)
-    total = 0.0
-    for i, j in pairs:
-        total += rows[i][j]
-    return Assignment(pairs=pairs, total_cost=total)
+    pairs, total, dropped = solve_cost_rows(cost.costs.tolist(), best_effort)
+    return Assignment(pairs=pairs, total_cost=total, dropped_rows=dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .annotate import (
     DEFAULT_EPISODE_LEN,
     FingeringAnnotation,
     InfeasibleStepError,
+    UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
     chunk_episodes,
@@ -200,6 +201,16 @@ def _process_song(task: dict) -> dict:
         }
         run_snapshot = {**annotation.snapshot, **run_extra}
         comments = _snapshot_comments(run_snapshot)
+        # PIG labeling can still fail on an unlabeled note: do it before any file is written
+        records = None
+        if task["pig_out"]:
+            records = annotation_to_pig(
+                annotation,
+                song.notes,
+                stretch=task["stretch"],
+                trim_silence=task["trim_silence"],
+                on_unlabeled="skip" if task["best_effort"] else "error",
+            )
         (out_dir / f"{stem}.goals.txt").write_text(
             "".join(f"# {c}\n" for c in comments) + goal_to_text(goals), encoding="utf-8"
         )
@@ -210,14 +221,7 @@ def _process_song(task: dict) -> dict:
         (out_dir / f"{stem}.rewards.csv").write_text(
             "".join(f"# {c}\n" for c in comments) + score_csv(breakdown), encoding="utf-8"
         )
-        if task["pig_out"]:
-            records = annotation_to_pig(
-                annotation,
-                song.notes,
-                stretch=task["stretch"],
-                trim_silence=task["trim_silence"],
-                on_unlabeled="skip" if task["best_effort"] else "error",
-            )
+        if records is not None:
             save_pig(records, out_dir / f"{stem}.pig.txt", header_comments=comments)
         episodes = chunk_episodes(goals, annotation, task["episode_len"])
         for episode in episodes:
@@ -225,7 +229,7 @@ def _process_song(task: dict) -> dict:
                 episode, goals, annotation, params, stem, lookahead=task["lookahead"], run_snapshot=run_snapshot
             )
             save_episode(record, out_dir / f"{stem}.ep{episode.index:03d}{EPISODE_SUFFIX}")
-    except (MalformedMidiError, EmptySongError, InfeasibleStepError, OSError) as exc:
+    except (MalformedMidiError, EmptySongError, InfeasibleStepError, UnlabeledNoteError, OSError) as exc:
         return {"song": stem, "error": f"{type(exc).__name__}: {exc}"}
     return {
         "song": stem,

@@ -213,71 +213,104 @@ def init_hands(config: HandConfig, geom: KeyboardGeometry) -> HandState:
     return HandState(fingers=fingers, fingertips=_readonly(tips), base_x=dict(base))
 
 
+class HandMotion:
+    """Step constants of one embodiment at one dt, in finger-row order.
+
+    Finger rows are positions in the hand state's finger tuple.  Built once
+    per song by the annotator, and per call by step_hand.
+    """
+
+    def __init__(self, fingers: tuple, config: HandConfig, geom: KeyboardGeometry, dt: float):
+        _, oy, oz = geom.origin
+        self.is_left = tuple(finger.hand == LEFT for finger in fingers)
+        # finger rows of the left hand, then of the right hand
+        self.hand_rows = tuple(
+            np.array([i for i, finger in enumerate(fingers) if finger.hand == hand], dtype=np.intp)
+            for hand in (LEFT, RIGHT)
+        )
+        # rest pose relative to the hand base: x offset, absolute y and z
+        self.rest = np.empty((len(fingers), 3), dtype=np.float64)
+        for i, finger in enumerate(fingers):
+            dx, dy, dz = config.rest_offsets[finger]
+            self.rest[i] = (dx, oy + dy, oz + dz)
+        self.step_reach = config.v_max * dt
+        self.base_reach = config.base_v_max * dt
+        self.radius = config.span_max / 2.0
+
+    def step(self, tips: np.ndarray, base: tuple, rows: list, targets: "np.ndarray | None") -> tuple:
+        """Advance one control step; returns the new ``(fingertips, (left_x, right_x))``.
+
+        ``targets[m]`` is the 3D point assigned to finger row ``rows[m]``.
+        Assigned fingertips move toward their targets at up to v_max
+        (arriving exactly when in range), each hand base moves toward the
+        mean target x at up to base_v_max (staying put with no targets),
+        and unassigned fingertips relax toward the rest pose around the
+        updated base.  Finally each hand's fingertips are projected into
+        the ball of radius span_max/2 around their centroid, which bounds
+        the pairwise spread by span_max.
+        """
+        hand_xs = ([], [])
+        if rows:
+            for x, row in zip(targets[:, 0].tolist(), rows):
+                hand_xs[0 if self.is_left[row] else 1].append(x)
+        goals = self.rest.copy()
+        new_base = []
+        for x, xs, idx in zip(base, hand_xs, self.hand_rows):
+            if xs:
+                delta = sum(xs) / len(xs) - x
+                x = x + max(-self.base_reach, min(self.base_reach, delta))
+            goals[idx, 0] += x
+            new_base.append(x)
+        if rows:
+            goals[rows] = targets
+
+        delta = goals - tips
+        dist = np.sqrt((delta**2).sum(axis=1))
+        far = dist > self.step_reach
+        new_tips = goals  # in-range fingertips arrive exactly
+        if far.any():
+            scale = (self.step_reach / dist[far])[:, None]
+            new_tips[far] = tips[far] + delta[far] * scale
+
+        # span projection per hand: clamp into ball of radius span_max/2 around centroid
+        radius = self.radius
+        for idx in self.hand_rows:
+            if not len(idx):
+                continue
+            pts = new_tips[idx]
+            centroid = pts.sum(axis=0) / len(idx)  # the same sum and division as pts.mean(axis=0)
+            offsets = pts - centroid
+            norms = np.sqrt((offsets**2).sum(axis=1))
+            over = norms > radius
+            if over.any():
+                pts[over] = centroid + offsets[over] * (radius / norms[over])[:, None]
+                new_tips[idx] = pts
+        return new_tips, tuple(new_base)
+
+
 def step_hand(
     state: HandState, targets: dict, dt: float, config: HandConfig, geom: KeyboardGeometry
 ) -> HandState:
-    """Advance one control step toward assigned targets.
+    """Advance one control step toward assigned targets (see HandMotion.step).
 
-    ``targets`` maps enabled FingerId -> 3D point.  Assigned fingertips move
-    toward their targets at up to v_max (arriving exactly when in range),
-    each hand base moves toward the mean target x at up to base_v_max
-    (staying put with no targets), and unassigned fingertips relax toward
-    the rest pose around the updated base.  Finally each hand's fingertips
-    are projected into the ball of radius span_max/2 around their centroid,
-    which bounds the pairwise spread by span_max.
+    ``targets`` maps enabled FingerId -> 3D point.
     """
     for finger in targets:
         if finger not in state.fingers:
             raise InvalidConfigError(f"target for disabled or unknown finger {finger}")
-    step_reach = config.v_max * dt
-    base_reach = config.base_v_max * dt
-    _, oy, oz = geom.origin
-    fingers = state.fingers
-    n = len(fingers)
+    rows = [state.fingers.index(finger) for finger in targets]
+    points = np.array([targets[finger] for finger in targets], dtype=np.float64).reshape(len(rows), 3)
+    tips, (left_x, right_x) = HandMotion(state.fingers, config, geom, dt).step(
+        state.fingertips, (state.base_x[LEFT], state.base_x[RIGHT]), rows, points
+    )
+    return HandState(fingers=state.fingers, fingertips=_readonly(tips), base_x={LEFT: left_x, RIGHT: right_x})
 
-    new_base = dict(state.base_x)
-    for hand in (LEFT, RIGHT):
-        hand_targets = [targets[f][0] for f in targets if f.hand == hand]
-        if hand_targets:
-            goal_x = sum(float(x) for x in hand_targets) / len(hand_targets)
-            delta = goal_x - new_base[hand]
-            delta = max(-base_reach, min(base_reach, delta))
-            new_base[hand] = new_base[hand] + delta
 
-    goals = np.empty((n, 3), dtype=np.float64)
-    for i, finger in enumerate(fingers):
-        if finger in targets:
-            goals[i] = targets[finger]
-        else:
-            dx, dy, dz = config.rest_offsets[finger]
-            goals[i] = (new_base[finger.hand] + dx, oy + dy, oz + dz)
-
-    delta = goals - state.fingertips
-    dist = np.sqrt((delta**2).sum(axis=1))
-    far = dist > step_reach
-    tips = goals.copy()  # in-range fingertips arrive exactly
-    if far.any():
-        scale = (step_reach / dist[far])[:, None]
-        tips[far] = state.fingertips[far] + delta[far] * scale
-
-    # span projection per hand: clamp into ball of radius span_max/2 around centroid
-    radius = config.span_max / 2.0
-    for hand in (LEFT, RIGHT):
-        idx = [i for i, f in enumerate(fingers) if f.hand == hand]
-        if not idx:
-            continue
-        pts = tips[idx]
-        centroid = pts.mean(axis=0)
-        offsets = pts - centroid
-        norms = np.sqrt((offsets**2).sum(axis=1))
-        over = norms > radius
-        if over.any():
-            pts[over] = centroid + offsets[over] * (radius / norms[over])[:, None]
-            tips[idx] = pts
-
-    return HandState(fingers=fingers, fingertips=_readonly(tips), base_x=new_base)
+def bases_collide(base: tuple, min_base_gap: float) -> bool:
+    """Forearm-collision proxy on ``(left_x, right_x)``: bases closer than min_base_gap."""
+    return abs(base[0] - base[1]) < min_base_gap
 
 
 def collision_flag(state: HandState, config: HandConfig) -> bool:
     """Forearm-collision proxy: hand bases closer than min_base_gap."""
-    return abs(state.base_x[LEFT] - state.base_x[RIGHT]) < config.min_base_gap
+    return bases_collide((state.base_x[LEFT], state.base_x[RIGHT]), config.min_base_gap)

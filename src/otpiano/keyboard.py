@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import ConfigError
 
 KEY_COUNT = 88
@@ -139,6 +141,11 @@ def key_press_point(key: int, geom: KeyboardGeometry) -> tuple[float, float, flo
         oy + geom.black_key_setback,
         oz + geom.black_key_height,
     )
+
+
+def press_point_table(geom: KeyboardGeometry) -> np.ndarray:
+    """(88, 3) array whose row k is ``key_press_point(k, geom)``."""
+    return np.array([key_press_point(k, geom) for k in range(KEY_COUNT)], dtype=np.float64)
 
 
 def _default_depths() -> "tuple[float, ...]":

@@ -15,11 +15,20 @@ from otpiano.annotate import (
     score_annotation,
     write_annotation_text,
 )
-from otpiano.assign import brute_force_assignment, build_cost_matrix
-from otpiano.hand import LEFT, RIGHT, FingerId, HandConfig, init_hands, step_hand
-from otpiano.keyboard import KeyboardGeometry, key_press_point
+from otpiano.assign import brute_force_assignment, build_cost_matrix, solve_assignment
+from otpiano.hand import (
+    ALL_FINGERS,
+    LEFT,
+    RIGHT,
+    FingerId,
+    HandConfig,
+    collision_flag,
+    init_hands,
+    step_hand,
+)
+from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point
 from otpiano.midi import GoalSequence, GoalStep, NoteEvent
-from otpiano.reward import DEFAULT_PARAMS
+from otpiano.reward import DEFAULT_PARAMS, ot_reward
 
 GEOM = KeyboardGeometry()
 HANDS = HandConfig.default()
@@ -94,11 +103,85 @@ def test_best_effort_records_dropped_keys():
     assert labeled == set(range(20, 31))
 
 
+def test_off_keyboard_goal_key_rejected():
+    # goal text can carry any integer key; none may index past the keyboard
+    for key in (-1, 88):
+        with pytest.raises(OutOfRangeError):
+            annotate_song(_sequence([{39}, {40, key}]), HANDS, GEOM)
+
+
 def test_disabled_finger_never_assigned():
     goals = _sequence([{30 + t, 55 + t} for t in range(20)])
     annotation = annotate_song(goals, HandConfig.four_finger(), GEOM)
     for step in annotation.steps:
         assert all(finger.digit != 5 for _, finger in step.pairs)
+
+
+def _reference_rollout(goals, hands, best_effort):
+    """annotate_song spelled out with the public per-step functions."""
+    state = init_hands(hands, GEOM)
+    steps = []
+    trace = np.zeros((len(goals.steps), 10, 3))
+    for t, goal in enumerate(goals.steps):
+        pairs, distance, dropped = (), 0.0, ()
+        if goal.active:
+            matrix = build_cost_matrix(state.fingertips, state.fingers, goal.active, GEOM)
+            solution = solve_assignment(matrix, best_effort=best_effort)
+            pairs = tuple((matrix.key_ids[r], matrix.finger_ids[c]) for r, c in solution.pairs)
+            distance = solution.total_cost
+            dropped = tuple(matrix.key_ids[r] for r in solution.dropped_rows)
+        targets = {finger: key_press_point(key, GEOM) for key, finger in pairs}
+        state = step_hand(state, targets, goals.dt, hands, GEOM)
+        pressed = frozenset(
+            key
+            for key, finger in pairs
+            if np.linalg.norm(state.fingertip(finger) - np.asarray(targets[finger])) < DEFAULT_PARAMS.threshold
+        )
+        steps.append(
+            StepAnnotation(
+                pairs=pairs,
+                distance=distance,
+                ot=ot_reward(distance, DEFAULT_PARAMS),
+                pressed=pressed,
+                dropped_keys=dropped,
+                collision=collision_flag(state, hands),
+            )
+        )
+        for finger, point in zip(state.fingers, state.fingertips):
+            trace[t, ALL_FINGERS.index(finger)] = point
+    return tuple(steps), trace
+
+
+def _held_chords(rng, n_steps, max_keys):
+    """Two-hand chords held for 1-6 steps, with silent gaps, crossings and clusters."""
+    active_sets = []
+    while len(active_sets) < n_steps:
+        size = int(rng.integers(0, max_keys + 1))
+        centers = rng.integers(15, 73, size=2)
+        keys = set()
+        for k in range(size):
+            keys.add(int(np.clip(centers[k % 2] + rng.integers(-6, 7), 0, 87)))
+        active_sets.extend([keys] * int(rng.integers(1, 7)))
+    return _sequence(active_sets[:n_steps])
+
+
+@pytest.mark.parametrize(
+    "hands, best_effort, max_keys",
+    [
+        (HANDS, False, 10),
+        (HandConfig.four_finger(), True, 14),
+        (HandConfig.default().disable_digit(3), False, 8),
+    ],
+    ids=["ten-strict", "four-best-effort", "no-middle-strict"],
+)
+def test_rollout_matches_reference_loop(hands, best_effort, max_keys):
+    goals = _held_chords(np.random.default_rng(max_keys), 400, max_keys)
+    if best_effort:
+        assert any(len(g.active) > len(hands.enabled_fingers) for g in goals.steps)
+    annotation = annotate_song(goals, hands, GEOM, best_effort=best_effort)
+    steps, trace = _reference_rollout(goals, hands, best_effort)
+    assert annotation.steps == steps
+    assert annotation.fingertip_trace.tobytes() == trace.tobytes()
 
 
 # ---------------------------------------------------------------------------

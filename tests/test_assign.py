@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import otpiano.assign as assign_module
 from otpiano.assign import (
     Assignment,
     CostMatrix,
@@ -176,6 +177,114 @@ def test_scale_equivariance():
         assert scaled.pairs == base.pairs
         assert scaled.total_cost == pytest.approx(lam * base.total_cost, rel=1e-12)
 
+
+def _tie_heavy(rng, rows, cols, values=3):
+    return _matrix(rng.integers(0, values, size=(rows, cols)).astype(float))
+
+
+def test_one_augmenting_path_solve_per_call(monkeypatch):
+    calls = []
+    solve = assign_module._augmenting_path_solve
+
+    def counted(cost):
+        calls.append(len(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(assign_module, "_augmenting_path_solve", counted)
+    rng = np.random.default_rng(13)
+    for rows, cols in [(1, 1), (3, 8), (10, 10), (14, 8), (18, 8)]:
+        for _ in range(20):
+            calls.clear()
+            solve_assignment(_tie_heavy(rng, rows, cols), best_effort=True)
+            assert calls == [min(rows, cols)]
+
+
+def test_optimal_totals_match_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        fingers = int(rng.integers(1, 11))
+        keys = int(rng.integers(1, fingers + 1))
+        costs = rng.uniform(0.0, 1.0, size=(keys, fingers))
+        rows, cols = optimize.linear_sum_assignment(costs)
+        assert solve_assignment(_matrix(costs)).total_cost == pytest.approx(costs[rows, cols].sum(), abs=1e-12)
+    for _ in range(200):
+        fingers = int(rng.integers(1, 9))
+        keys = int(rng.integers(fingers + 1, 19))
+        costs = rng.uniform(0.0, 1.0, size=(keys, fingers))
+        result = solve_assignment(_matrix(costs), best_effort=True)
+        # best effort keeps the cheapest finger-count subset: scipy on the transpose
+        rows, cols = optimize.linear_sum_assignment(costs.T)
+        assert result.total_cost == pytest.approx(costs.T[rows, cols].sum(), abs=1e-12)
+        assert len(result.pairs) == fingers and len(result.dropped_rows) == keys - fingers
+
+
+def _reference_lexicographic_pairs(cost: list, target: float) -> tuple:
+    """The former re-solving tie-break: fix each row to its smallest column
+    whose optimal completion (a fresh solve of the remaining rows) still meets
+    the target total."""
+    solve = assign_module._augmenting_path_solve
+    n_rows = len(cost)
+    eps = assign_module._TIE_RTOL * max(1.0, max(abs(x) for row in cost for x in row))
+    available = list(range(len(cost[0])))
+    chosen = []
+    prefix = 0.0
+    for i in range(n_rows):
+
+        def completion_cost(j):
+            if i + 1 == n_rows:
+                return prefix + cost[i][j]
+            sub = [[cost[r][jj] for jj in available if jj != j] for r in range(i + 1, n_rows)]
+            col4row = solve(sub)[0]
+            return prefix + cost[i][j] + sum(sub[r][c] for r, c in enumerate(col4row))
+
+        picked = next(j for j in available if completion_cost(j) <= target + eps)
+        chosen.append((i, picked))
+        prefix += cost[i][picked]
+        available.remove(picked)
+    return tuple(chosen)
+
+
+def _reference_pairs(costs: np.ndarray) -> tuple:
+    """Lexicographic optimum by re-solving; finger-major on the transpose when oversized."""
+    transposed = costs.shape[0] > costs.shape[1]
+    rows = (costs.T if transposed else costs).tolist()
+    col4row = assign_module._augmenting_path_solve(rows)[0]
+    pairs = _reference_lexicographic_pairs(rows, sum(rows[r][c] for r, c in enumerate(col4row)))
+    return tuple(sorted((k, f) for f, k in pairs)) if transposed else pairs
+
+
+def test_tie_tolerance_bounds_the_total_not_each_pair():
+    # the diagonal costs 2 * slack more than the optimum while each of its
+    # pairs is only ``slack`` off: a tie only when the sum is within 1e-12
+    for slack, expected in ((0.75e-12, ((0, 1), (1, 0))), (0.4e-12, ((0, 0), (1, 1)))):
+        costs = np.array([[1.0 + slack, 1.0], [1.0, 1.0 + slack]])
+        assert solve_assignment(_matrix(costs)).pairs == expected == _reference_pairs(costs)
+
+
+def test_tie_break_matches_resolving_reference_on_large_tied_instances():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.integers(8, 11))
+        values = int(rng.integers(3, 7))
+        for shape in [(n, n), (n, int(rng.integers(n, 11))), (int(rng.integers(n + 1, 19)), n)]:
+            matrix = _tie_heavy(rng, *shape, values)
+            result = solve_assignment(matrix, best_effort=True)
+            assert result.pairs == _reference_pairs(matrix.costs)
+
+
+
+def test_tie_break_matches_resolving_reference_on_near_ties():
+    # integer costs plus slack in steps of 0.4 tolerance: whether a
+    # tie holds depends on how many slack steps a whole assignment sums
+    rng = np.random.default_rng(29)
+    for _ in range(150):
+        n = int(rng.integers(2, 11))
+        for shape in [(n, int(rng.integers(n, 11))), (int(rng.integers(n + 1, 19)), n)]:
+            base = rng.integers(0, int(rng.integers(2, 5)), size=shape).astype(float)
+            step = 0.4 * assign_module._TIE_RTOL * max(1.0, base.max())
+            costs = base + rng.integers(0, 3, size=shape) * step
+            assert solve_assignment(_matrix(costs), best_effort=True).pairs == _reference_pairs(costs)
 
 # ---------------------------------------------------------------------------
 # exhaustive oracle

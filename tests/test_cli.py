@@ -89,6 +89,23 @@ def test_annotate_strict_failure_lists_song(tmp_path, capsys):
     assert _annotate(midi_dir, out, "--best-effort") == 0
 
 
+def test_annotate_unlabeled_note_fails_only_that_song(tmp_path, capsys):
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    # pitch 12 is below A0: no key, so strict PIG export cannot label it
+    (midi_dir / "bad.mid").write_bytes(simple_song([(60, 0, 480), (12, 480, 960)]))
+    (midi_dir / "good.mid").write_bytes(simple_song([(60, 0, 480), (64, 480, 960)]))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning):
+        assert _annotate(midi_dir, out, "--pig-out") == 1
+    captured = capsys.readouterr()
+    assert "FAIL bad: UnlabeledNoteError" in captured.err
+    assert "good\tsteps=" in captured.out
+    for suffix in (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt", ".ep000.rp1t"):
+        assert (out / f"good{suffix}").exists()
+    assert not list(out.glob("bad.*"))
+
+
 def test_annotate_four_finger_embodiment(song_dir, tmp_path):
     out = tmp_path / "out"
     assert _annotate(song_dir, out, "--embodiment", "four-finger") == 0
