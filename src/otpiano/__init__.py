@@ -20,6 +20,7 @@ from .annotate import (
     UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
+    build_episode_record,
     chunk_episodes,
     score_annotation,
 )
@@ -45,9 +46,7 @@ from .keyboard import (
 )
 from .metrics import (
     DatasetStats,
-    KeyPressTrace,
     NoOverlapError,
-    TraceStep,
     dataset_stats,
     f1,
     fingering_agreement,
@@ -59,7 +58,6 @@ from .midi import (
     DimensionMismatchError,
     EmptySongError,
     GoalSequence,
-    GoalStep,
     MalformedMidiError,
     MidiSong,
     NoteEvent,

@@ -5,30 +5,37 @@ time: build the fingertip-to-key cost matrix from the current hand state,
 solve the assignment, record the chosen pairs and their total moving
 distance, then advance the hands toward the assigned press points.
 Fingering therefore adapts to wherever the hands actually are, step by
-step.  Songs are chunked into fixed-length episodes afterwards.
+step.  Songs are scored once and chunked into fixed-length episodes
+afterwards; each episode's trajectory record is sliced from the song's
+arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .assign import InfeasibleError, key_distances, solve_cost_rows
 from .hand import ALL_FINGERS, LEFT, RIGHT, FingerId, HandConfig, HandMotion, bases_collide, init_hands
-from .keyboard import KEY_COUNT, KeyboardGeometry, KeyState, OutOfRangeError, key_for_pitch, press_point_table
-from .midi import DEFAULT_STRETCH, GoalSequence, GoalStep, note_step_span, trim_shift
-from .pig import PigRecord, midi_to_spelled
-from .reward import (
-    DEFAULT_PARAMS,
-    RewardParams,
-    collision_reward,
-    ot_reward,
-    press_reward,
-    sustain_reward,
-    total_reward,
+from .keyboard import KEY_COUNT, KeyboardGeometry, key_for_pitch, press_point_table
+from .metrics import f1, precision_recall
+from .midi import (
+    ACTION_DIM,
+    DEFAULT_LOOKAHEAD,
+    DEFAULT_STRETCH,
+    HAND_STATE_DIM,
+    GoalSequence,
+    goal_windows,
+    note_step_span,
+    observation_dim,
+    trim_shift,
+    write_observations,
 )
+from .pig import PigRecord, midi_to_spelled
+from .reward import DEFAULT_PARAMS, RewardBreakdown, RewardParams, ot_reward, total_reward
+from .store import EpisodeRecord
 
 DEFAULT_EPISODE_LEN = 550
 
@@ -52,31 +59,30 @@ class StepAnnotation:
     """Solved placement for one step.
 
     ``pairs`` are (key, FingerId) with every active key labeled once;
-    ``distance`` is the solved total moving cost before the hands move;
-    ``pressed`` holds the keys whose assigned fingertip ended the step
-    within the press threshold.
+    ``distance`` is the solved total moving cost before the hands move.
     """
 
     pairs: tuple = ()
     distance: float = 0.0
     ot: float = 1.0
-    pressed: frozenset = frozenset()
     dropped_keys: tuple = ()
     collision: bool = False
 
 
-_EMPTY_STEP = StepAnnotation()
-
-
 @dataclass(frozen=True, eq=False)
 class FingeringAnnotation:
-    """Per-step fingering of a whole song plus the config that produced it."""
+    """Per-step fingering of a whole song plus the config that produced it.
+
+    Row t of ``pressed`` marks the keys whose assigned fingertip ended step
+    t within the press threshold.
+    """
 
     steps: tuple
     dt: float
     embodiment: str
     snapshot: dict = field(default_factory=dict)
     fingertip_trace: "np.ndarray | None" = None  # (T, 10, 3) slot layout
+    pressed: "np.ndarray | None" = None  # (T, 88) bool
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -120,14 +126,13 @@ def annotate_song(
     tips = state.fingertips
     base = (state.base_x[LEFT], state.base_x[RIGHT])
     steps = []
-    trace = np.zeros((len(goals.steps), 10, 3), dtype=np.float64)
-    for t, goal in enumerate(goals.steps):
-        active = sorted(goal.active)
+    trace = np.zeros((len(goals), 10, 3), dtype=np.float64)
+    pressed = np.zeros((len(goals), KEY_COUNT), dtype=bool)
+    for t, row in enumerate(goals.keys):
+        active = np.flatnonzero(row).tolist()
         if active:
             if len(active) > n_fingers and not best_effort:
                 raise InfeasibleStepError(t, len(active), n_fingers)
-            if active[0] < 0 or active[-1] >= KEY_COUNT:
-                raise OutOfRangeError(f"step {t}: key outside [0, {KEY_COUNT})")
             points = press_points[active]
             solved, distance, dropped_rows = solve_cost_rows(key_distances(points, tips).tolist(), best_effort)
             key_rows = [r for r, _ in solved]
@@ -136,28 +141,26 @@ def annotate_song(
             targets = points[key_rows]
             tips, base = motion.step(tips, base, rows, targets)
             reach = tips[rows] - targets
-            reached = (np.sqrt((reach**2).sum(axis=1)) < params.threshold).tolist()
+            pressed[t, keys] = np.sqrt((reach**2).sum(axis=1)) < params.threshold
             pairs = tuple((key, fingers[c]) for key, c in zip(keys, rows))
-            pressed = frozenset(key for key, ok in zip(keys, reached) if ok)
             dropped = tuple(active[r] for r in dropped_rows)
         else:
             tips, base = motion.step(tips, base, [], None)
             pairs = ()
             distance = 0.0
-            pressed = frozenset()
             dropped = ()
         steps.append(
             StepAnnotation(
                 pairs=pairs,
                 distance=distance,
                 ot=ot_reward(distance, params),
-                pressed=pressed,
                 dropped_keys=dropped,
                 collision=bases_collide(base, hands.min_base_gap),
             )
         )
         trace[t, slot_index] = tips
     trace.flags.writeable = False
+    pressed.flags.writeable = False
     snapshot = {"dt": goals.dt, **hands.snapshot(), **geom.snapshot(), **params.snapshot()}
     return FingeringAnnotation(
         steps=tuple(steps),
@@ -165,6 +168,7 @@ def annotate_song(
         embodiment=hands.name,
         snapshot=snapshot,
         fingertip_trace=trace,
+        pressed=pressed,
     )
 
 
@@ -181,43 +185,90 @@ class Episode:
     start_step: int
     length: int
     n_real: int
-    goal_steps: tuple
-    annotation_steps: tuple
 
     @property
     def n_padded(self) -> int:
         return self.length - self.n_real
 
+    def take(self, values: np.ndarray, fill=0) -> np.ndarray:
+        """This episode's rows of a per-step song array, ``fill`` on the padded tail."""
+        out = np.full((self.length, *values.shape[1:]), fill, dtype=values.dtype)
+        out[: self.n_real] = values[self.start_step : self.start_step + self.n_real]
+        return out
+
 
 def chunk_episodes(goals: GoalSequence, annotation: FingeringAnnotation, episode_len: int = DEFAULT_EPISODE_LEN) -> list:
     """Split a song into consecutive equal-length episodes.
 
-    The final window is zero-padded with silent goals and empty annotation
-    steps so every episode has exactly ``episode_len`` steps; concatenating
-    the real parts reproduces the song.
+    The final window is padded with silent goals and empty annotation steps
+    (see ``Episode.take``) so every episode has exactly ``episode_len``
+    steps; concatenating the real parts reproduces the song.
     """
     if episode_len <= 0:
         raise ValueError("episode_len must be > 0")
-    if len(goals.steps) != len(annotation.steps):
+    if len(goals) != len(annotation):
         raise ValueError("goal sequence and annotation disagree on step count")
-    total = len(goals.steps)
-    episodes = []
-    n_episodes = math.ceil(total / episode_len) if total else 0
-    for e in range(n_episodes):
-        start = e * episode_len
-        real = min(episode_len, total - start)
-        pad = episode_len - real
-        episodes.append(
-            Episode(
-                index=e,
-                start_step=start,
-                length=episode_len,
-                n_real=real,
-                goal_steps=tuple(goals.steps[start : start + real]) + (GoalStep(),) * pad,
-                annotation_steps=tuple(annotation.steps[start : start + real]) + (_EMPTY_STEP,) * pad,
-            )
-        )
-    return episodes
+    total = len(goals)
+    return [
+        Episode(index=e, start_step=start, length=episode_len, n_real=min(episode_len, total - start))
+        for e, start in enumerate(range(0, total, episode_len))
+    ]
+
+
+def build_episode_record(
+    episode: Episode,
+    goals: GoalSequence,
+    annotation: FingeringAnnotation,
+    rewards: np.ndarray,
+    params: RewardParams,
+    song: str,
+    lookahead: int = DEFAULT_LOOKAHEAD,
+    run_snapshot: "dict | None" = None,
+) -> EpisodeRecord:
+    """Synthesize a trajectory record from one annotated episode.
+
+    Observations carry the real goal window (looking across episode
+    boundaries, zero past the song end), idealized key depths from the
+    reached keys, and the surrogate fingertip trace; the 46-dim hand state
+    and 39-dim actions are opaque in this pipeline and stay zero.  Rewards
+    are the episode's part of the song's per-step totals ``rewards`` (from
+    ``score_annotation`` with ``params``), with a silent step's reward on
+    the padded tail.  With the default 10-step lookahead the record is
+    canonical (1144-dim).
+    """
+    L = lookahead + 1
+    T = episode.length
+    pressed = episode.take(annotation.pressed)
+    obs = np.zeros((T, observation_dim(L)), dtype=np.float32)
+    goal_keys, goal_sustain = goal_windows(goals, episode.start_step, T, L)
+    write_observations(
+        obs,
+        goal_keys,
+        goal_sustain,
+        pressed,
+        episode.take(goals.sustain),
+        episode.take(annotation.fingertip_trace),
+        np.zeros((T, HAND_STATE_DIM)),
+    )
+    silent = np.zeros((1, KEY_COUNT), dtype=bool)
+    padding = _score_rows(silent, silent, np.ones(1), np.zeros(1, dtype=bool), params).total[0]
+    precision, recall = precision_recall(pressed, episode.take(goals.keys))
+    snapshot = run_snapshot if run_snapshot is not None else annotation.snapshot
+    meta = {
+        "song": song,
+        "chunk": episode.index,
+        "n_real": episode.n_real,
+        "f1": f1(precision, recall),
+        "embodiment": annotation.embodiment,
+        "config": {k: str(v) for k, v in sorted(snapshot.items())},
+        "otpiano_version": __version__,
+    }
+    return EpisodeRecord(
+        observations=obs,
+        actions=np.zeros((T, ACTION_DIM), dtype=np.float32),
+        rewards=episode.take(rewards, fill=padding),
+        meta=meta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,31 +334,37 @@ def annotation_to_pig(
 # ---------------------------------------------------------------------------
 
 
-def score_annotation(goals: GoalSequence, annotation: FingeringAnnotation, params: RewardParams = DEFAULT_PARAMS) -> list:
-    """Per-step reward breakdown of a surrogate rollout.
+def score_annotation(goals: GoalSequence, annotation: FingeringAnnotation, params: RewardParams = DEFAULT_PARAMS) -> RewardBreakdown:
+    """Per-step reward breakdown of a surrogate rollout: one (T,) array per term.
 
     Key depths are idealized from the reached keys (1 when the assigned
     fingertip arrived, 0 otherwise), sustain is scored at its target, and
     energy is zero: the surrogate has no pedal or torque model.
     """
-    rows = []
-    for goal, step in zip(goals.steps, annotation.steps):
-        depths = [0.0] * KEY_COUNT
-        for key in step.pressed:
-            depths[key] = 1.0
-        key_state = KeyState(depths=tuple(depths), sustain=float(goal.sustain))
-        false_press = bool(step.pressed - goal.active)
-        rows.append(
-            total_reward(
-                ot=step.ot,
-                press=press_reward(key_state, goal.active, false_press, params),
-                sustain=sustain_reward(float(goal.sustain), float(goal.sustain), params),
-                collision=collision_reward(step.collision),
-                energy=0.0,
-                params=params,
-            )
-        )
-    return rows
+    if len(goals) != len(annotation):
+        raise ValueError("goal sequence and annotation disagree on step count")
+    ot = np.array([s.ot for s in annotation.steps], dtype=np.float64)
+    collided = np.array([s.collision for s in annotation.steps], dtype=bool)
+    return _score_rows(goals.keys, annotation.pressed, ot, collided, params)
+
+
+def _score_rows(active, pressed, ot, collided, params: RewardParams) -> RewardBreakdown:
+    """``press_reward`` and friends over (T, 88) active/pressed rows at once."""
+    # depth shaping per active key (depth 1 if pressed, else 0), one row per
+    # step in ascending key order, zero-padded: cumsum adds sequentially, in
+    # the order of press_reward's sum
+    n_active = active.sum(axis=1)
+    step = np.repeat(np.arange(len(ot)), n_active)
+    rank = np.arange(len(step)) - np.repeat(np.cumsum(n_active) - n_active, n_active)
+    depth = np.zeros((len(ot), n_active.max(initial=0) + 1))
+    depth[step, rank] = np.where(pressed[active], params.shaping(0.0), params.shaping(1.0))
+    np.cumsum(depth, axis=1, out=depth)
+    depth_term = np.divide(depth[:, -1], n_active, out=np.ones(len(ot)), where=n_active > 0)
+    false_press = (pressed & ~active).any(axis=1)
+    press = 0.5 * depth_term + 0.5 * np.where(false_press, 0.0, 1.0)
+    sustain = np.full(len(ot), params.shaping(0.0))
+    collision = np.where(collided, 0.0, 1.0)
+    return total_reward(ot, press, sustain, collision, np.zeros(len(ot)), params)
 
 
 ANNOTATION_HEADER = "# otpiano annotation v1"

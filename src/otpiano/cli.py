@@ -17,11 +17,11 @@ import numpy as np
 from . import __version__
 from .annotate import (
     DEFAULT_EPISODE_LEN,
-    FingeringAnnotation,
     InfeasibleStepError,
     UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
+    build_episode_record,
     chunk_episodes,
     score_annotation,
     write_annotation_text,
@@ -29,43 +29,22 @@ from .annotate import (
 from .assign import InfeasibleError, build_cost_matrix, format_debug_table, solve_assignment
 from .config import load_config
 from .hand import HandConfig, init_hands
-from .keyboard import KeyboardGeometry, KeyState, is_black, key_for_pitch, pitch_for_key
-from .metrics import (
-    DEFAULT_PRESS_THRESHOLD,
-    F1_THRESHOLDS,
-    KeyPressTrace,
-    TraceStep,
-    dataset_stats,
-    f1,
-    fingering_agreement,
-    precision_recall,
-)
+from .keyboard import KeyboardGeometry, is_black, key_for_pitch, pitch_for_key
+from .metrics import DEFAULT_PRESS_THRESHOLD, F1_THRESHOLDS, dataset_stats, f1, fingering_agreement, precision_recall
 from .midi import (
-    ACTION_DIM,
     DEFAULT_DT,
     DEFAULT_LOOKAHEAD,
     DEFAULT_STRETCH,
-    HAND_STATE_DIM,
     EmptySongError,
-    GoalSequence,
     MalformedMidiError,
-    assemble_observation,
     discretize,
     goal_from_text,
     goal_to_text,
-    goal_vector,
     load_midi,
 )
 from .pig import load_pig, save_pig
 from .reward import DEFAULT_PARAMS, RewardParams
-from .store import (
-    EPISODE_SUFFIX,
-    EpisodeRecord,
-    get_importer,
-    rewards_csv,
-    save_episode,
-    score_csv,
-)
+from .store import EPISODE_SUFFIX, iter_episodes, rewards_csv, save_episode, score_csv
 
 _MIDI_SUFFIXES = (".mid", ".midi")
 
@@ -106,72 +85,6 @@ def _snapshot_comments(snapshot: dict) -> list:
 # ---------------------------------------------------------------------------
 # annotate
 # ---------------------------------------------------------------------------
-
-
-def build_episode_record(
-    episode,
-    goals: GoalSequence,
-    annotation: FingeringAnnotation,
-    params: RewardParams,
-    song: str,
-    lookahead: int = DEFAULT_LOOKAHEAD,
-    run_snapshot: "dict | None" = None,
-) -> EpisodeRecord:
-    """Synthesize a trajectory record from one annotated episode.
-
-    Observations carry the real goal window (looking across episode
-    boundaries, zero past the song end), idealized key depths from the
-    reached keys, and the surrogate fingertip trace; the 46-dim hand state
-    and 39-dim actions are opaque in this pipeline and stay zero.  With the
-    default 10-step lookahead the record is canonical (1144-dim).
-    """
-    L = lookahead + 1
-    T = episode.length
-    song_len = len(goals.steps)
-    obs = np.zeros((T, L * 89 + 165), dtype=np.float32)
-    for t in range(T):
-        g = episode.start_step + t
-        vec = goal_vector(goals, g, L)
-        if g < song_len:
-            step = annotation.steps[g]
-            depths = [0.0] * 88
-            for key in step.pressed:
-                depths[key] = 1.0
-            sustain = float(goals.steps[g].sustain)
-            tips = annotation.fingertip_trace[g]
-        else:
-            depths = [0.0] * 88
-            sustain = 0.0
-            tips = np.zeros((10, 3))
-        obs[t] = assemble_observation(vec, KeyState(depths=tuple(depths), sustain=sustain), tips, np.zeros(HAND_STATE_DIM))
-
-    ep_goals = GoalSequence(steps=episode.goal_steps, dt=goals.dt)
-    ep_annotation = FingeringAnnotation(
-        steps=episode.annotation_steps, dt=goals.dt, embodiment=annotation.embodiment
-    )
-    breakdown = score_annotation(ep_goals, ep_annotation, params)
-    rewards = np.array([b.total for b in breakdown], dtype=np.float32)
-
-    trace = KeyPressTrace(
-        steps=tuple(TraceStep(pressed=s.pressed, active=g.active) for s, g in zip(episode.annotation_steps, episode.goal_steps))
-    )
-    precision, recall = precision_recall(trace)
-    snapshot = run_snapshot if run_snapshot is not None else annotation.snapshot
-    meta = {
-        "song": song,
-        "chunk": episode.index,
-        "n_real": episode.n_real,
-        "f1": f1(precision, recall),
-        "embodiment": annotation.embodiment,
-        "config": {k: str(v) for k, v in sorted(snapshot.items())},
-        "otpiano_version": __version__,
-    }
-    return EpisodeRecord(
-        observations=obs,
-        actions=np.zeros((T, ACTION_DIM), dtype=np.float32),
-        rewards=rewards,
-        meta=meta,
-    )
 
 
 def _process_song(task: dict) -> dict:
@@ -217,23 +130,23 @@ def _process_song(task: dict) -> dict:
         (out_dir / f"{stem}.annotation.txt").write_text(
             write_annotation_text(annotation, extra_snapshot=run_extra), encoding="utf-8"
         )
-        breakdown = score_annotation(goals, annotation, params)
+        scores = score_annotation(goals, annotation, params)
         (out_dir / f"{stem}.rewards.csv").write_text(
-            "".join(f"# {c}\n" for c in comments) + score_csv(breakdown), encoding="utf-8"
+            "".join(f"# {c}\n" for c in comments) + score_csv(scores), encoding="utf-8"
         )
         if records is not None:
             save_pig(records, out_dir / f"{stem}.pig.txt", header_comments=comments)
         episodes = chunk_episodes(goals, annotation, task["episode_len"])
         for episode in episodes:
             record = build_episode_record(
-                episode, goals, annotation, params, stem, lookahead=task["lookahead"], run_snapshot=run_snapshot
+                episode, goals, annotation, scores.total, params, stem, task["lookahead"], run_snapshot
             )
             save_episode(record, out_dir / f"{stem}.ep{episode.index:03d}{EPISODE_SUFFIX}")
     except (MalformedMidiError, EmptySongError, InfeasibleStepError, UnlabeledNoteError, OSError) as exc:
         return {"song": stem, "error": f"{type(exc).__name__}: {exc}"}
     return {
         "song": stem,
-        "steps": len(goals.steps),
+        "steps": len(goals),
         "mean_d_ot": annotation.mean_distance,
         "dropped_steps": annotation.dropped_step_count,
         "episodes": len(episodes),
@@ -315,8 +228,7 @@ def cmd_eval(args) -> int:
             print(f"not a directory: {directory}", file=sys.stderr)
             return 2
         try:
-            importer = get_importer(args.importer)(directory)
-            records = list(importer.episodes())
+            records = list(iter_episodes(directory))
         except Exception as exc:
             print(f"cannot read episodes: {exc}", file=sys.stderr)
             return 2
@@ -326,22 +238,18 @@ def cmd_eval(args) -> int:
         by_song: dict = {}
         for rec in records:
             by_song.setdefault(str(rec.meta.get("song", "?")), []).append(rec)
-        rows = []
-        all_steps = []
+        rows, traces = [], []
         for song in sorted(by_song):
-            steps = []
-            for rec in by_song[song]:
-                for pressed, active in zip(rec.pressed_key_steps(args.press_threshold), rec.active_key_steps()):
-                    steps.append(TraceStep(pressed=pressed, active=active))
-            all_steps.extend(steps)
-            precision, recall = precision_recall(KeyPressTrace(steps=tuple(steps)))
-            rows.append((song, precision, recall, f1(precision, recall)))
-        precision, recall = precision_recall(KeyPressTrace(steps=tuple(all_steps)))
-        rows.append(("OVERALL", precision, recall, f1(precision, recall)))
+            pressed = np.concatenate([rec.pressed_key_steps(args.press_threshold) for rec in by_song[song]])
+            traces.append((pressed, np.concatenate([rec.active_key_steps() for rec in by_song[song]])))
+            rows.append((song, *precision_recall(*traces[-1])))
+        rows.append(("OVERALL", *precision_recall(*(np.concatenate(part) for part in zip(*traces)))))
+        rows = [(song, precision, recall, f1(precision, recall)) for song, precision, recall in rows]
         print("song\tprecision\trecall\tf1")
         for song, precision, recall, score in rows:
             print(f"{song}\t{precision:.6f}\t{recall:.6f}\t{score:.6f}")
-        eval_snapshot = f"# press_threshold = {args.press_threshold}\n# importer = {args.importer}\n"
+        # a fixed importer line keeps the header that existing result files carry
+        eval_snapshot = f"# press_threshold = {args.press_threshold}\n# importer = native\n"
         if args.csv:
             lines = ["song,precision,recall,f1"]
             lines += [f"{s},{p!r},{r!r},{v!r}" for s, p, r, v in rows]
@@ -385,7 +293,7 @@ def cmd_stats(args) -> int:
         for path in sorted(directory.glob("*.goals.txt")):
             sources.append(goal_from_text(path.read_text(encoding="utf-8")))
             goal_songs.add(path.name[: -len(".goals.txt")])
-        for rec in get_importer(args.importer)(directory).episodes():
+        for rec in iter_episodes(directory):
             # goal files already cover this song; episodes only add F1 metadata
             if str(rec.meta.get("song", "")) not in goal_songs:
                 sources.append(rec)
@@ -492,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score rollouts (F1) or compare fingering files")
     p.add_argument("--episodes", default=None, help="directory of episode containers")
-    p.add_argument("--importer", default="native", help="episode importer scheme")
     p.add_argument("--press-threshold", type=float, default=DEFAULT_PRESS_THRESHOLD, help="key depth counted as pressed")
     p.add_argument("--pig-ours", default=None, help="our PIG fingering file")
     p.add_argument("--pig-human", default=None, help="reference PIG fingering file")
@@ -503,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics over goal files and episodes")
     p.add_argument("--in", dest="input", required=True, help="directory of *.goals.txt / episode files")
-    p.add_argument("--importer", default="native", help="episode importer scheme")
     p.add_argument("--f1-meta", action="store_true", help="collect F1 scores from episode metadata")
     p.add_argument("--count-mode", choices=("onsets", "steps"), default="onsets", help="histogram counting rule")
     p.add_argument("--csv", default=None, help="write the key histogram as CSV")

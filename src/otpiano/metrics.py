@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .keyboard import KEY_COUNT, is_black
+from .midi import onset_mask
 
 DEFAULT_PRESS_THRESHOLD = 0.5
 F1_THRESHOLDS = (0.5, 0.75)
@@ -21,42 +24,24 @@ class NoOverlapError(ValueError):
     """Two fingering files share no matching notes."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One step of a rollout: keys actually pressed vs. the goal's active set."""
-
-    pressed: frozenset
-    active: frozenset
-
-    def __post_init__(self) -> None:
-        for keys in (self.pressed, self.active):
-            if any(not 0 <= k < KEY_COUNT for k in keys):
-                raise ValueError(f"key index outside [0, {KEY_COUNT})")
-
-
-@dataclass(frozen=True)
-class KeyPressTrace:
-    """Per-step pressed/active sets of one rollout."""
-
-    steps: tuple
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def precision_recall(trace: KeyPressTrace) -> tuple:
+def precision_recall(pressed, active) -> tuple:
     """Micro-averaged precision and recall over all steps.
 
-    With nothing pressed precision is 1 (no wrong press committed); with
-    nothing active recall is 1 (nothing was missed).
+    ``pressed`` and ``active`` are (T, 88) bool arrays of a rollout's keys
+    pressed and goal keys.  With nothing pressed precision is 1 (no wrong
+    press committed); with nothing active recall is 1 (nothing was missed).
     """
-    if not trace.steps:
+    pressed = np.asarray(pressed, dtype=bool)
+    active = np.asarray(active, dtype=bool)
+    if pressed.shape != active.shape or pressed.ndim != 2 or pressed.shape[1] != KEY_COUNT:
+        raise ValueError(f"pressed {pressed.shape} and active {active.shape} must both be (T, {KEY_COUNT})")
+    if len(pressed) == 0:
         raise ValueError("trace must contain at least one step")
-    hits = sum(len(s.pressed & s.active) for s in trace.steps)
-    pressed = sum(len(s.pressed) for s in trace.steps)
-    active = sum(len(s.active) for s in trace.steps)
-    precision = hits / pressed if pressed else 1.0
-    recall = hits / active if active else 1.0
+    hits = int(np.count_nonzero(pressed & active))
+    n_pressed = int(np.count_nonzero(pressed))
+    n_active = int(np.count_nonzero(active))
+    precision = hits / n_pressed if n_pressed else 1.0
+    recall = hits / n_active if n_active else 1.0
     return precision, recall
 
 
@@ -175,20 +160,11 @@ class DatasetStats:
         )
 
 
-def _piece_steps(source):
-    """Normalize a stats source to per-step active-key sets.
-
-    Accepts a GoalSequence or any object exposing ``active_key_steps()``
-    (the episode-record adapter hook).
-    """
-    if hasattr(source, "active_key_steps"):
-        return list(source.active_key_steps())
-    return [step.active for step in source.steps]
-
-
 def dataset_stats(sources, f1_scores=None, count_mode: str = "onsets") -> DatasetStats:
     """Aggregate corpus statistics over goal sequences or episode records.
 
+    Each source is a GoalSequence or any object whose ``active_key_steps()``
+    returns its (T, 88) goal keys (the episode-record hook).
     ``count_mode="onsets"`` counts each key once per activation;
     ``"steps"`` counts per-step occupancy instead.  Optional per-piece F1
     scores feed the threshold fractions.
@@ -196,23 +172,13 @@ def dataset_stats(sources, f1_scores=None, count_mode: str = "onsets") -> Datase
     if count_mode not in ("onsets", "steps"):
         raise ValueError("count_mode must be 'onsets' or 'steps'")
     stats = DatasetStats(count_mode=count_mode)
-    n_sources = 0
     for source in sources:
-        n_sources += 1
-        steps = _piece_steps(source)
-        piece_onsets = 0
-        prev = frozenset()
-        for active in steps:
-            if count_mode == "onsets":
-                new_keys = active - prev
-            else:
-                new_keys = active
-            for key in new_keys:
-                stats.key_histogram[key] += 1
-            piece_onsets += len(new_keys)
-            prev = active
-        stats.active_key_counts.append(piece_onsets)
-    if n_sources == 0:
+        keys = source.active_key_steps() if hasattr(source, "active_key_steps") else source.keys
+        counted = onset_mask(keys) if count_mode == "onsets" else keys
+        per_key = counted.sum(axis=0).tolist()
+        stats.key_histogram = [a + b for a, b in zip(stats.key_histogram, per_key)]
+        stats.active_key_counts.append(sum(per_key))
+    if not stats.active_key_counts:
         raise ValueError("at least one source is required")
     if f1_scores is not None:
         stats.f1_scores.extend(float(s) for s in f1_scores)

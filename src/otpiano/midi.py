@@ -2,9 +2,9 @@
 
 Reads SMF format 0/1 byte-exactly (no external MIDI dependency), converts
 ticks to seconds through the tempo map, and discretizes note intervals onto
-a fixed control grid.  Each grid step carries the set of keys that must be
-down plus a binary sustain-pedal target; a lookahead window of steps is
-flattened into goal vectors and full observation vectors.
+a fixed control grid: a (T, 88) bool array of keys that must be down plus a
+(T,) binary sustain-pedal target.  Lookahead windows of that grid are sliced
+into goal vectors and observation blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keyboard import KEY_COUNT, MAX_PITCH, MIN_PITCH, KeyState, key_for_pitch
+from .keyboard import KEY_COUNT, MAX_PITCH, MIN_PITCH, KeyState, OutOfRangeError, key_for_pitch
 
 DEFAULT_DT = 0.05
 DEFAULT_STRETCH = 1.25
@@ -294,35 +294,50 @@ def load_midi(path) -> MidiSong:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoalStep:
-    """Goal for one control step: keys that must be down plus sustain bit."""
-
-    active: frozenset = frozenset()
-    sustain: int = 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoalSequence:
-    """Time-discretized goal: one GoalStep per control step of length dt."""
+    """Time-discretized goal on a grid of period ``dt``.
 
-    steps: tuple[GoalStep, ...]
+    Row t of ``keys``, a read-only ``(T, 88)`` bool array, marks the keys
+    that must be down at step t; ``sustain`` is the read-only ``(T,)`` 0/1
+    pedal target (all zero when omitted).
+    """
+
+    keys: np.ndarray
+    sustain: "np.ndarray | None" = None
     dt: float = DEFAULT_DT
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        keys = np.array(self.keys, dtype=bool)
+        if keys.size == 0:
+            keys = keys.reshape(0, KEY_COUNT)
+        if keys.ndim != 2 or keys.shape[1] != KEY_COUNT:
+            raise DimensionMismatchError(f"goal keys must have shape (T, {KEY_COUNT}), got {keys.shape}")
+        sustain = np.zeros(len(keys)) if self.sustain is None else np.array(self.sustain)
+        if sustain.shape != (len(keys),):
+            raise DimensionMismatchError(f"sustain must have shape ({len(keys)},), got {sustain.shape}")
+        if not np.isin(sustain, (0, 1)).all():
+            raise ValueError("sustain targets must be 0 or 1")
+        sustain = sustain.astype(np.uint8)
+        for name, arr in (("keys", keys), ("sustain", sustain)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.keys)
 
-    def key_onsets(self):
-        """Yield (step, key) whenever a key turns active."""
-        prev: frozenset = frozenset()
-        for t, step in enumerate(self.steps):
-            for key in sorted(step.active - prev):
-                yield t, key
-            prev = step.active
+    def key_onsets(self) -> list:
+        """(step, key) pairs where a key turns active, by step then key."""
+        return [tuple(pair) for pair in np.argwhere(onset_mask(self.keys)).tolist()]
+
+
+def onset_mask(keys: np.ndarray) -> np.ndarray:
+    """Rows of a (T, 88) key array reduced to the keys not down the step before."""
+    before = np.zeros_like(keys)
+    before[1:] = keys[:-1]
+    return keys & ~before
 
 
 def _first_step(time: float, dt: float) -> int:
@@ -383,41 +398,48 @@ def discretize(
     if not kept:
         if trim_silence:
             raise EmptySongError("cannot trim silence: song has no playable notes")
-        return GoalSequence(steps=(), dt=dt)
+        return GoalSequence(np.zeros((0, KEY_COUNT), dtype=bool), dt=dt)
 
     shift = trim_shift(kept, stretch) if trim_silence else 0.0
-    length = 0
-    spans = []
-    for note in kept:
-        first, end = note_step_span(note, dt, stretch, shift)
-        spans.append((key_for_pitch(note.pitch), max(first, 0), end))
-        length = max(length, end)
+    spans = np.array([(key_for_pitch(n.pitch), *note_step_span(n, dt, stretch, shift)) for n in kept])
+    key, first, end = spans[:, 0], np.maximum(spans[:, 1], 0), spans[:, 2]
+    length = max(int(end.max()), 0)
+    # difference array: +1 where a note's interval starts, -1 where it ends;
+    # a note that ends by step 0 (negative times, no trim) fills nothing
+    live = first < end
+    fill = np.zeros((length + 1, KEY_COUNT), dtype=np.int32)
+    np.add.at(fill, (first[live], key[live]), 1)
+    np.add.at(fill, (end[live], key[live]), -1)
+    keys = np.cumsum(fill[:length], axis=0, out=fill[:length]) > 0
 
-    active: list[set] = [set() for _ in range(length)]
-    for key, first, end in spans:
-        for t in range(first, min(end, length)):
-            active[t].add(key)
-
-    # pedal state sampled at step starts
-    pedal_times = [(p.time * stretch - shift, p.value) for p in pedal]
-    pedal_times.sort(key=lambda pair: pair[0])
-    sustain = [0] * length
-    idx = 0
-    value = 0
-    for t in range(length):
-        step_start = t * dt
-        while idx < len(pedal_times) and pedal_times[idx][0] <= step_start + _STEP_EPS * dt:
-            value = pedal_times[idx][1]
-            idx += 1
-        sustain[t] = 1 if value >= _SUSTAIN_ON else 0
-
-    steps = tuple(GoalStep(active=frozenset(a), sustain=s) for a, s in zip(active, sustain))
-    return GoalSequence(steps=steps, dt=dt)
+    # pedal state sampled at step starts: the last event at or before each start
+    times = np.array([p.time * stretch - shift for p in pedal], dtype=np.float64)
+    order = np.argsort(times, kind="stable")
+    levels = np.concatenate(([0], np.array([p.value for p in pedal], dtype=np.int64)[order]))
+    reached = np.searchsorted(times[order], np.arange(length) * dt + _STEP_EPS * dt, side="right")
+    return GoalSequence(keys, sustain=levels[reached] >= _SUSTAIN_ON, dt=dt)
 
 
 # ---------------------------------------------------------------------------
 # Goal and observation vectors
 # ---------------------------------------------------------------------------
+
+
+def goal_windows(seq: GoalSequence, start: int, count: int, lookahead_window: int) -> tuple:
+    """Goal rows of the windows starting at steps start .. start+count-1.
+
+    Returns ``(count, L, 88)`` key bits and ``(count, L)`` sustain bits,
+    read-only views of one zero-padded copy of the ``count + L - 1`` rows
+    involved: steps past the end of the sequence are silent.
+    """
+    rows = count + lookahead_window - 1
+    keys = np.zeros((rows, KEY_COUNT), dtype=bool)
+    sustain = np.zeros(rows, dtype=np.uint8)
+    real = seq.keys[start : start + rows]
+    keys[: len(real)] = real
+    sustain[: len(real)] = seq.sustain[start : start + rows]
+    windows = np.lib.stride_tricks.sliding_window_view
+    return windows(keys, (lookahead_window, KEY_COUNT))[:, 0], windows(sustain, lookahead_window)
 
 
 def goal_vector(seq: GoalSequence, t: int, lookahead_window: int = DEFAULT_LOOKAHEAD + 1) -> np.ndarray:
@@ -430,17 +452,11 @@ def goal_vector(seq: GoalSequence, t: int, lookahead_window: int = DEFAULT_LOOKA
         raise ValueError("step index must be >= 0")
     if lookahead_window < 1:
         raise ValueError("lookahead window must be >= 1")
-    out = np.zeros(lookahead_window * GOAL_STEP_DIM, dtype=np.float64)
-    for l in range(lookahead_window):
-        idx = t + l
-        if idx >= len(seq.steps):
-            break
-        step = seq.steps[idx]
-        base = l * GOAL_STEP_DIM
-        for key in step.active:
-            out[base + key] = 1.0
-        out[base + KEY_COUNT] = float(step.sustain)
-    return out
+    keys, sustain = goal_windows(seq, t, 1, lookahead_window)
+    out = np.zeros((lookahead_window, GOAL_STEP_DIM), dtype=np.float64)
+    out[:, :KEY_COUNT] = keys[0]
+    out[:, KEY_COUNT] = sustain[0]
+    return out.ravel()
 
 
 def observation_layout(lookahead_window: int = DEFAULT_LOOKAHEAD + 1) -> dict:
@@ -460,6 +476,30 @@ def observation_layout(lookahead_window: int = DEFAULT_LOOKAHEAD + 1) -> dict:
         layout[name] = (start, start + size)
         start += size
     return layout
+
+
+def observation_dim(lookahead_window: int = DEFAULT_LOOKAHEAD + 1) -> int:
+    """Length of an observation vector; 1144 for the default 11-step window."""
+    return observation_layout(lookahead_window)["hand_state"][1]
+
+
+def write_observations(out: np.ndarray, goal_keys, goal_sustain, key_depths, sustain_state, fingertips, hand_state) -> None:
+    """Fill the n rows of ``out`` block by block in ``observation_layout`` order.
+
+    ``goal_keys`` is (n, L, 88) and ``goal_sustain`` (n, L); the piano,
+    fingertip and hand blocks are (n, 88), (n,), (n, 10, 3) and (n, 46).
+    """
+    n, L = np.shape(goal_sustain)
+    blocks = {
+        "goal_keys": np.reshape(goal_keys, (n, L * KEY_COUNT)),
+        "goal_sustain": goal_sustain,
+        "key_joints": key_depths,
+        "sustain_state": np.reshape(sustain_state, (n, 1)),
+        "fingertips": np.reshape(fingertips, (n, 3 * FINGERTIP_SLOTS)),
+        "hand_state": hand_state,
+    }
+    for name, (start, stop) in observation_layout(L).items():
+        out[:, start:stop] = blocks[name]
 
 
 def assemble_observation(goal: np.ndarray, keys: KeyState, fingertips, hand_state) -> np.ndarray:
@@ -482,16 +522,17 @@ def assemble_observation(goal: np.ndarray, keys: KeyState, fingertips, hand_stat
     if hand.shape != (HAND_STATE_DIM,):
         raise DimensionMismatchError(f"hand state must have shape ({HAND_STATE_DIM},), got {hand.shape}")
 
-    return np.concatenate(
-        [
-            per_step[:, :KEY_COUNT].ravel(),
-            per_step[:, KEY_COUNT],
-            np.asarray(keys.depths, dtype=np.float64),
-            np.array([keys.sustain], dtype=np.float64),
-            tips.ravel(),
-            hand,
-        ]
+    out = np.empty((1, observation_dim(L)), dtype=np.float64)
+    write_observations(
+        out,
+        per_step[None, :, :KEY_COUNT],
+        per_step[None, :, KEY_COUNT],
+        np.asarray(keys.depths, dtype=np.float64)[None],
+        keys.sustain,
+        tips[None],
+        hand[None],
     )
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +546,25 @@ def goal_to_text(seq: GoalSequence) -> str:
     Line format: ``<step>\\t<sustain>\\t<key,key,...>`` with keys ascending;
     a ``# dt = ...`` header keeps the grid period.
     """
+    keys = [str(k) for k in np.nonzero(seq.keys)[1].tolist()]
+    ends = np.cumsum(seq.keys.sum(axis=1)).tolist()
     lines = [f"# dt = {seq.dt!r}"]
-    for t, step in enumerate(seq.steps):
-        keys = ",".join(str(k) for k in sorted(step.active))
-        lines.append(f"{t}\t{step.sustain}\t{keys}")
+    start = 0
+    for t, (sustain, end) in enumerate(zip(seq.sustain.tolist(), ends)):
+        lines.append(f"{t}\t{sustain}\t{','.join(keys[start:end])}")
+        start = end
     return "\n".join(lines) + "\n"
 
 
 def goal_from_text(text: str) -> GoalSequence:
-    """Parse the goal text format back into a GoalSequence."""
+    """Parse the goal text format back into a GoalSequence.
+
+    Raises ValueError on a malformed line or ``# dt`` header, a sustain
+    other than 0/1, or steps out of order, and OutOfRangeError (a
+    ValueError) on a key outside 0..87.
+    """
     dt = DEFAULT_DT
-    steps: list[GoalStep] = []
+    steps, keys, sustain = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\r")
         if not line.strip():
@@ -523,15 +572,30 @@ def goal_from_text(text: str) -> GoalSequence:
         if line.lstrip().startswith("#"):
             body = line.lstrip().lstrip("#").strip()
             if body.startswith("dt"):
-                dt = float(body.split("=", 1)[1])
+                name, sep, value = body.partition("=")
+                if name.strip() != "dt" or not sep:
+                    raise ValueError(f"line {lineno}: expected '# dt = <seconds>'")
+                dt = float(value)
+                if not 0.0 < dt < math.inf:
+                    raise ValueError(f"line {lineno}: dt must be positive and finite")
             continue
         # the keys field is empty on silent steps, so keep trailing tabs
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-        index, sustain, keys_field = parts
-        if int(index) != len(steps):
+        index, level, keys_field = parts
+        if int(index) != len(sustain):
             raise ValueError(f"line {lineno}: step index {index} out of order")
-        active = frozenset(int(k) for k in keys_field.split(",") if k != "")
-        steps.append(GoalStep(active=active, sustain=int(sustain)))
-    return GoalSequence(steps=tuple(steps), dt=dt)
+        if int(level) not in (0, 1):
+            raise ValueError(f"line {lineno}: sustain must be 0 or 1, got {level}")
+        for k in keys_field.split(","):
+            if k != "":
+                key = int(k)
+                if not 0 <= key < KEY_COUNT:
+                    raise OutOfRangeError(f"line {lineno}: key {key} outside [0, {KEY_COUNT})")
+                steps.append(len(sustain))
+                keys.append(key)
+        sustain.append(int(level))
+    grid = np.zeros((len(sustain), KEY_COUNT), dtype=bool)
+    grid[steps, keys] = True
+    return GoalSequence(grid, sustain=sustain, dt=dt)

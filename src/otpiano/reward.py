@@ -160,7 +160,7 @@ def energy_cost(torques, velocities) -> float:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """All reward components plus their weighted total."""
+    """All reward components plus their weighted total (floats or per-step arrays)."""
 
     ot: float
     press: float
@@ -187,10 +187,12 @@ def total_reward(
     """Weighted aggregate of the five components.
 
     Energy enters as a penalty (subtracted with weight alpha_energy); the
-    collision bonus is weighted by alpha_collision.
+    collision bonus is weighted by alpha_collision.  Components are floats
+    for one step or equal-length arrays for many (as ``score_annotation``
+    passes them); each step's total is the same sum either way.
     """
     for name, value in (("ot", ot), ("press", press), ("sustain", sustain), ("collision", collision), ("energy", energy)):
-        if not math.isfinite(value):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} component must be finite")
     total = ot + press + sustain + params.alpha_collision * collision - params.alpha_energy * energy
     return RewardBreakdown(ot=ot, press=press, sustain=sustain, collision=collision, energy=energy, total=total)

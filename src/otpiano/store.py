@@ -113,41 +113,37 @@ class EpisodeRecord:
             raise InvalidRecordError(f"obs_dim {self.obs_dim} does not match the observation layout")
         return window
 
-    def active_key_steps(self):
-        """Per-step active-key sets decoded from the goal block (stats hook)."""
-        for t in range(self.length):
-            row = self.observations[t, :KEY_COUNT]
-            yield frozenset(int(k) for k in np.flatnonzero(row > 0.5))
+    def active_key_steps(self) -> np.ndarray:
+        """(T, 88) bool goal keys decoded from the goal block (stats hook)."""
+        return self.observations[:, :KEY_COUNT] > 0.5
 
-    def pressed_key_steps(self, threshold: float = 0.5):
-        """Per-step pressed-key sets decoded from the key-joint block."""
+    def pressed_key_steps(self, threshold: float = 0.5) -> np.ndarray:
+        """(T, 88) bool pressed keys decoded from the key-joint block."""
         start, stop = observation_layout(self._lookahead_window())["key_joints"]
-        for t in range(self.length):
-            row = self.observations[t, start:stop]
-            yield frozenset(int(k) for k in np.flatnonzero(row >= threshold))
+        return self.observations[:, start:stop] >= threshold
 
 
 def write_episode(rec: EpisodeRecord, sink) -> int:
-    """Serialize a record to a binary file object; returns bytes written."""
-    payload = b"".join(
-        (
-            rec.observations.tobytes(order="C"),
-            rec.actions.tobytes(order="C"),
-            rec.rewards.tobytes(order="C"),
-        )
-    )
+    """Serialize a record to a binary file object; returns bytes written.
+
+    The arrays are written and checksummed in place, piece by piece: joining
+    them first would copy a canonical record's 2.5 MB payload again.
+    """
+    arrays = (rec.observations, rec.actions, rec.rewards)
+    crc = 0
+    for arr in arrays:
+        crc = zlib.crc32(arr, crc)
     meta_bytes = json.dumps(rec.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = b"".join(
-        (
-            _HEADER.pack(MAGIC, FORMAT_VERSION, rec.length, rec.obs_dim, rec.act_dim),
-            payload,
-            _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF),
-            _META_LEN.pack(len(meta_bytes)),
-            meta_bytes,
-        )
+    parts = (
+        _HEADER.pack(MAGIC, FORMAT_VERSION, rec.length, rec.obs_dim, rec.act_dim),
+        *arrays,
+        _CRC.pack(crc & 0xFFFFFFFF),
+        _META_LEN.pack(len(meta_bytes)),
+        meta_bytes,
     )
-    sink.write(out)
-    return len(out)
+    for part in parts:
+        sink.write(part)
+    return sum(memoryview(part).nbytes for part in parts)
 
 
 def read_episode(source) -> EpisodeRecord:
@@ -196,6 +192,12 @@ def load_episode(path) -> EpisodeRecord:
         return read_episode(fh)
 
 
+def iter_episodes(directory):
+    """Yield the records of a directory's container files, sorted by name."""
+    for path in sorted(Path(directory).glob(f"*{EPISODE_SUFFIX}")):
+        yield load_episode(path)
+
+
 # ---------------------------------------------------------------------------
 # CSV exports
 # ---------------------------------------------------------------------------
@@ -213,55 +215,16 @@ def rewards_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def score_csv(breakdowns) -> str:
-    """Per-step reward-component export (columns: step, ot, press, ...)."""
-    lines = ["step,ot,press,sustain,collision,energy,total"]
-    for t, row in enumerate(breakdowns):
-        cells = ",".join(repr(v) for v in row.as_row())
-        lines.append(f"{t},{cells}")
-    return "\n".join(lines) + "\n"
+def score_csv(breakdown) -> str:
+    """Per-step reward-component export (columns: step, ot, press, ...).
 
-
-# ---------------------------------------------------------------------------
-# Import adapters
-# ---------------------------------------------------------------------------
-
-
-class EpisodeImporter:
-    """Adapter interface for foreign trajectory schemas.
-
-    Subclasses convert some on-disk layout into EpisodeRecords; register a
-    factory under a scheme name so tools can select it by flag once a
-    published schema is known.
+    ``breakdown`` holds one step's floats or per-step arrays, as
+    ``score_annotation`` returns them.
     """
-
-    def episodes(self):
-        raise NotImplementedError
-
-
-class NativeImporter(EpisodeImporter):
-    """Reads a directory of native container files, sorted by name."""
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-
-    def episodes(self):
-        for path in sorted(self.directory.glob(f"*{EPISODE_SUFFIX}")):
-            yield load_episode(path)
-
-
-_IMPORTERS: dict = {"native": NativeImporter}
-
-
-def register_importer(name: str, factory) -> None:
-    _IMPORTERS[name] = factory
-
-
-def get_importer(name: str):
-    try:
-        return _IMPORTERS[name]
-    except KeyError:
-        raise KeyError(f"no importer registered under {name!r}; known: {sorted(_IMPORTERS)}") from None
+    lines = ["step,ot,press,sustain,collision,energy,total"]
+    for t, row in enumerate(np.column_stack(breakdown.as_row()).tolist()):
+        lines.append(f"{t},{','.join(map(repr, row))}")
+    return "\n".join(lines) + "\n"
 
 
 def episode_bytes(rec: EpisodeRecord) -> bytes:

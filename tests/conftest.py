@@ -1,4 +1,4 @@
-"""Shared test helpers: a minimal standalone MIDI byte writer.
+"""Shared test helpers: a minimal standalone MIDI byte writer and goal rows.
 
 The writer is deliberately independent of the package's parser so golden
 files exercise a real encode/decode boundary.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 
 
@@ -80,3 +81,56 @@ def simple_song(notes, division: int = 480, us_per_beat: int = 500000, pedal=())
 def middle_c_file() -> bytes:
     # one quarter note at 120 bpm: pitch 60, 0.0 .. 0.5 s
     return simple_song([(60, 0, 480)])
+
+
+def key_rows(active_sets) -> np.ndarray:
+    """(T, 88) bool goal keys whose row t is set at the keys of ``active_sets[t]``."""
+    rows = np.zeros((len(active_sets), 88), dtype=bool)
+    for t, keys in enumerate(active_sets):
+        rows[t, list(keys)] = True
+    return rows
+
+
+def golden_songs() -> dict:
+    """Three small seeded songs for the golden-output test: name -> SMF bytes.
+
+    ``melody`` is a pedalled right-hand line on and off the grid, ``chords``
+    alternates two-hand chords of up to five keys (so boundary steps merge
+    up to ten keys: strict ten fingers still fit, four fingers must drop),
+    and ``legato`` overlaps two voices on odd ticks with velocity changes.
+    Every song spans several 64-step episodes.
+    """
+    rng = np.random.default_rng(2024)
+    songs = {}
+
+    notes, pedal, tick = [], [], 0
+    for i in range(48):
+        length = int(rng.choice([120, 240, 360, 200]))
+        notes.append((int(rng.integers(60, 84)), tick, tick + length, int(rng.integers(40, 110))))
+        if i % 8 == 0:
+            pedal.append((tick, 100))
+        elif i % 8 == 5:
+            pedal.append((tick + 30, 0))
+        tick += length
+    songs["melody"] = simple_song(notes, pedal=pedal)
+
+    notes, tick = [], 0
+    for i in range(24):
+        length = int(rng.choice([240, 480, 720]))
+        for low in (True, False):
+            size = int(rng.integers(1, 4)) if low else int(rng.integers(1, 3))
+            base = int(rng.integers(28, 48)) if low else int(rng.integers(55, 80))
+            for pitch in sorted({base + int(x) for x in rng.choice(12, size=size, replace=False)}):
+                notes.append((pitch, tick, tick + length, 80, 1 if low else 0))
+        tick += length
+    songs["chords"] = simple_song(notes, pedal=[(0, 127), (tick // 2, 0)])
+
+    notes = []
+    for voice, (lo, hi) in enumerate(((36, 55), (62, 90))):
+        tick = 37 * voice
+        for _ in range(30):
+            length = int(rng.integers(150, 500))
+            notes.append((int(rng.integers(lo, hi)), tick, tick + length + 61, int(rng.integers(30, 120)), voice))
+            tick += length
+    songs["legato"] = simple_song(notes, us_per_beat=600000)
+    return songs

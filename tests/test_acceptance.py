@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import key_rows
 from otpiano.annotate import InfeasibleStepError, annotate_song, chunk_episodes
 from otpiano.assign import (
     CostMatrix,
@@ -21,10 +22,9 @@ from otpiano.assign import (
 )
 from otpiano.hand import HandConfig, init_hands, step_hand
 from otpiano.keyboard import KeyboardGeometry, KeyState, key_press_point
-from otpiano.metrics import KeyPressTrace, TraceStep, dataset_stats, f1, precision_recall
+from otpiano.metrics import dataset_stats, f1, precision_recall
 from otpiano.midi import (
     GoalSequence,
-    GoalStep,
     NoteEvent,
     assemble_observation,
     discretize,
@@ -103,11 +103,8 @@ def test_criterion_03_observation_layout():
     rng = np.random.default_rng(3)
     for _ in range(50):
         n_steps = int(rng.integers(0, 30))
-        steps = tuple(
-            GoalStep(active=frozenset(int(k) for k in rng.choice(88, size=rng.integers(0, 6), replace=False)))
-            for _ in range(n_steps)
-        )
-        seq = GoalSequence(steps=steps, dt=0.05)
+        active_sets = [rng.choice(88, size=rng.integers(0, 6), replace=False) for _ in range(n_steps)]
+        seq = GoalSequence(key_rows(active_sets), dt=0.05)
         t = int(rng.integers(0, max(1, n_steps + 5)))
         goal = goal_vector(seq, t, 11)
         depths = tuple(float(d) for d in rng.uniform(0.0, 1.0, size=88))
@@ -123,7 +120,7 @@ def test_criterion_03_observation_layout():
 
 def test_criterion_04_episode_law():
     assert 550 * 0.05 == pytest.approx(27.5)
-    goals = GoalSequence(steps=tuple(GoalStep(active=frozenset({39})) for _ in range(1200)), dt=0.05)
+    goals = GoalSequence(key_rows([{39}] * 1200), dt=0.05)
     annotation = annotate_song(goals, TEN, GEOM)
     episodes = chunk_episodes(goals, annotation, 550)
     assert len(episodes) == 3
@@ -132,7 +129,7 @@ def test_criterion_04_episode_law():
     assert [e.n_real for e in episodes] == [550, 550, 100]
     final = episodes[-1]
     assert final.n_padded == 550 - final.n_real
-    assert all(s.active == frozenset() for s in final.goal_steps[final.n_real :])
+    assert not final.take(goals.keys)[final.n_real :].any()
     _verdict(4, "default chunking: 550 steps = 27.5 s; 1200 steps -> 3 equal episodes, tail zero-padded")
 
 
@@ -178,12 +175,10 @@ def test_criterion_07_f1_identities():
         assert f1(float(x), float(x)) == pytest.approx(float(x), abs=1e-12)
     # a perfect synthetic rollout scores F1 = 1.0 end to end
     active_sets = [frozenset({30 + (t % 5), 60 - (t % 7)}) for t in range(40)]
-    trace = KeyPressTrace(steps=tuple(TraceStep(pressed=a, active=a) for a in active_sets))
-    precision, recall = precision_recall(trace)
+    keys = key_rows(active_sets)
+    precision, recall = precision_recall(keys, keys)
     assert f1(precision, recall) == 1.0
-    stats = dataset_stats(
-        [GoalSequence(steps=(GoalStep(active=frozenset({39})),), dt=0.05)], f1_scores=[0.8, 0.6, 0.4]
-    )
+    stats = dataset_stats([GoalSequence(key_rows([{39}]), dt=0.05)], f1_scores=[0.8, 0.6, 0.4])
     assert stats.fraction_f1_above(0.5) >= stats.fraction_f1_above(0.75)
     assert stats.fraction_f1_above(0.75) == pytest.approx(1 / 3)
     _verdict(7, "F1 identities hold; perfect rollout scores 1.0; threshold fractions ordered")
@@ -195,12 +190,11 @@ def _random_goal_sequence(rng, n_steps=200, max_chord=10):
         size=n_steps,
         p=[0.10, 0.30, 0.24, 0.15, 0.08, 0.05, 0.03, 0.02, 0.01, 0.01, 0.01],
     )
-    steps = []
+    active_sets = []
     for size in sizes:
         size = min(int(size), max_chord)
-        keys = rng.choice(88, size=size, replace=False) if size else []
-        steps.append(GoalStep(active=frozenset(int(k) for k in keys)))
-    return GoalSequence(steps=tuple(steps), dt=0.05)
+        active_sets.append(rng.choice(88, size=size, replace=False) if size else [])
+    return GoalSequence(key_rows(active_sets), dt=0.05)
 
 
 def test_criterion_08_annotator_feasibility():
@@ -210,14 +204,15 @@ def test_criterion_08_annotator_feasibility():
         goals = _random_goal_sequence(rng)
         annotation = annotate_song(goals, TEN, GEOM)  # strict mode must succeed
         state = init_hands(TEN, GEOM)
-        for t, goal in enumerate(goals.steps):
+        for t, row in enumerate(goals.keys):
+            active = set(np.flatnonzero(row).tolist())
             step = annotation.steps[t]
             labeled = {k for k, _ in step.pairs}
-            assert labeled == goal.active  # every active key exactly once
+            assert labeled == active  # every active key exactly once
             fingers = [f for _, f in step.pairs]
             assert len(set(fingers)) == len(fingers)  # fingers exclusive
-            if 0 < len(goal.active) <= 7:
-                matrix = build_cost_matrix(state.fingertips, state.fingers, goal.active, GEOM)
+            if 0 < len(active) <= 7:
+                matrix = build_cost_matrix(state.fingertips, state.fingers, active, GEOM)
                 oracle = brute_force_assignment(matrix)
                 assert abs(step.distance - oracle.total_cost) < 1e-9
                 checked_against_oracle += 1
@@ -232,12 +227,10 @@ def test_criterion_09_cross_embodiment():
     assert len(init_hands(four, GEOM).fingers) == 8
     rng = np.random.default_rng(9)
     sizes = list(rng.integers(1, 9, size=60))  # chords of <= 8 notes
-    steps = tuple(
-        GoalStep(active=frozenset(int(k) for k in rng.choice(88, size=int(s), replace=False))) for s in sizes
-    )
-    annotation = annotate_song(GoalSequence(steps=steps, dt=0.05), four, GEOM)
+    active_sets = [rng.choice(88, size=int(s), replace=False) for s in sizes]
+    annotation = annotate_song(GoalSequence(key_rows(active_sets), dt=0.05), four, GEOM)
     assert all(f.digit != 5 for step in annotation.steps for _, f in step.pairs)
-    nine = GoalSequence(steps=(GoalStep(active=frozenset(range(40, 49))),), dt=0.05)
+    nine = GoalSequence(key_rows([range(40, 49)]), dt=0.05)
     with pytest.raises(InfeasibleStepError):
         annotate_song(nine, four, GEOM)
     _verdict(9, "little fingers disabled: 8-note chords annotate, a 9-note chord is infeasible")
@@ -280,9 +273,9 @@ def test_criterion_10_round_trips():
     plain = discretize(notes, dt=0.05, stretch=1.0, trim_silence=False)
     table_plain = {39: {0, 1}, 41: {8, 9, 10, 11, 12}}
     for key, steps in table_plain.items():
-        assert {t for t, s in enumerate(plain.steps) if key in s.active} == steps
+        assert set(np.flatnonzero(plain.keys[:, key]).tolist()) == steps
     stretched = discretize([NoteEvent(60, 1.0, 1.2, 80, 0)], dt=0.05, stretch=1.25, trim_silence=False)
-    active_steps = {t for t, s in enumerate(stretched.steps) if 39 in s.active}
+    active_steps = set(np.flatnonzero(stretched.keys[:, 39]).tolist())
     assert min(active_steps) == 25  # onset 1.0 s at stretch 1.25
     assert active_steps == {25, 26, 27, 28, 29}
     _verdict(10, "store, PIG and discretization round trips are exact (incl. stretch-1.25 onset)")
@@ -292,7 +285,7 @@ def test_criterion_11_corpus_statistics_substitute():
     # The published corpus is not bundled; statistics are validated on
     # synthetic inputs with analytically known answers, exercising the
     # same importer-facing machinery real files would flow through.
-    uniform = [GoalSequence(steps=tuple(GoalStep(active=frozenset({k})) for k in range(88)), dt=0.05)]
+    uniform = [GoalSequence(key_rows([{k} for k in range(88)]), dt=0.05)]
     stats = dataset_stats(uniform)
     assert stats.white_fraction == pytest.approx(52 / 88, abs=0.005)
     assert stats.total_onsets == 88
@@ -307,7 +300,7 @@ def test_criterion_11_corpus_statistics_substitute():
         expected_white += sum(1 for k in keys if not _black(k))
         steps = []
         for key in keys:
-            goal = goal_vector(GoalSequence(steps=(GoalStep(active=frozenset({key})),), dt=0.05), 0, 11)
+            goal = goal_vector(GoalSequence(key_rows([{key}]), dt=0.05), 0, 11)
             steps.append(
                 assemble_observation(goal, KeyState(), np.zeros((10, 3)), np.zeros(46)).astype(np.float32)
             )

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import key_rows
 from otpiano.annotate import (
     FingeringAnnotation,
     InfeasibleStepError,
@@ -10,6 +13,7 @@ from otpiano.annotate import (
     UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
+    build_episode_record,
     chunk_episodes,
     parse_annotation_text,
     score_annotation,
@@ -26,17 +30,30 @@ from otpiano.hand import (
     init_hands,
     step_hand,
 )
-from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point
-from otpiano.midi import GoalSequence, GoalStep, NoteEvent
-from otpiano.reward import DEFAULT_PARAMS, ot_reward
+from otpiano.keyboard import KeyboardGeometry, KeyState, OutOfRangeError, key_press_point
+from otpiano.metrics import f1
+from otpiano.midi import GoalSequence, NoteEvent, goal_from_text
+from otpiano.reward import (
+    DEFAULT_PARAMS,
+    RewardParams,
+    collision_reward,
+    ot_reward,
+    press_reward,
+    sustain_reward,
+    total_reward,
+)
 
 GEOM = KeyboardGeometry()
 HANDS = HandConfig.default()
 
 
 def _sequence(active_sets, dt=0.05, sustain=0):
-    steps = tuple(GoalStep(active=frozenset(a), sustain=sustain) for a in active_sets)
-    return GoalSequence(steps=steps, dt=dt)
+    sustain = np.broadcast_to(sustain, len(active_sets))
+    return GoalSequence(key_rows(active_sets), sustain=sustain, dt=dt)
+
+
+def _active(goals, t):
+    return set(np.flatnonzero(goals.keys[t]).tolist())
 
 
 def test_sustained_middle_c_converges():
@@ -48,7 +65,7 @@ def test_sustained_middle_c_converges():
         assert step.pairs[0][0] == 39
     assert annotation.steps[-1].distance < 0.01
     assert annotation.steps[-1].ot == 1.0
-    assert 39 in annotation.steps[-1].pressed
+    assert annotation.pressed[-1, 39]
 
 
 def test_empty_sequences():
@@ -64,6 +81,7 @@ def test_deterministic_end_to_end():
     a = annotate_song(goals, HANDS, GEOM)
     b = annotate_song(goals, HANDS, GEOM)
     assert a.steps == b.steps
+    assert np.array_equal(a.pressed, b.pressed)
     assert a.fingertip_trace.tobytes() == b.fingertip_trace.tobytes()
 
 
@@ -104,10 +122,10 @@ def test_best_effort_records_dropped_keys():
 
 
 def test_off_keyboard_goal_key_rejected():
-    # goal text can carry any integer key; none may index past the keyboard
+    # goal text can carry any integer key; none may reach the annotator
     for key in (-1, 88):
         with pytest.raises(OutOfRangeError):
-            annotate_song(_sequence([{39}, {40, key}]), HANDS, GEOM)
+            goal_from_text(f"0\t0\t39\n1\t0\t40,{key}\n")
 
 
 def test_disabled_finger_never_assigned():
@@ -121,35 +139,33 @@ def _reference_rollout(goals, hands, best_effort):
     """annotate_song spelled out with the public per-step functions."""
     state = init_hands(hands, GEOM)
     steps = []
-    trace = np.zeros((len(goals.steps), 10, 3))
-    for t, goal in enumerate(goals.steps):
+    trace = np.zeros((len(goals), 10, 3))
+    pressed = np.zeros((len(goals), 88), dtype=bool)
+    for t in range(len(goals)):
         pairs, distance, dropped = (), 0.0, ()
-        if goal.active:
-            matrix = build_cost_matrix(state.fingertips, state.fingers, goal.active, GEOM)
+        if _active(goals, t):
+            matrix = build_cost_matrix(state.fingertips, state.fingers, _active(goals, t), GEOM)
             solution = solve_assignment(matrix, best_effort=best_effort)
             pairs = tuple((matrix.key_ids[r], matrix.finger_ids[c]) for r, c in solution.pairs)
             distance = solution.total_cost
             dropped = tuple(matrix.key_ids[r] for r in solution.dropped_rows)
         targets = {finger: key_press_point(key, GEOM) for key, finger in pairs}
         state = step_hand(state, targets, goals.dt, hands, GEOM)
-        pressed = frozenset(
-            key
-            for key, finger in pairs
-            if np.linalg.norm(state.fingertip(finger) - np.asarray(targets[finger])) < DEFAULT_PARAMS.threshold
-        )
+        for key, finger in pairs:
+            reach = np.linalg.norm(state.fingertip(finger) - np.asarray(targets[finger]))
+            pressed[t, key] = reach < DEFAULT_PARAMS.threshold
         steps.append(
             StepAnnotation(
                 pairs=pairs,
                 distance=distance,
                 ot=ot_reward(distance, DEFAULT_PARAMS),
-                pressed=pressed,
                 dropped_keys=dropped,
                 collision=collision_flag(state, hands),
             )
         )
         for finger, point in zip(state.fingers, state.fingertips):
             trace[t, ALL_FINGERS.index(finger)] = point
-    return tuple(steps), trace
+    return tuple(steps), trace, pressed
 
 
 def _held_chords(rng, n_steps, max_keys):
@@ -177,11 +193,12 @@ def _held_chords(rng, n_steps, max_keys):
 def test_rollout_matches_reference_loop(hands, best_effort, max_keys):
     goals = _held_chords(np.random.default_rng(max_keys), 400, max_keys)
     if best_effort:
-        assert any(len(g.active) > len(hands.enabled_fingers) for g in goals.steps)
+        assert (goals.keys.sum(axis=1) > len(hands.enabled_fingers)).any()
     annotation = annotate_song(goals, hands, GEOM, best_effort=best_effort)
-    steps, trace = _reference_rollout(goals, hands, best_effort)
+    steps, trace, pressed = _reference_rollout(goals, hands, best_effort)
     assert annotation.steps == steps
     assert annotation.fingertip_trace.tobytes() == trace.tobytes()
+    assert np.array_equal(annotation.pressed, pressed)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +214,7 @@ def test_chunking_1200_steps():
     assert all(e.length == 550 for e in episodes)
     assert [e.n_real for e in episodes] == [550, 550, 100]
     assert episodes[2].n_padded == 450
-    for step in episodes[2].goal_steps[100:]:
-        assert step.active == frozenset()
+    assert not episodes[2].take(goals.keys)[100:].any()
     assert [e.start_step for e in episodes] == [0, 550, 1100]
 
 
@@ -215,10 +231,10 @@ def test_chunk_concatenation_reproduces_annotation():
     goals = _sequence([{30 + (t % 10)} for t in range(700)])
     annotation = annotate_song(goals, HANDS, GEOM)
     episodes = chunk_episodes(goals, annotation, 128)
-    rebuilt = []
-    for episode in episodes:
-        rebuilt.extend(episode.annotation_steps[: episode.n_real])
-    assert tuple(rebuilt) == annotation.steps
+    assert [e.start_step for e in episodes] == [128 * e.index for e in episodes]
+    for song_rows in (goals.keys, annotation.pressed, annotation.fingertip_trace):
+        rebuilt = np.concatenate([episode.take(song_rows)[: episode.n_real] for episode in episodes])
+        assert np.array_equal(rebuilt, song_rows)
 
 
 def test_chunking_validation():
@@ -308,10 +324,116 @@ def test_score_annotation_perfect_steps():
     goals = _sequence([{39}] * 80)
     annotation = annotate_song(goals, HANDS, GEOM)
     rows = score_annotation(goals, annotation, DEFAULT_PARAMS)
-    assert len(rows) == 80
+    assert len(rows.total) == 80
     # once converged: ot 1, press 1, sustain 1, collision bonus 0.5, no energy
-    assert rows[-1].total == pytest.approx(3.5)
-    assert rows[-1].energy == 0.0
+    assert rows.total[-1] == pytest.approx(3.5)
+    assert rows.energy[-1] == 0.0
+
+
+# awkward shaping values, so that any reordering of the press sum would show
+_ODD_PARAMS = RewardParams(tolerance_bounds=(0.0, 0.0), tolerance_margin=0.7, value_at_margin=0.3)
+
+
+def _reference_scores(goals, annotation, params):
+    """The per-step scorer that score_annotation replaced: one KeyState and total_reward per step."""
+    rows = []
+    for t, step in enumerate(annotation.steps):
+        active = _active(goals, t)
+        pressed = set(np.flatnonzero(annotation.pressed[t]).tolist())
+        sustain = float(goals.sustain[t])
+        depths = [0.0] * 88
+        for key in pressed:
+            depths[key] = 1.0
+        key_state = KeyState(depths=tuple(depths), sustain=sustain)
+        breakdown = total_reward(
+            ot=step.ot,
+            press=press_reward(key_state, active, bool(pressed - active), params),
+            sustain=sustain_reward(sustain, sustain, params),
+            collision=collision_reward(step.collision),
+            energy=0.0,
+            params=params,
+        )
+        rows.append(list(breakdown.as_row()))
+    return rows
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, _ODD_PARAMS], ids=["default", "odd"])
+def test_score_annotation_matches_per_step_reference(params):
+    # random goals and presses, false presses included, on up to 14-key steps
+    rng = np.random.default_rng(31)
+    active = rng.random((300, 88)) < rng.uniform(0.0, 0.16, size=(300, 1))
+    pressed = (active & (rng.random((300, 88)) < 0.7)) | (rng.random((300, 88)) < 0.01)
+    goals = GoalSequence(active, sustain=rng.integers(0, 2, size=300), dt=0.05)
+    steps = tuple(
+        StepAnnotation(ot=ot_reward(float(d), params), collision=bool(c))
+        for d, c in zip(rng.uniform(0.0, 0.3, size=300), rng.random(300) < 0.1)
+    )
+    annotation = FingeringAnnotation(steps=steps, dt=0.05, embodiment="ten-finger", pressed=pressed)
+    scores = score_annotation(goals, annotation, params)
+    assert np.column_stack(scores.as_row()).tolist() == _reference_scores(goals, annotation, params)
+
+
+def _reference_episode_record(episode, goals, annotation, params, lookahead):
+    """The per-step build_episode_record that the sliced one replaced.
+
+    Goal vectors, key depths and the block concatenation are spelled out
+    per step; rewards come from re-scoring the padded episode step by step.
+    """
+    L = lookahead + 1
+    T = episode.length
+    start, stop = episode.start_step, episode.start_step + episode.n_real
+    obs = np.zeros((T, L * 89 + 165), dtype=np.float32)
+    for t in range(T):
+        g = start + t
+        goal = np.zeros((L, 89))
+        for l in range(L):
+            if g + l < len(goals):
+                goal[l, sorted(_active(goals, g + l))] = 1.0
+                goal[l, 88] = float(goals.sustain[g + l])
+        depths, sustain, tips = np.zeros(88), 0.0, np.zeros((10, 3))
+        if g < len(goals):
+            depths[annotation.pressed[g]] = 1.0
+            sustain = float(goals.sustain[g])
+            tips = annotation.fingertip_trace[g]
+        obs[t] = np.concatenate([goal[:, :88].ravel(), goal[:, 88], depths, [sustain], tips.ravel(), np.zeros(46)])
+    pad = episode.n_padded
+    ep_goals = GoalSequence(
+        np.vstack([goals.keys[start:stop], np.zeros((pad, 88), dtype=bool)]),
+        sustain=np.concatenate([goals.sustain[start:stop], np.zeros(pad, dtype=int)]),
+        dt=goals.dt,
+    )
+    ep_pressed = np.vstack([annotation.pressed[start:stop], np.zeros((pad, 88), dtype=bool)])
+    ep_annotation = FingeringAnnotation(
+        steps=annotation.steps[start:stop] + (StepAnnotation(),) * pad,
+        dt=goals.dt,
+        embodiment=annotation.embodiment,
+        pressed=ep_pressed,
+    )
+    rewards = np.array([row[-1] for row in _reference_scores(ep_goals, ep_annotation, params)], dtype=np.float32)
+    hits = pressed = active = 0
+    for t in range(T):
+        p, a = set(np.flatnonzero(ep_pressed[t]).tolist()), _active(ep_goals, t)
+        hits, pressed, active = hits + len(p & a), pressed + len(p), active + len(a)
+    precision = hits / pressed if pressed else 1.0
+    recall = hits / active if active else 1.0
+    return obs, rewards, f1(precision, recall)
+
+
+@pytest.mark.parametrize("lookahead", [0, 10, 15])
+def test_episode_records_match_per_step_reference(lookahead):
+    # 150 steps in 64-step episodes: windows cross both episode boundaries and the song end
+    held = _held_chords(np.random.default_rng(5), 150, 10)
+    goals = GoalSequence(held.keys, sustain=(np.arange(150) // 7) % 2, dt=0.05)
+    annotation = annotate_song(goals, HANDS, GEOM, _ODD_PARAMS)
+    scores = score_annotation(goals, annotation, _ODD_PARAMS)
+    episodes = chunk_episodes(goals, annotation, 64)
+    assert [e.n_real for e in episodes] == [64, 64, 22]
+    for episode in episodes:
+        record = build_episode_record(episode, goals, annotation, scores.total, _ODD_PARAMS, "s", lookahead)
+        obs, rewards, score = _reference_episode_record(episode, goals, annotation, _ODD_PARAMS, lookahead)
+        assert record.observations.tobytes() == obs.tobytes()
+        assert record.rewards.tobytes() == rewards.tobytes()
+        assert record.meta["f1"] == score
 
 
 def test_annotation_text_round_trip():
@@ -348,3 +470,22 @@ def test_fingertip_trace_shape():
     annotation = annotate_song(goals, HANDS, GEOM)
     assert annotation.fingertip_trace.shape == (7, 10, 3)
     assert not annotation.fingertip_trace.flags.writeable
+
+
+# near-valid annotation lines: step, distance and key:finger cells with odd fields
+_ANNOTATION_CELL = st.tuples(
+    st.sampled_from(["39", "x", "", "-1"]), st.sampled_from([":R1", ":L5", ":-", ":R9", ":X2", ":", "", ":R1:"])
+).map("".join)
+_ANNOTATION_LINE = st.lists(
+    st.sampled_from(["0", "1", "x", "0.25", "nan", ""]) | st.lists(_ANNOTATION_CELL, max_size=3).map(";".join),
+    min_size=1,
+    max_size=4,
+).map("\t".join)
+
+
+@given(st.lists(_ANNOTATION_LINE, max_size=6).map("\n".join) | st.text())
+def test_parse_annotation_text_raises_only_value_errors(text):
+    try:
+        parse_annotation_text(text)
+    except ValueError:
+        pass

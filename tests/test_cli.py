@@ -204,3 +204,21 @@ def test_debug_assign_best_effort(capsys):
     assert "keys but only" in capsys.readouterr().err
     assert main(["debug-assign", "--pitches", pitches, "--best-effort"]) == 0
     assert "dropped keys:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0\t0\t95\n", "0\t0\t39,-5\n", "0\t7\t39\n", "# dtype: float\n0\t0\t39\n"],
+    ids=["key-95", "key-minus-5", "sustain-7", "dtype-comment"],
+)
+def test_stats_rejects_bad_goal_files(tmp_path, capsys, body):
+    (tmp_path / "bad.goals.txt").write_text(body)
+    assert main(["stats", "--in", str(tmp_path)]) == 2
+    assert "cannot read inputs" in capsys.readouterr().err
+
+
+def test_importer_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["stats", "--in", str(tmp_path), "--importer", "native"])
+    with pytest.raises(SystemExit):
+        main(["eval", "--episodes", str(tmp_path), "--importer", "native"])

@@ -1,26 +1,27 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import key_rows
 from otpiano.metrics import (
     AgreementResult,
     DatasetStats,
-    KeyPressTrace,
     NoOverlapError,
-    TraceStep,
     dataset_stats,
     f1,
     fingering_agreement,
     precision_recall,
 )
-from otpiano.midi import GoalSequence, GoalStep
+from otpiano.midi import GoalSequence
 from otpiano.pig import PigRecord
 
 
 def _trace(step_pairs):
-    return KeyPressTrace(steps=tuple(TraceStep(pressed=frozenset(p), active=frozenset(a)) for p, a in step_pairs))
+    """(pressed, active) key rows of a rollout given as (pressed set, active set) per step."""
+    return key_rows([p for p, _ in step_pairs]), key_rows([a for _, a in step_pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -30,40 +31,42 @@ def _trace(step_pairs):
 
 def test_perfect_trace():
     trace = _trace([({39}, {39}), ({40, 41}, {40, 41})])
-    assert precision_recall(trace) == (1.0, 1.0)
+    assert precision_recall(*trace) == (1.0, 1.0)
 
 
 def test_half_recall():
     trace = _trace([({39}, {39, 41})])
-    assert precision_recall(trace) == (1.0, 0.5)
+    assert precision_recall(*trace) == (1.0, 0.5)
 
 
 def test_nothing_pressed_convention():
     trace = _trace([(set(), {39, 41})])
-    assert precision_recall(trace) == (1.0, 0.0)
+    assert precision_recall(*trace) == (1.0, 0.0)
 
 
 def test_nothing_active_convention():
     trace = _trace([({39}, set())])
-    assert precision_recall(trace) == (0.0, 1.0)
+    assert precision_recall(*trace) == (0.0, 1.0)
 
 
-def test_trace_rejects_invalid_keys():
+def test_precision_recall_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        TraceStep(pressed=frozenset({88}), active=frozenset())
+        precision_recall(np.zeros((3, 88), dtype=bool), np.zeros((2, 88), dtype=bool))
     with pytest.raises(ValueError):
-        TraceStep(pressed=frozenset(), active=frozenset({-1}))
+        precision_recall(np.zeros((3, 89), dtype=bool), np.zeros((3, 89), dtype=bool))
+    with pytest.raises(ValueError):
+        precision_recall(np.zeros((0, 88), dtype=bool), np.zeros((0, 88), dtype=bool))
 
 
 def test_step_order_invariance():
     steps = [({39}, {39}), (set(), {40}), ({41, 42}, {41})]
-    assert precision_recall(_trace(steps)) == precision_recall(_trace(list(reversed(steps))))
+    assert precision_recall(*_trace(steps)) == precision_recall(*_trace(list(reversed(steps))))
 
 
 def test_micro_averaging_pools_counts():
     # 3 hits of 4 pressed and of 6 active, regardless of step split
     trace = _trace([({1, 2}, {1, 2, 3}), ({3, 9}, {4, 5, 3})])
-    precision, recall = precision_recall(trace)
+    precision, recall = precision_recall(*trace)
     assert precision == pytest.approx(3 / 4)
     assert recall == pytest.approx(3 / 6)
 
@@ -147,7 +150,7 @@ def test_agreement_no_overlap():
 
 
 def _goal_sequence(active_sets):
-    return GoalSequence(steps=tuple(GoalStep(active=frozenset(a)) for a in active_sets), dt=0.05)
+    return GoalSequence(key_rows(active_sets), dt=0.05)
 
 
 def test_single_onset_histogram():

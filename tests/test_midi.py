@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import control_change, midi_bytes, note_off, note_on, set_tempo, simple_song
-from otpiano.keyboard import KeyState
+from conftest import control_change, key_rows, midi_bytes, note_off, note_on, set_tempo, simple_song
+from otpiano.keyboard import KeyState, OutOfRangeError
 from otpiano.midi import (
     DimensionMismatchError,
     EmptySongError,
     GoalSequence,
-    GoalStep,
     MalformedMidiError,
     NoteEvent,
     assemble_observation,
@@ -224,22 +225,26 @@ def _note(pitch, onset, offset, velocity=80, channel=0):
     return NoteEvent(pitch=pitch, onset=onset, offset=offset, velocity=velocity, channel=channel)
 
 
+def _active(seq, t):
+    return set(np.flatnonzero(seq.keys[t]).tolist())
+
+
 def test_interval_intersection_rule():
     seq = discretize([_note(60, 0.0, 0.1)], dt=0.05, stretch=1.0, trim_silence=False)
     assert len(seq) == 2
-    assert seq.steps[0].active == {39}
-    assert seq.steps[1].active == {39}
+    assert _active(seq, 0) == {39}
+    assert _active(seq, 1) == {39}
 
 
 def test_stretch_shifts_first_step():
     seq = discretize([_note(60, 1.0, 1.2)], dt=0.05, stretch=1.25, trim_silence=False)
-    first_active = next(t for t, s in enumerate(seq.steps) if s.active)
+    first_active = int(np.flatnonzero(seq.keys.any(axis=1))[0])
     assert first_active == 25  # 1.0 * 1.25 / 0.05
 
 
 def test_trim_silence_moves_first_onset_to_zero():
     seq = discretize([_note(60, 3.0, 3.1)], dt=0.05, stretch=1.0, trim_silence=True)
-    assert seq.steps[0].active == {39}
+    assert _active(seq, 0) == {39}
     assert len(seq) == 2
 
 
@@ -252,7 +257,7 @@ def test_empty_inputs():
 def test_out_of_range_pitches_dropped():
     with pytest.warns(UserWarning):
         seq = discretize([_note(10, 0.0, 0.1), _note(60, 0.0, 0.1)], stretch=1.0, trim_silence=False)
-    assert seq.steps[0].active == {39}
+    assert _active(seq, 0) == {39}
 
 
 def test_trim_ignores_unplayable_notes():
@@ -260,7 +265,7 @@ def test_trim_ignores_unplayable_notes():
     notes = [_note(10, 0.0, 0.1), _note(60, 2.0, 2.1)]
     with pytest.warns(UserWarning):
         seq = discretize(notes, dt=0.05, stretch=1.0, trim_silence=True)
-    assert seq.steps[0].active == {39}
+    assert _active(seq, 0) == {39}
     assert len(seq) == 2
     with pytest.warns(UserWarning), pytest.raises(EmptySongError):
         discretize([_note(10, 0.0, 0.1)], trim_silence=True)
@@ -271,7 +276,7 @@ def test_sustain_sampled_at_step_start():
 
     pedal = [PedalEvent(time=0.0, value=100), PedalEvent(time=0.10, value=0)]
     seq = discretize([_note(60, 0.0, 0.2)], dt=0.05, stretch=1.0, trim_silence=False, pedal=pedal)
-    assert [s.sustain for s in seq.steps] == [1, 1, 0, 0]
+    assert seq.sustain.tolist() == [1, 1, 0, 0]
 
 
 def test_stretch_scales_step_indices():
@@ -279,10 +284,10 @@ def test_stretch_scales_step_indices():
     notes = [_note(60, 0.2, 0.4), _note(64, 0.6, 1.0)]
     base = discretize(notes, dt=0.05, stretch=1.0, trim_silence=False)
     doubled = discretize(notes, dt=0.05, stretch=2.0, trim_silence=False)
-    for t, step in enumerate(base.steps):
-        for key in step.active:
-            assert key in doubled.steps[2 * t].active
-            assert key in doubled.steps[2 * t + 1].active
+    for t in range(len(base)):
+        for key in _active(base, t):
+            assert key in _active(doubled, 2 * t)
+            assert key in _active(doubled, 2 * t + 1)
     assert len(doubled) == 2 * len(base)
 
 
@@ -297,9 +302,9 @@ def test_key_onsets_counts_activations_once():
 
 
 def _single_key_sequence(key=39, step=5, length=12):
-    steps = [GoalStep()] * length
-    steps[step] = GoalStep(active=frozenset({key}))
-    return GoalSequence(steps=tuple(steps), dt=0.05)
+    active_sets = [set()] * length
+    active_sets[step] = {key}
+    return GoalSequence(key_rows(active_sets), dt=0.05)
 
 
 def test_goal_vector_length_and_layout():
@@ -311,7 +316,7 @@ def test_goal_vector_length_and_layout():
 
 
 def test_goal_vector_empty_sequence_is_zero():
-    seq = GoalSequence(steps=(), dt=0.05)
+    seq = GoalSequence(key_rows([]), dt=0.05)
     vec = goal_vector(seq, 0, 11)
     assert vec.shape == (979,)
     assert not vec.any()
@@ -325,8 +330,7 @@ def test_goal_vector_beyond_end_zero_padded():
 
 
 def test_goal_vector_includes_sustain_bits():
-    steps = (GoalStep(active=frozenset(), sustain=1),)
-    vec = goal_vector(GoalSequence(steps=steps, dt=0.05), 0, 2)
+    vec = goal_vector(GoalSequence(key_rows([set()]), sustain=[1], dt=0.05), 0, 2)
     assert vec[88] == 1.0
     assert vec.sum() == 1.0
 
@@ -346,7 +350,7 @@ def test_observation_layout_block_sizes():
 
 
 def test_assemble_observation_dimensions():
-    vec = goal_vector(GoalSequence(steps=(), dt=0.05), 0, 11)
+    vec = goal_vector(GoalSequence(key_rows([]), dt=0.05), 0, 11)
     obs = assemble_observation(vec, KeyState(), np.zeros((10, 3)), np.zeros(46))
     assert obs.shape == (1144,)
     assert not obs.any()
@@ -374,7 +378,7 @@ def test_assemble_observation_block_placement():
 
 
 def test_assemble_observation_rejects_bad_shapes():
-    vec = goal_vector(GoalSequence(steps=(), dt=0.05), 0, 11)
+    vec = goal_vector(GoalSequence(key_rows([]), dt=0.05), 0, 11)
     with pytest.raises(DimensionMismatchError):
         assemble_observation(vec, KeyState(), np.zeros((8, 3)), np.zeros(46))
     with pytest.raises(DimensionMismatchError):
@@ -399,12 +403,105 @@ def test_goal_text_round_trip():
     text = goal_to_text(seq)
     back = goal_from_text(text)
     assert back.dt == seq.dt
-    assert back.steps == seq.steps
+    assert np.array_equal(back.keys, seq.keys) and np.array_equal(back.sustain, seq.sustain)
 
 
 def test_goal_text_round_trip_with_silent_steps():
     # silent steps serialize with an empty keys field (trailing tab)
     seq = discretize([_note(60, 0.0, 0.1), _note(64, 0.4, 0.5)], dt=0.05, stretch=1.0, trim_silence=False)
-    assert any(not s.active for s in seq.steps)
+    assert not seq.keys.any(axis=1).all()
     back = goal_from_text(goal_to_text(seq))
-    assert back.steps == seq.steps
+    assert np.array_equal(back.keys, seq.keys) and np.array_equal(back.sustain, seq.sustain)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("0\t0\t95\n", OutOfRangeError),
+        ("0\t0\t39,-5\n", OutOfRangeError),
+        ("0\t7\t39\n", ValueError),
+        ("# dtype: float\n0\t0\t39\n", ValueError),
+        ("# dt = 0\n0\t0\t39\n", ValueError),
+        ("# dt = nan\n", ValueError),
+        ("0\t0\t39\n2\t0\t39\n", ValueError),
+    ],
+    ids=["key-95", "key-minus-5", "sustain-7", "dtype-comment", "dt-zero", "dt-nan", "step-gap"],
+)
+def test_goal_from_text_rejects_bad_lines(text, error):
+    with pytest.raises(error):
+        goal_from_text(text)
+
+
+# near-valid goal lines: headers with and without a value, steps with odd fields
+_GOAL_HEADER = st.tuples(
+    st.sampled_from(["#", "# ", "#dt", "# dt", "# dtype:"]), st.sampled_from(["", "=", " = 0.05", " = x", " = nan", " = -1"])
+).map("".join)
+_GOAL_STEP = st.lists(
+    st.sampled_from(["", "0", "1", "7", "-1", "x", "39", "87,88", "-5", "95", "0,39"]), min_size=1, max_size=4
+).map("\t".join)
+_GOAL_TEXT = st.lists(_GOAL_HEADER | _GOAL_STEP, max_size=6).map("\n".join)
+
+
+@given(_GOAL_TEXT | st.text())
+def test_goal_from_text_raises_only_value_errors(text):
+    try:
+        seq = goal_from_text(text)
+    except ValueError:
+        return
+    assert seq.keys.shape == (len(seq), 88)
+    assert set(seq.sustain.tolist()) <= {0, 1}
+
+
+def test_goal_sequence_validates_arrays():
+    with pytest.raises(DimensionMismatchError):
+        GoalSequence(np.zeros((3, 87), dtype=bool))
+    with pytest.raises(DimensionMismatchError):
+        GoalSequence(np.zeros((3, 88), dtype=bool), sustain=[0, 1])
+    with pytest.raises(ValueError):
+        GoalSequence(np.zeros((2, 88), dtype=bool), sustain=[0, 2])
+    seq = GoalSequence(key_rows([{39}, set()]), sustain=[1, 0], dt=0.05)
+    assert not seq.keys.flags.writeable and not seq.sustain.flags.writeable
+
+
+def _reference_discretize(notes, dt, stretch, trim_silence, pedal):
+    """The per-note, per-step fill that the difference-array discretize replaced."""
+    kept = [n for n in notes if 21 <= n.pitch <= 108]
+    shift = min(n.onset for n in kept) * stretch if trim_silence else 0.0
+    spans = []
+    for note in kept:
+        first = int(np.floor((note.onset * stretch - shift) / dt + 1e-9))
+        end = int(np.ceil((note.offset * stretch - shift) / dt - 1e-9))
+        spans.append((note.pitch - 21, max(first, 0), end))
+    length = max([0] + [end for _, _, end in spans])
+    active = [set() for _ in range(length)]
+    for key, first, end in spans:
+        for t in range(first, min(end, length)):
+            active[t].add(key)
+    events = sorted(((p.time * stretch - shift, p.value) for p in pedal), key=lambda pair: pair[0])
+    sustain, idx, value = [], 0, 0
+    for t in range(length):
+        while idx < len(events) and events[idx][0] <= t * dt + 1e-9 * dt:
+            value = events[idx][1]
+            idx += 1
+        sustain.append(1 if value >= 64 else 0)
+    return active, sustain
+
+
+@pytest.mark.parametrize("trim_silence", [True, False])
+def test_discretize_matches_per_step_reference(trim_silence):
+    from otpiano.midi import PedalEvent
+
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        onsets = rng.uniform(0.0, 6.0, size=40).round(int(rng.integers(1, 4)))
+        notes = [
+            _note(int(rng.integers(21, 109)), float(on), float(on + rng.uniform(0.01, 1.0)))
+            for on in onsets
+        ]
+        notes += [_note(62, -0.6, -0.2), _note(64, -0.3, 0.12)]  # before the grid without trimming
+        times = rng.uniform(0.0, 7.0, size=8).round(2)
+        pedal = [PedalEvent(time=float(t), value=int(v)) for t, v in zip(times, rng.integers(0, 128, size=8))]
+        seq = discretize(notes, dt=0.05, stretch=1.25, trim_silence=trim_silence, pedal=pedal)
+        active, sustain = _reference_discretize(notes, 0.05, 1.25, trim_silence, pedal)
+        assert [_active(seq, t) for t in range(len(seq))] == active
+        assert seq.sustain.tolist() == sustain

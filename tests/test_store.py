@@ -11,14 +11,12 @@ from otpiano.store import (
     EPISODE_SUFFIX,
     EpisodeRecord,
     InvalidRecordError,
-    NativeImporter,
     TruncatedPayloadError,
     UnsupportedVersionError,
     episode_bytes,
-    get_importer,
+    iter_episodes,
     load_episode,
     read_episode,
-    register_importer,
     rewards_csv,
     save_episode,
     score_csv,
@@ -148,31 +146,16 @@ def test_native_importer_reads_directory(tmp_path):
     rng = np.random.default_rng(7)
     for i in range(3):
         save_episode(_random_record(rng, meta={"song": "s", "chunk": i}), tmp_path / f"s.ep{i:03d}{EPISODE_SUFFIX}")
-    importer = get_importer("native")(tmp_path)
-    records = list(importer.episodes())
+    records = list(iter_episodes(tmp_path))
     assert [r.meta["chunk"] for r in records] == [0, 1, 2]
-    assert isinstance(importer, NativeImporter)
-
-
-def test_importer_registry():
-    class Dummy:
-        def __init__(self, directory):
-            self.directory = directory
-
-        def episodes(self):
-            return iter(())
-
-    register_importer("dummy", Dummy)
-    assert get_importer("dummy") is Dummy
-    with pytest.raises(KeyError):
-        get_importer("nope")
 
 
 def test_goal_decoding_hooks():
+    from conftest import key_rows
     from otpiano.keyboard import KeyState
-    from otpiano.midi import GoalSequence, GoalStep, assemble_observation, goal_vector
+    from otpiano.midi import GoalSequence, assemble_observation, goal_vector
 
-    seq = GoalSequence(steps=(GoalStep(active=frozenset({5, 17})),), dt=0.05)
+    seq = GoalSequence(key_rows([{5, 17}]), dt=0.05)
     depths = [0.0] * 88
     depths[17] = 1.0
     obs = assemble_observation(
@@ -183,8 +166,8 @@ def test_goal_decoding_hooks():
         actions=np.zeros((1, 39), dtype=np.float32),
         rewards=np.zeros(1, dtype=np.float32),
     )
-    assert list(rec.active_key_steps()) == [frozenset({5, 17})]
-    assert list(rec.pressed_key_steps()) == [frozenset({17})]
+    assert np.argwhere(rec.active_key_steps()).tolist() == [[0, 5], [0, 17]]
+    assert np.argwhere(rec.pressed_key_steps()).tolist() == [[0, 17]]
 
 
 def test_csv_exports():
@@ -198,7 +181,14 @@ def test_csv_exports():
 
     from otpiano.reward import total_reward
 
-    rows = [total_reward(1.0, 1.0, 1.0, 1.0, 0.0)]
-    text = score_csv(rows)
+    text = score_csv(total_reward(1.0, 1.0, 1.0, 1.0, 0.0))
     assert text.splitlines()[0] == "step,ot,press,sustain,collision,energy,total"
     assert text.splitlines()[1].endswith(",3.5")
+
+
+def test_score_csv_writes_python_float_cells():
+    from otpiano.reward import total_reward
+
+    ones = np.ones(2)
+    text = score_csv(total_reward(ones, np.array([1.0, 0.25]), ones, np.array([1.0, 0.0]), np.zeros(2)))
+    assert text.splitlines()[1:] == ["0,1.0,1.0,1.0,1.0,0.0,3.5", "1,1.0,0.25,1.0,0.0,0.0,2.25"]
