@@ -16,7 +16,6 @@ from .annotate import (
     Episode,
     FingeringAnnotation,
     InfeasibleStepError,
-    StepAnnotation,
     UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,

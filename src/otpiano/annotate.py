@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .assign import InfeasibleError, key_distances, solve_cost_rows
-from .hand import ALL_FINGERS, LEFT, RIGHT, FingerId, HandConfig, HandMotion, bases_collide, init_hands
-from .keyboard import KEY_COUNT, KeyboardGeometry, key_for_pitch, press_point_table
+from .hand import ALL_FINGERS, LEFT, RIGHT, HandConfig, HandMotion, bases_collide, init_hands
+from .keyboard import KEY_COUNT, MAX_PITCH, MIN_PITCH, KeyboardGeometry, key_for_pitch, press_point_table
 from .metrics import f1, precision_recall
 from .midi import (
     ACTION_DIM,
@@ -54,30 +54,27 @@ class UnlabeledNoteError(ValueError):
     """A note has no finger label (dropped in best-effort mode)."""
 
 
-@dataclass(frozen=True)
-class StepAnnotation:
-    """Solved placement for one step.
-
-    ``pairs`` are (key, FingerId) with every active key labeled once;
-    ``distance`` is the solved total moving cost before the hands move.
-    """
-
-    pairs: tuple = ()
-    distance: float = 0.0
-    ot: float = 1.0
-    dropped_keys: tuple = ()
-    collision: bool = False
+NO_FINGER = -1  # ``FingeringAnnotation.finger`` cell of a key without a finger
+DROPPED = -2  # cell of an active key that best-effort mode left out
+_LABELS = {DROPPED: "-", **{slot: finger.label() for slot, finger in enumerate(ALL_FINGERS)}}
+_SLOTS = {label: slot for slot, label in _LABELS.items()}
 
 
 @dataclass(frozen=True, eq=False)
 class FingeringAnnotation:
     """Per-step fingering of a whole song plus the config that produced it.
 
-    Row t of ``pressed`` marks the keys whose assigned fingertip ended step
-    t within the press threshold.
+    Cell (t, key) of ``finger`` is the ``ALL_FINGERS`` slot placed on the key
+    at step t, ``NO_FINGER`` or ``DROPPED``; ``distance[t]`` is the solved
+    total moving cost before the hands move and ``collision[t]`` whether the
+    hand bases ended step t closer than their minimum gap.  Row t of
+    ``pressed`` marks the keys whose assigned fingertip ended step t within
+    the press threshold.
     """
 
-    steps: tuple
+    finger: np.ndarray  # (T, 88) int8
+    distance: np.ndarray  # (T,) float64
+    collision: np.ndarray  # (T,) bool
     dt: float
     embodiment: str
     snapshot: dict = field(default_factory=dict)
@@ -85,23 +82,21 @@ class FingeringAnnotation:
     pressed: "np.ndarray | None" = None  # (T, 88) bool
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.finger)
 
     @property
     def mean_distance(self) -> float:
         """Mean moving distance over steps that had active keys."""
-        dists = [s.distance for s in self.steps if s.pairs or s.dropped_keys]
-        return float(np.mean(dists)) if dists else 0.0
+        keyed = (self.finger != NO_FINGER).any(axis=1)
+        return float(np.mean(self.distance[keyed])) if keyed.any() else 0.0
 
     @property
     def dropped_step_count(self) -> int:
-        return sum(1 for s in self.steps if s.dropped_keys)
+        return int((self.finger == DROPPED).any(axis=1).sum())
 
-    def finger_at(self, step: int, key: int) -> "FingerId | None":
-        for k, finger in self.steps[step].pairs:
-            if k == key:
-                return finger
-        return None
+    def pairs(self, step: int) -> tuple:
+        """(key, FingerId) for every fingered key of one step, by key."""
+        return tuple((key, ALL_FINGERS[slot]) for key, slot in enumerate(self.finger[step].tolist()) if slot >= 0)
 
 
 def annotate_song(
@@ -118,23 +113,25 @@ def annotate_song(
     the dropped keys.  The whole rollout is deterministic.
     """
     state = init_hands(hands, geom)
-    fingers = state.fingers
-    n_fingers = len(fingers)
-    slot_index = [ALL_FINGERS.index(finger) for finger in fingers]
-    motion = HandMotion(fingers, hands, geom, goals.dt)
+    n_fingers = len(state.fingers)
+    slot_index = [ALL_FINGERS.index(finger) for finger in state.fingers]
+    motion = HandMotion(state.fingers, hands, geom, goals.dt)
     press_points = press_point_table(geom)
     tips = state.fingertips
     base = (state.base_x[LEFT], state.base_x[RIGHT])
-    steps = []
-    trace = np.zeros((len(goals), 10, 3), dtype=np.float64)
-    pressed = np.zeros((len(goals), KEY_COUNT), dtype=bool)
+    T = len(goals)
+    finger = np.full((T, KEY_COUNT), NO_FINGER, dtype=np.int8)
+    distance = np.zeros(T)
+    collision = np.zeros(T, dtype=bool)
+    trace = np.zeros((T, 10, 3), dtype=np.float64)
+    pressed = np.zeros((T, KEY_COUNT), dtype=bool)
     for t, row in enumerate(goals.keys):
         active = np.flatnonzero(row).tolist()
         if active:
             if len(active) > n_fingers and not best_effort:
                 raise InfeasibleStepError(t, len(active), n_fingers)
             points = press_points[active]
-            solved, distance, dropped_rows = solve_cost_rows(key_distances(points, tips).tolist(), best_effort)
+            solved, distance[t], dropped_rows = solve_cost_rows(key_distances(points, tips).tolist(), best_effort)
             key_rows = [r for r, _ in solved]
             rows = [c for _, c in solved]
             keys = [active[r] for r in key_rows]
@@ -142,28 +139,20 @@ def annotate_song(
             tips, base = motion.step(tips, base, rows, targets)
             reach = tips[rows] - targets
             pressed[t, keys] = np.sqrt((reach**2).sum(axis=1)) < params.threshold
-            pairs = tuple((key, fingers[c]) for key, c in zip(keys, rows))
-            dropped = tuple(active[r] for r in dropped_rows)
+            finger[t, keys] = [slot_index[c] for c in rows]
+            if dropped_rows:
+                finger[t, [active[r] for r in dropped_rows]] = DROPPED
         else:
             tips, base = motion.step(tips, base, [], None)
-            pairs = ()
-            distance = 0.0
-            dropped = ()
-        steps.append(
-            StepAnnotation(
-                pairs=pairs,
-                distance=distance,
-                ot=ot_reward(distance, params),
-                dropped_keys=dropped,
-                collision=bases_collide(base, hands.min_base_gap),
-            )
-        )
+        collision[t] = bases_collide(base, hands.min_base_gap)
         trace[t, slot_index] = tips
-    trace.flags.writeable = False
-    pressed.flags.writeable = False
+    for values in (finger, distance, collision, trace, pressed):
+        values.flags.writeable = False
     snapshot = {"dt": goals.dt, **hands.snapshot(), **geom.snapshot(), **params.snapshot()}
     return FingeringAnnotation(
-        steps=tuple(steps),
+        finger=finger,
+        distance=distance,
+        collision=collision,
         dt=goals.dt,
         embodiment=hands.name,
         snapshot=snapshot,
@@ -179,7 +168,7 @@ def annotate_song(
 
 @dataclass(frozen=True)
 class Episode:
-    """Fixed-length window of a song; the tail is padded with empty steps."""
+    """Fixed-length window of a song; the tail is padded with silent steps."""
 
     index: int
     start_step: int
@@ -200,9 +189,9 @@ class Episode:
 def chunk_episodes(goals: GoalSequence, annotation: FingeringAnnotation, episode_len: int = DEFAULT_EPISODE_LEN) -> list:
     """Split a song into consecutive equal-length episodes.
 
-    The final window is padded with silent goals and empty annotation steps
-    (see ``Episode.take``) so every episode has exactly ``episode_len``
-    steps; concatenating the real parts reproduces the song.
+    The final window is padded with silent steps (see ``Episode.take``) so
+    every episode has exactly ``episode_len`` steps; concatenating the real
+    parts reproduces the song.
     """
     if episode_len <= 0:
         raise ValueError("episode_len must be > 0")
@@ -222,8 +211,8 @@ def build_episode_record(
     rewards: np.ndarray,
     params: RewardParams,
     song: str,
+    snapshot: dict,
     lookahead: int = DEFAULT_LOOKAHEAD,
-    run_snapshot: "dict | None" = None,
 ) -> EpisodeRecord:
     """Synthesize a trajectory record from one annotated episode.
 
@@ -233,8 +222,9 @@ def build_episode_record(
     and 39-dim actions are opaque in this pipeline and stay zero.  Rewards
     are the episode's part of the song's per-step totals ``rewards`` (from
     ``score_annotation`` with ``params``), with a silent step's reward on
-    the padded tail.  With the default 10-step lookahead the record is
-    canonical (1144-dim).
+    the padded tail.  ``snapshot`` is the run's config, stored in the
+    metadata.  With the default 10-step lookahead the record is canonical
+    (1144-dim).
     """
     L = lookahead + 1
     T = episode.length
@@ -253,7 +243,6 @@ def build_episode_record(
     silent = np.zeros((1, KEY_COUNT), dtype=bool)
     padding = _score_rows(silent, silent, np.ones(1), np.zeros(1, dtype=bool), params).total[0]
     precision, recall = precision_recall(pressed, episode.take(goals.keys))
-    snapshot = run_snapshot if run_snapshot is not None else annotation.snapshot
     meta = {
         "song": song,
         "chunk": episode.index,
@@ -299,19 +288,15 @@ def annotation_to_pig(
     records = []
     note_id = 0
     for note in notes:
-        finger = None
-        try:
-            key = key_for_pitch(note.pitch)
-        except ValueError:
-            key = None
-        if key is not None:
-            first, _end = note_step_span(note, annotation.dt, stretch, shift)
-            if 0 <= first < len(annotation.steps):
-                finger = annotation.finger_at(first, key)
-        if finger is None:
+        first, _end = note_step_span(note, annotation.dt, stretch, shift)
+        slot = NO_FINGER
+        if 0 <= first < len(annotation) and MIN_PITCH <= note.pitch <= MAX_PITCH:
+            slot = annotation.finger[first, key_for_pitch(note.pitch)]
+        if slot < 0:
             if on_unlabeled == "error":
                 raise UnlabeledNoteError(f"note pitch {note.pitch} at {note.onset:.3f}s has no finger label")
             continue
+        finger = ALL_FINGERS[slot]
         digit = finger.digit if finger.hand != LEFT else -finger.digit
         records.append(
             PigRecord(
@@ -343,9 +328,9 @@ def score_annotation(goals: GoalSequence, annotation: FingeringAnnotation, param
     """
     if len(goals) != len(annotation):
         raise ValueError("goal sequence and annotation disagree on step count")
-    ot = np.array([s.ot for s in annotation.steps], dtype=np.float64)
-    collided = np.array([s.collision for s in annotation.steps], dtype=bool)
-    return _score_rows(goals.keys, annotation.pressed, ot, collided, params)
+    # the scalar ot_reward: np.exp may differ from math.exp in the last bit
+    ot = np.array([ot_reward(d, params) for d in annotation.distance.tolist()])
+    return _score_rows(goals.keys, annotation.pressed, ot, annotation.collision, params)
 
 
 def _score_rows(active, pressed, ot, collided, params: RewardParams) -> RewardBreakdown:
@@ -370,27 +355,35 @@ def _score_rows(active, pressed, ot, collided, params: RewardParams) -> RewardBr
 ANNOTATION_HEADER = "# otpiano annotation v1"
 
 
-def write_annotation_text(annotation: FingeringAnnotation, extra_snapshot: "dict | None" = None) -> str:
+def write_annotation_text(annotation: FingeringAnnotation, snapshot: dict) -> str:
     """One line per step: ``step<TAB>ot_distance<TAB>key:finger;...``.
 
-    Pairs are sorted by key; the header embeds the config snapshot (plus
-    any run-level entries in ``extra_snapshot``).  Dropped keys
-    (best-effort) appear as ``key:-``.
+    Fingered keys come first, then the keys best-effort mode dropped
+    (``key:-``), each in key order; the header embeds the config
+    ``snapshot``.
     """
-    snapshot = {**annotation.snapshot, **(extra_snapshot or {})}
     lines = [ANNOTATION_HEADER, f"# embodiment = {annotation.embodiment}"]
     for key in sorted(snapshot):
         lines.append(f"# {key} = {snapshot[key]}")
-    for t, step in enumerate(annotation.steps):
-        cells = [f"{key}:{finger.label()}" for key, finger in sorted(step.pairs)]
-        cells.extend(f"{key}:-" for key in step.dropped_keys)
-        lines.append(f"{t}\t{step.distance!r}\t{';'.join(cells)}")
+    steps, keys = np.nonzero(annotation.finger != NO_FINGER)
+    slots = annotation.finger[steps, keys]
+    order = np.lexsort((keys, slots == DROPPED, steps))
+    cells = [f"{key}:{_LABELS[slot]}" for key, slot in zip(keys[order].tolist(), slots[order].tolist())]
+    ends = np.cumsum(np.bincount(steps, minlength=len(annotation))).tolist()
+    start = 0
+    for t, (distance, end) in enumerate(zip(annotation.distance.tolist(), ends)):
+        lines.append(f"{t}\t{distance!r}\t{';'.join(cells[start:end])}")
+        start = end
     return "\n".join(lines) + "\n"
 
 
-def parse_annotation_text(text: str) -> list:
-    """Parse the annotation text format into (distance, pairs, dropped) rows."""
-    rows = []
+def parse_annotation_text(text: str) -> tuple:
+    """Parse the annotation text format into ``(distance, finger)`` arrays.
+
+    The arrays are laid out as ``FingeringAnnotation.distance`` and
+    ``.finger``; any malformed line raises ValueError.
+    """
+    distances, rows = [], []
     for line in text.splitlines():
         line = line.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -399,13 +392,13 @@ def parse_annotation_text(text: str) -> list:
         step_field, dist_field, pairs_field = line.split("\t")
         if int(step_field) != len(rows):
             raise ValueError(f"step index {step_field} out of order")
-        pairs = []
-        dropped = []
+        row = [NO_FINGER] * KEY_COUNT
         for cell in pairs_field.split(";") if pairs_field else []:
-            key_str, finger_str = cell.split(":")
-            if finger_str == "-":
-                dropped.append(int(key_str))
-            else:
-                pairs.append((int(key_str), FingerId.from_label(finger_str)))
-        rows.append((float(dist_field), tuple(pairs), tuple(dropped)))
-    return rows
+            key_str, label = cell.split(":")
+            key = int(key_str)
+            if not 0 <= key < KEY_COUNT or label not in _SLOTS or row[key] != NO_FINGER:
+                raise ValueError(f"bad or repeated annotation cell {cell!r}")
+            row[key] = _SLOTS[label]
+        distances.append(float(dist_field))
+        rows.append(row)
+    return np.array(distances, dtype=np.float64), np.array(rows, dtype=np.int8).reshape(len(rows), KEY_COUNT)

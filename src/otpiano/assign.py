@@ -81,12 +81,6 @@ class Assignment:
     total_cost: float
     dropped_rows: tuple = ()
 
-    def finger_for_row(self, row: int) -> "int | None":
-        for r, c in self.pairs:
-            if r == row:
-                return c
-        return None
-
 
 def build_cost_matrix(fingertips, finger_ids, active_keys, geom: KeyboardGeometry) -> CostMatrix:
     """Euclidean fingertip-to-press-point distances.

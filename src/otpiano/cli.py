@@ -1,13 +1,14 @@
 """Batch command-line frontend: annotate songs, evaluate rollouts, corpus stats.
 
 Subcommands write files and text/CSV reports for downstream programs; there
-is no interactive mode.  Exit codes: 0 success, 1 songs failed strict
-annotation, 2 unusable inputs.
+is no interactive mode.  Exit codes: 0 success, 1 some songs failed (each
+is reported and leaves no files), 2 unusable inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -17,8 +18,6 @@ import numpy as np
 from . import __version__
 from .annotate import (
     DEFAULT_EPISODE_LEN,
-    InfeasibleStepError,
-    UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
     build_episode_record,
@@ -35,8 +34,6 @@ from .midi import (
     DEFAULT_DT,
     DEFAULT_LOOKAHEAD,
     DEFAULT_STRETCH,
-    EmptySongError,
-    MalformedMidiError,
     discretize,
     goal_from_text,
     goal_to_text,
@@ -88,13 +85,23 @@ def _snapshot_comments(snapshot: dict) -> list:
 
 
 def _process_song(task: dict) -> dict:
-    """Annotate one MIDI file and write all outputs; returns a summary dict."""
+    """Annotate one MIDI file and write all outputs; returns a summary dict.
+
+    Any failure becomes an ``error`` entry and removes the files the song
+    had already started to write.
+    """
     path = Path(task["path"])
     out_dir = Path(task["out"])
     geom = task["geom"]
     hands = task["hands"]
     params = task["params"]
     stem = path.stem
+    written = []
+
+    def output(suffix: str) -> Path:
+        written.append(out_dir / f"{stem}{suffix}")
+        return written[-1]
+
     try:
         song = load_midi(path)
         goals = discretize(
@@ -105,15 +112,15 @@ def _process_song(task: dict) -> dict:
             pedal=song.pedal,
         )
         annotation = annotate_song(goals, hands, geom, params, best_effort=task["best_effort"])
-        run_extra = {
+        snapshot = {
+            **annotation.snapshot,
             "midi.stretch": task["stretch"],
             "midi.trim_silence": task["trim_silence"],
             "run.lookahead": task["lookahead"],
             "run.episode_len": task["episode_len"],
             "run.best_effort": task["best_effort"],
         }
-        run_snapshot = {**annotation.snapshot, **run_extra}
-        comments = _snapshot_comments(run_snapshot)
+        comments = _snapshot_comments(snapshot)
         # PIG labeling can still fail on an unlabeled note: do it before any file is written
         records = None
         if task["pig_out"]:
@@ -124,25 +131,22 @@ def _process_song(task: dict) -> dict:
                 trim_silence=task["trim_silence"],
                 on_unlabeled="skip" if task["best_effort"] else "error",
             )
-        (out_dir / f"{stem}.goals.txt").write_text(
-            "".join(f"# {c}\n" for c in comments) + goal_to_text(goals), encoding="utf-8"
-        )
-        (out_dir / f"{stem}.annotation.txt").write_text(
-            write_annotation_text(annotation, extra_snapshot=run_extra), encoding="utf-8"
-        )
+        output(".goals.txt").write_text("".join(f"# {c}\n" for c in comments) + goal_to_text(goals), encoding="utf-8")
+        output(".annotation.txt").write_text(write_annotation_text(annotation, snapshot), encoding="utf-8")
         scores = score_annotation(goals, annotation, params)
-        (out_dir / f"{stem}.rewards.csv").write_text(
-            "".join(f"# {c}\n" for c in comments) + score_csv(scores), encoding="utf-8"
-        )
+        output(".rewards.csv").write_text("".join(f"# {c}\n" for c in comments) + score_csv(scores), encoding="utf-8")
         if records is not None:
-            save_pig(records, out_dir / f"{stem}.pig.txt", header_comments=comments)
+            save_pig(records, output(".pig.txt"), header_comments=comments)
         episodes = chunk_episodes(goals, annotation, task["episode_len"])
         for episode in episodes:
             record = build_episode_record(
-                episode, goals, annotation, scores.total, params, stem, task["lookahead"], run_snapshot
+                episode, goals, annotation, scores.total, params, stem, snapshot, task["lookahead"]
             )
-            save_episode(record, out_dir / f"{stem}.ep{episode.index:03d}{EPISODE_SUFFIX}")
-    except (MalformedMidiError, EmptySongError, InfeasibleStepError, UnlabeledNoteError, OSError) as exc:
+            save_episode(record, output(f".ep{episode.index:03d}{EPISODE_SUFFIX}"))
+    except Exception as exc:
+        for written_path in written:
+            with contextlib.suppress(OSError):
+                written_path.unlink()
         return {"song": stem, "error": f"{type(exc).__name__}: {exc}"}
     return {
         "song": stem,

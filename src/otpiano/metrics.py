@@ -119,7 +119,7 @@ def fingering_agreement(ours, reference, onset_tolerance: float = 0.05) -> Agree
 
 @dataclass
 class DatasetStats:
-    """Aggregated corpus statistics; mergeable for parallel workers."""
+    """Aggregated corpus statistics."""
 
     key_histogram: list = field(default_factory=lambda: [0] * KEY_COUNT)
     active_key_counts: list = field(default_factory=list)
@@ -144,20 +144,6 @@ class DatasetStats:
         if not self.f1_scores:
             return 0.0
         return sum(1 for s in self.f1_scores if s >= threshold) / len(self.f1_scores)
-
-    def threshold_fractions(self, thresholds=F1_THRESHOLDS) -> dict:
-        return {t: self.fraction_f1_above(t) for t in thresholds}
-
-    def merge(self, other: "DatasetStats") -> "DatasetStats":
-        """Associative combination of two partial aggregates."""
-        if self.count_mode != other.count_mode:
-            raise ValueError("cannot merge stats with different count modes")
-        return DatasetStats(
-            key_histogram=[a + b for a, b in zip(self.key_histogram, other.key_histogram)],
-            active_key_counts=self.active_key_counts + other.active_key_counts,
-            f1_scores=self.f1_scores + other.f1_scores,
-            count_mode=self.count_mode,
-        )
 
 
 def dataset_stats(sources, f1_scores=None, count_mode: str = "onsets") -> DatasetStats:

@@ -146,7 +146,8 @@ def parse_midi(data: bytes) -> MidiSong:
     first-out; a note-on with velocity 0 counts as a note-off.  The tempo
     map is merged across tracks and applied to convert ticks to seconds.
     Unmatched note-offs and dangling note-ons are skipped and reported in
-    ``MidiSong.problems``.
+    ``MidiSong.problems``.  Structurally invalid data raises
+    MalformedMidiError.
     """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedMidiError("missing MThd header")

@@ -90,7 +90,10 @@ class PigRecord:
 
 
 def parse_pig(text: str) -> list[PigRecord]:
-    """Parse PIG text into records, skipping ``//`` header lines."""
+    """Parse PIG text into records, skipping ``//`` header lines.
+
+    A line that does not parse raises MalformedPigLineError.
+    """
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

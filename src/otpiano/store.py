@@ -147,7 +147,11 @@ def write_episode(rec: EpisodeRecord, sink) -> int:
 
 
 def read_episode(source) -> EpisodeRecord:
-    """Deserialize a record from a binary file object, verifying the CRC."""
+    """Deserialize a record from a binary file object, verifying the CRC.
+
+    Every malformed source raises a ValueError: one of this module's errors,
+    or a JSON or UTF-8 decoding error from the metadata block.
+    """
     data = source.read()
     if len(data) < _HEADER.size:
         raise BadMagicError("source shorter than the container header")
@@ -172,7 +176,12 @@ def read_episode(source) -> EpisodeRecord:
     pos += _META_LEN.size
     if len(data) < pos + meta_len:
         raise TruncatedPayloadError("metadata block truncated")
-    meta = json.loads(data[pos : pos + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(data[pos : pos + meta_len].decode("utf-8"))
+    except RecursionError:
+        raise InvalidRecordError("metadata nested too deeply") from None
+    if not isinstance(meta, dict):
+        raise InvalidRecordError(f"metadata must be a JSON object, got {type(meta).__name__}")
 
     obs_bytes = 4 * T * obs_dim
     act_bytes = 4 * T * act_dim

@@ -1,4 +1,4 @@
-"""Shared test helpers: a minimal standalone MIDI byte writer and goal rows.
+"""Shared test helpers: a minimal standalone MIDI byte writer, goal rows and byte mutations.
 
 The writer is deliberately independent of the package's parser so golden
 files exercise a real encode/decode boundary.
@@ -10,6 +10,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def vlq(value: int) -> bytes:
@@ -89,6 +90,33 @@ def key_rows(active_sets) -> np.ndarray:
     for t, keys in enumerate(active_sets):
         rows[t, list(keys)] = True
     return rows
+
+
+def mutated_bytes(data: bytes):
+    """Hypothesis strategy: ``data`` with up to eight bytes overwritten, inserted or deleted, maybe cut short."""
+    edit = st.tuples(st.sampled_from("sid"), st.integers(0, 2 * len(data)), st.integers(0, 255))
+
+    def apply(edits, keep):
+        out = bytearray(data)
+        for op, pos, value in edits:
+            pos %= len(out) + 1
+            if op == "i":
+                out.insert(pos, value)
+            elif pos < len(out) and op == "s":
+                out[pos] = value
+            elif pos < len(out):
+                del out[pos]
+        return bytes(out[:keep])
+
+    return st.builds(apply, st.lists(edit, max_size=8), st.none() | st.integers(0, len(data)))
+
+
+def episode_with_raw_meta(meta: bytes) -> bytes:
+    """A one-step ``.rp1t`` container, valid up to its metadata block, which holds ``meta`` verbatim."""
+    from otpiano.store import EpisodeRecord, episode_bytes
+
+    data = episode_bytes(EpisodeRecord(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1)))
+    return data[: -len(b"{}") - 4] + struct.pack("<I", len(meta)) + meta
 
 
 def golden_songs() -> dict:

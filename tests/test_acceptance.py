@@ -206,17 +206,17 @@ def test_criterion_08_annotator_feasibility():
         state = init_hands(TEN, GEOM)
         for t, row in enumerate(goals.keys):
             active = set(np.flatnonzero(row).tolist())
-            step = annotation.steps[t]
-            labeled = {k for k, _ in step.pairs}
+            pairs = annotation.pairs(t)
+            labeled = {k for k, _ in pairs}
             assert labeled == active  # every active key exactly once
-            fingers = [f for _, f in step.pairs]
+            fingers = [f for _, f in pairs]
             assert len(set(fingers)) == len(fingers)  # fingers exclusive
             if 0 < len(active) <= 7:
                 matrix = build_cost_matrix(state.fingertips, state.fingers, active, GEOM)
                 oracle = brute_force_assignment(matrix)
-                assert abs(step.distance - oracle.total_cost) < 1e-9
+                assert abs(annotation.distance[t] - oracle.total_cost) < 1e-9
                 checked_against_oracle += 1
-            targets = {finger: key_press_point(k, GEOM) for k, finger in step.pairs}
+            targets = {finger: key_press_point(k, GEOM) for k, finger in pairs}
             state = step_hand(state, targets, goals.dt, TEN, GEOM)
     assert checked_against_oracle > 5000
     _verdict(8, f"100 random songs annotate strictly; {checked_against_oracle} chords match the oracle")
@@ -229,7 +229,7 @@ def test_criterion_09_cross_embodiment():
     sizes = list(rng.integers(1, 9, size=60))  # chords of <= 8 notes
     active_sets = [rng.choice(88, size=int(s), replace=False) for s in sizes]
     annotation = annotate_song(GoalSequence(key_rows(active_sets), dt=0.05), four, GEOM)
-    assert all(f.digit != 5 for step in annotation.steps for _, f in step.pairs)
+    assert all(f.digit != 5 for t in range(len(annotation)) for _, f in annotation.pairs(t))
     nine = GoalSequence(key_rows([range(40, 49)]), dt=0.05)
     with pytest.raises(InfeasibleStepError):
         annotate_song(nine, four, GEOM)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import key_rows
 from otpiano.annotate import (
+    DROPPED,
+    NO_FINGER,
     FingeringAnnotation,
     InfeasibleStepError,
-    StepAnnotation,
     UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
@@ -56,31 +57,46 @@ def _active(goals, t):
     return set(np.flatnonzero(goals.keys[t]).tolist())
 
 
+def _dropped(annotation, t):
+    return tuple(np.flatnonzero(annotation.finger[t] == DROPPED).tolist())
+
+
+def _steps(annotation):
+    """Per step: (key, FingerId) pairs, distance, dropped keys, collision flag."""
+    return [
+        (annotation.pairs(t), annotation.distance[t], _dropped(annotation, t), annotation.collision[t])
+        for t in range(len(annotation))
+    ]
+
+
 def test_sustained_middle_c_converges():
     goals = _sequence([{39}] * 100)
     annotation = annotate_song(goals, HANDS, GEOM)
     assert len(annotation) == 100
-    for step in annotation.steps:
-        assert len(step.pairs) == 1
-        assert step.pairs[0][0] == 39
-    assert annotation.steps[-1].distance < 0.01
-    assert annotation.steps[-1].ot == 1.0
+    for t in range(100):
+        assert len(annotation.pairs(t)) == 1
+        assert annotation.pairs(t)[0][0] == 39
+    assert annotation.distance[-1] < 0.01
+    assert score_annotation(goals, annotation).ot[-1] == 1.0
     assert annotation.pressed[-1, 39]
 
 
 def test_empty_sequences():
     annotation = annotate_song(_sequence([]), HANDS, GEOM)
     assert len(annotation) == 0
-    annotation = annotate_song(_sequence([set(), set()]), HANDS, GEOM)
-    assert all(s.pairs == () for s in annotation.steps)
-    assert all(s.distance == 0.0 and s.ot == 1.0 for s in annotation.steps)
+    silent = _sequence([set(), set()])
+    annotation = annotate_song(silent, HANDS, GEOM)
+    assert (annotation.finger == NO_FINGER).all()
+    assert annotation.distance.tolist() == [0.0, 0.0]
+    assert score_annotation(silent, annotation).ot.tolist() == [1.0, 1.0]
 
 
 def test_deterministic_end_to_end():
     goals = _sequence([{30 + (t % 5), 50 + (t % 7)} for t in range(60)])
     a = annotate_song(goals, HANDS, GEOM)
     b = annotate_song(goals, HANDS, GEOM)
-    assert a.steps == b.steps
+    assert _steps(a) == _steps(b)
+    assert np.array_equal(a.finger, b.finger)
     assert np.array_equal(a.pressed, b.pressed)
     assert a.fingertip_trace.tobytes() == b.fingertip_trace.tobytes()
 
@@ -92,12 +108,12 @@ def test_scale_steps_match_per_step_brute_force():
     annotation = annotate_song(goals, HANDS, GEOM)
     state = init_hands(HANDS, GEOM)
     for t, key in enumerate(scale_keys):
-        step = annotation.steps[t]
-        assert len(step.pairs) == 1
+        pairs = annotation.pairs(t)
+        assert len(pairs) == 1
         matrix = build_cost_matrix(state.fingertips, state.fingers, {key}, GEOM)
         oracle = brute_force_assignment(matrix)
-        assert step.distance == pytest.approx(oracle.total_cost, abs=1e-9)
-        targets = {finger: key_press_point(k, GEOM) for k, finger in step.pairs}
+        assert annotation.distance[t] == pytest.approx(oracle.total_cost, abs=1e-9)
+        targets = {finger: key_press_point(k, GEOM) for k, finger in pairs}
         state = step_hand(state, targets, goals.dt, HANDS, GEOM)
         assert np.array_equal(state.fingertip_slots(), annotation.fingertip_trace[t])
 
@@ -113,11 +129,11 @@ def test_strict_mode_rejects_oversized_chord():
 def test_best_effort_records_dropped_keys():
     goals = _sequence([set(range(20, 31))])
     annotation = annotate_song(goals, HANDS, GEOM, best_effort=True)
-    step = annotation.steps[0]
-    assert len(step.pairs) == 10
-    assert len(step.dropped_keys) == 1
+    pairs, dropped = annotation.pairs(0), _dropped(annotation, 0)
+    assert len(pairs) == 10
+    assert len(dropped) == 1
     assert annotation.dropped_step_count == 1
-    labeled = {k for k, _ in step.pairs} | set(step.dropped_keys)
+    labeled = {k for k, _ in pairs} | set(dropped)
     assert labeled == set(range(20, 31))
 
 
@@ -131,8 +147,8 @@ def test_off_keyboard_goal_key_rejected():
 def test_disabled_finger_never_assigned():
     goals = _sequence([{30 + t, 55 + t} for t in range(20)])
     annotation = annotate_song(goals, HandConfig.four_finger(), GEOM)
-    for step in annotation.steps:
-        assert all(finger.digit != 5 for _, finger in step.pairs)
+    for t in range(len(goals)):
+        assert all(finger.digit != 5 for _, finger in annotation.pairs(t))
 
 
 def _reference_rollout(goals, hands, best_effort):
@@ -154,18 +170,10 @@ def _reference_rollout(goals, hands, best_effort):
         for key, finger in pairs:
             reach = np.linalg.norm(state.fingertip(finger) - np.asarray(targets[finger]))
             pressed[t, key] = reach < DEFAULT_PARAMS.threshold
-        steps.append(
-            StepAnnotation(
-                pairs=pairs,
-                distance=distance,
-                ot=ot_reward(distance, DEFAULT_PARAMS),
-                dropped_keys=dropped,
-                collision=collision_flag(state, hands),
-            )
-        )
+        steps.append((pairs, distance, dropped, collision_flag(state, hands)))
         for finger, point in zip(state.fingers, state.fingertips):
             trace[t, ALL_FINGERS.index(finger)] = point
-    return tuple(steps), trace, pressed
+    return steps, trace, pressed
 
 
 def _held_chords(rng, n_steps, max_keys):
@@ -196,7 +204,7 @@ def test_rollout_matches_reference_loop(hands, best_effort, max_keys):
         assert (goals.keys.sum(axis=1) > len(hands.enabled_fingers)).any()
     annotation = annotate_song(goals, hands, GEOM, best_effort=best_effort)
     steps, trace, pressed = _reference_rollout(goals, hands, best_effort)
-    assert annotation.steps == steps
+    assert _steps(annotation) == steps
     assert annotation.fingertip_trace.tobytes() == trace.tobytes()
     assert np.array_equal(annotation.pressed, pressed)
 
@@ -253,8 +261,14 @@ def test_chunking_validation():
 
 
 def _manual_annotation(pairs_per_step, dt=0.05):
-    steps = tuple(StepAnnotation(pairs=tuple(p)) for p in pairs_per_step)
-    return FingeringAnnotation(steps=steps, dt=dt, embodiment="ten-finger")
+    T = len(pairs_per_step)
+    finger = np.full((T, 88), NO_FINGER, dtype=np.int8)
+    for t, pairs in enumerate(pairs_per_step):
+        for key, digit in pairs:
+            finger[t, key] = ALL_FINGERS.index(digit)
+    return FingeringAnnotation(
+        finger=finger, distance=np.zeros(T), collision=np.zeros(T, dtype=bool), dt=dt, embodiment="ten-finger"
+    )
 
 
 def test_pig_export_hand_conventions():
@@ -337,7 +351,7 @@ _ODD_PARAMS = RewardParams(tolerance_bounds=(0.0, 0.0), tolerance_margin=0.7, va
 def _reference_scores(goals, annotation, params):
     """The per-step scorer that score_annotation replaced: one KeyState and total_reward per step."""
     rows = []
-    for t, step in enumerate(annotation.steps):
+    for t in range(len(annotation)):
         active = _active(goals, t)
         pressed = set(np.flatnonzero(annotation.pressed[t]).tolist())
         sustain = float(goals.sustain[t])
@@ -346,10 +360,10 @@ def _reference_scores(goals, annotation, params):
             depths[key] = 1.0
         key_state = KeyState(depths=tuple(depths), sustain=sustain)
         breakdown = total_reward(
-            ot=step.ot,
+            ot=ot_reward(float(annotation.distance[t]), params),
             press=press_reward(key_state, active, bool(pressed - active), params),
             sustain=sustain_reward(sustain, sustain, params),
-            collision=collision_reward(step.collision),
+            collision=collision_reward(bool(annotation.collision[t])),
             energy=0.0,
             params=params,
         )
@@ -364,11 +378,14 @@ def test_score_annotation_matches_per_step_reference(params):
     active = rng.random((300, 88)) < rng.uniform(0.0, 0.16, size=(300, 1))
     pressed = (active & (rng.random((300, 88)) < 0.7)) | (rng.random((300, 88)) < 0.01)
     goals = GoalSequence(active, sustain=rng.integers(0, 2, size=300), dt=0.05)
-    steps = tuple(
-        StepAnnotation(ot=ot_reward(float(d), params), collision=bool(c))
-        for d, c in zip(rng.uniform(0.0, 0.3, size=300), rng.random(300) < 0.1)
+    annotation = FingeringAnnotation(
+        finger=np.full((300, 88), NO_FINGER, dtype=np.int8),
+        distance=rng.uniform(0.0, 0.3, size=300),
+        collision=rng.random(300) < 0.1,
+        dt=0.05,
+        embodiment="ten-finger",
+        pressed=pressed,
     )
-    annotation = FingeringAnnotation(steps=steps, dt=0.05, embodiment="ten-finger", pressed=pressed)
     scores = score_annotation(goals, annotation, params)
     assert np.column_stack(scores.as_row()).tolist() == _reference_scores(goals, annotation, params)
 
@@ -404,7 +421,9 @@ def _reference_episode_record(episode, goals, annotation, params, lookahead):
     )
     ep_pressed = np.vstack([annotation.pressed[start:stop], np.zeros((pad, 88), dtype=bool)])
     ep_annotation = FingeringAnnotation(
-        steps=annotation.steps[start:stop] + (StepAnnotation(),) * pad,
+        finger=np.vstack([annotation.finger[start:stop], np.full((pad, 88), NO_FINGER, dtype=np.int8)]),
+        distance=np.concatenate([annotation.distance[start:stop], np.zeros(pad)]),
+        collision=np.concatenate([annotation.collision[start:stop], np.zeros(pad, dtype=bool)]),
         dt=goals.dt,
         embodiment=annotation.embodiment,
         pressed=ep_pressed,
@@ -429,7 +448,9 @@ def test_episode_records_match_per_step_reference(lookahead):
     episodes = chunk_episodes(goals, annotation, 64)
     assert [e.n_real for e in episodes] == [64, 64, 22]
     for episode in episodes:
-        record = build_episode_record(episode, goals, annotation, scores.total, _ODD_PARAMS, "s", lookahead)
+        record = build_episode_record(
+            episode, goals, annotation, scores.total, _ODD_PARAMS, "s", annotation.snapshot, lookahead
+        )
         obs, rewards, score = _reference_episode_record(episode, goals, annotation, _ODD_PARAMS, lookahead)
         assert record.observations.tobytes() == obs.tobytes()
         assert record.rewards.tobytes() == rewards.tobytes()
@@ -439,13 +460,11 @@ def test_episode_records_match_per_step_reference(lookahead):
 def test_annotation_text_round_trip():
     goals = _sequence([{30 + t % 4, 60 - t % 3} for t in range(25)])
     annotation = annotate_song(goals, HANDS, GEOM)
-    text = write_annotation_text(annotation)
-    rows = parse_annotation_text(text)
-    assert len(rows) == len(annotation.steps)
-    for (distance, pairs, dropped), step in zip(rows, annotation.steps):
-        assert distance == step.distance  # repr round trip is exact
-        assert pairs == tuple(sorted(step.pairs))
-        assert dropped == ()
+    text = write_annotation_text(annotation, annotation.snapshot)
+    distance, finger = parse_annotation_text(text)
+    assert distance.tolist() == annotation.distance.tolist()  # repr round trip is exact
+    assert np.array_equal(finger, annotation.finger)
+    assert not (finger == DROPPED).any()
     assert "# embodiment = ten-finger" in text
     assert "hand.span_max" in text
 
@@ -453,16 +472,28 @@ def test_annotation_text_round_trip():
 def test_annotation_text_round_trip_with_silent_steps():
     goals = _sequence([{39}, set(), set(), {41}])
     annotation = annotate_song(goals, HANDS, GEOM)
-    rows = parse_annotation_text(write_annotation_text(annotation))
-    assert len(rows) == 4
-    assert rows[1] == (0.0, (), ())
+    distance, finger = parse_annotation_text(write_annotation_text(annotation, annotation.snapshot))
+    assert finger.shape == (4, 88)
+    assert distance[1] == 0.0 and (finger[1] == NO_FINGER).all()
 
 
 def test_annotation_text_best_effort_markers():
     goals = _sequence([set(range(40, 51))])
     annotation = annotate_song(goals, HANDS, GEOM, best_effort=True)
-    rows = parse_annotation_text(write_annotation_text(annotation))
-    assert rows[0][2] == annotation.steps[0].dropped_keys
+    text = write_annotation_text(annotation, annotation.snapshot)
+    _distance, finger = parse_annotation_text(text)
+    assert np.array_equal(finger, annotation.finger)
+    assert len(_dropped(annotation, 0)) == 1
+    # fingered keys first, then the dropped one, each in key order
+    cells = [f"{key}:{digit.label()}" for key, digit in annotation.pairs(0)]
+    cells += [f"{key}:-" for key in _dropped(annotation, 0)]
+    assert text.splitlines()[-1] == f"0\t{float(annotation.distance[0])!r}\t{';'.join(cells)}"
+
+
+@pytest.mark.parametrize("cell", ["88:R1", "-1:R1", "39:R9", "39:X2", "39:", "39:R1:", "39:R1;39:L2"])
+def test_parse_annotation_text_rejects_bad_cells(cell):
+    with pytest.raises(ValueError):
+        parse_annotation_text(f"0\t0.0\t{cell}\n")
 
 
 def test_fingertip_trace_shape():

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import simple_song
+from conftest import episode_with_raw_meta, simple_song
+from otpiano import cli
 from otpiano.cli import main
 from otpiano.store import load_episode
 
@@ -106,6 +107,49 @@ def test_annotate_unlabeled_note_fails_only_that_song(tmp_path, capsys):
     assert not list(out.glob("bad.*"))
 
 
+def _fail_one_song(monkeypatch, where):
+    """Make ``chord`` (the only song with a three-key step) fail in annotate_song, or ``line`` at its third container."""
+    if where == "annotate_song":
+        annotate_song = cli.annotate_song
+
+        def failing(goals, *args, **kwargs):
+            if goals.keys.sum(axis=1).max() >= 3:
+                raise RuntimeError("injected failure")
+            return annotate_song(goals, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "annotate_song", failing)
+        return "chord"
+    save_episode = cli.save_episode
+
+    def failing(record, path):
+        if path.name == "line.ep002.rp1t":
+            raise OSError("injected failure")
+        return save_episode(record, path)
+
+    monkeypatch.setattr(cli, "save_episode", failing)
+    return "line"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("where", ["annotate_song", "save_episode"])
+def test_annotate_failure_is_isolated_and_cleaned_up(song_dir, tmp_path, capsys, monkeypatch, where, jobs):
+    # 16-step episodes: line writes goals, annotation, rewards and two containers before the third fails
+    clean = tmp_path / "clean"
+    assert _annotate(song_dir, clean, "--pig-out", "--episode-len", "16") == 0
+    bad = _fail_one_song(monkeypatch, where)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _annotate(song_dir, out, "--pig-out", "--episode-len", "16", "--jobs", jobs) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL {bad}: " in captured.err and "injected failure" in captured.err
+    assert "1 of 2 songs failed" in captured.err
+    assert not list(out.glob(f"{bad}.*"))
+    good = sorted(path.name for path in clean.iterdir() if not path.name.startswith(f"{bad}."))
+    assert sorted(path.name for path in out.iterdir()) == good
+    for name in good:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
 def test_annotate_four_finger_embodiment(song_dir, tmp_path):
     out = tmp_path / "out"
     assert _annotate(song_dir, out, "--embodiment", "four-finger") == 0
@@ -183,6 +227,14 @@ def test_stats_reports_and_csv(song_dir, tmp_path, capsys):
     lines = [l for l in csv_path.read_text().strip().splitlines() if not l.startswith("#")]
     assert lines[0] == "key,midi_pitch,color,count"
     assert len(lines) == 89
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_non_object_episode_metadata_exits_2(tmp_path, capsys, command):
+    (tmp_path / "bad.ep000.rp1t").write_bytes(episode_with_raw_meta(b"[1, 2]"))
+    flag = "--episodes" if command == "eval" else "--in"
+    assert main([command, flag, str(tmp_path)]) == 2
+    assert "metadata must be a JSON object" in capsys.readouterr().err
 
 
 def test_stats_exit_code_on_empty(tmp_path):

@@ -178,25 +178,11 @@ def test_f1_threshold_fractions():
     stats = dataset_stats([_goal_sequence([{39}])], f1_scores=[0.8, 0.6, 0.4])
     assert stats.fraction_f1_above(0.75) == pytest.approx(1 / 3)
     assert stats.fraction_f1_above(0.5) == pytest.approx(2 / 3)
-    fractions = stats.threshold_fractions()
-    assert fractions[0.5] >= fractions[0.75]
 
 
 def test_stats_require_a_source():
     with pytest.raises(ValueError):
         dataset_stats([])
-
-
-def test_merge_is_associative_and_correct():
-    a = dataset_stats([_goal_sequence([{1}, {2}])], f1_scores=[0.9])
-    b = dataset_stats([_goal_sequence([{3}])], f1_scores=[0.4])
-    c = dataset_stats([_goal_sequence([{1, 3}])])
-    merged = a.merge(b).merge(c)
-    merged2 = a.merge(b.merge(c))
-    assert merged.key_histogram == merged2.key_histogram
-    assert merged.total_onsets == 5
-    assert merged.active_key_counts == [2, 1, 2]
-    assert sorted(merged.f1_scores) == [0.4, 0.9]
 
 
 def test_histogram_total_equals_onsets():

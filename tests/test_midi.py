@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import control_change, key_rows, midi_bytes, note_off, note_on, set_tempo, simple_song
+from conftest import control_change, key_rows, midi_bytes, mutated_bytes, note_off, note_on, set_tempo, simple_song
 from otpiano.keyboard import KeyState, OutOfRangeError
 from otpiano.midi import (
     DimensionMismatchError,
@@ -131,6 +131,41 @@ def test_multi_track_format_1():
 def test_malformed_midi(data):
     with pytest.raises(MalformedMidiError):
         parse_midi(data)
+
+
+# two tracks with a tempo change, running status, pedal, program change and sysex
+_FUZZ_SEED = midi_bytes(
+    [
+        [(0, set_tempo(500000)), (960, set_tempo(400000))],
+        [
+            (0, note_on(0, 60)),
+            (0, bytes((64, 70))),
+            (120, control_change(0, 64, 100)),
+            (0, bytes((0xC0, 5))),
+            (240, note_off(0, 60)),
+            (0, bytes((0xF0, 2, 1, 0xF7))),
+            (240, note_off(0, 64)),
+        ],
+    ]
+)
+
+
+def _parse_or_malformed(data):
+    try:
+        parse_midi(data)
+    except MalformedMidiError:
+        pass
+
+
+@given(st.binary(max_size=200) | st.binary(max_size=200).map(_FUZZ_SEED[:22].__add__))
+def test_parse_midi_raises_only_malformed_on_arbitrary_bytes(data):
+    _parse_or_malformed(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_bytes(_FUZZ_SEED))
+def test_parse_midi_raises_only_malformed_on_mutated_files(data):
+    _parse_or_malformed(data)
 
 
 def test_unknown_chunks_skipped():

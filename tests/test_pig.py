@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import mutated_bytes
 from otpiano.pig import (
     MalformedPigLineError,
     PigRecord,
@@ -84,3 +87,21 @@ def test_float_fields_round_trip_exactly():
     (back,) = parse_pig(write_pig([rec]))
     assert back.onset == rec.onset
     assert back.offset == rec.offset
+
+
+def _parse_or_malformed(text):
+    try:
+        parse_pig(text)
+    except MalformedPigLineError:
+        pass
+
+
+@given(st.text() | st.binary().map(lambda data: data.decode("utf-8", "replace")))
+def test_parse_pig_raises_only_malformed_lines_on_arbitrary_text(text):
+    _parse_or_malformed(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_bytes(GOLDEN.encode()))
+def test_parse_pig_raises_only_malformed_lines_on_mutated_files(data):
+    _parse_or_malformed(data.decode("utf-8", "replace"))

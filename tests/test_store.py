@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import episode_with_raw_meta, mutated_bytes
 from otpiano.store import (
     BadMagicError,
     ChecksumMismatchError,
@@ -121,6 +125,51 @@ def test_every_single_byte_payload_corruption_detected():
         corrupted[i] ^= 0x01
         with pytest.raises(ChecksumMismatchError):
             read_episode(io.BytesIO(bytes(corrupted)))
+
+
+_VALID = episode_bytes(_random_record(np.random.default_rng(11), T=2, obs_dim=3, act_dim=2))
+
+
+def _read_or_value_error(data):
+    try:
+        rec = read_episode(io.BytesIO(data))
+    except ValueError:
+        return
+    assert isinstance(rec.meta, dict)
+
+
+@given(st.binary(max_size=300) | st.binary(max_size=300).map(_VALID[:20].__add__))
+def test_read_episode_raises_only_value_errors_on_arbitrary_bytes(data):
+    _read_or_value_error(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_bytes(_VALID))
+def test_read_episode_raises_only_value_errors_on_mutated_files(data):
+    _read_or_value_error(data)
+
+
+@given(st.binary(max_size=40) | st.text(alphabet='{}[]":,0123 nulltrue', max_size=40).map(str.encode))
+def test_read_episode_raises_only_value_errors_on_any_metadata(meta):
+    _read_or_value_error(episode_with_raw_meta(meta))
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(_JSON_VALUE.filter(lambda value: not isinstance(value, dict)))
+def test_read_episode_rejects_non_object_metadata(meta):
+    with pytest.raises(InvalidRecordError):
+        read_episode(io.BytesIO(episode_with_raw_meta(json.dumps(meta).encode())))
+
+
+def test_read_episode_rejects_deeply_nested_metadata():
+    with pytest.raises(InvalidRecordError):
+        read_episode(io.BytesIO(episode_with_raw_meta(b"[" * 100_000)))
 
 
 def test_float64_inputs_are_stored_as_float32():
