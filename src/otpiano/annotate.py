@@ -12,6 +12,7 @@ arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,7 +382,8 @@ def parse_annotation_text(text: str) -> tuple:
     """Parse the annotation text format into ``(distance, finger)`` arrays.
 
     The arrays are laid out as ``FingeringAnnotation.distance`` and
-    ``.finger``; any malformed line raises ValueError.
+    ``.finger``; any malformed line, including a negative or non-finite
+    distance, raises ValueError.
     """
     distances, rows = [], []
     for line in text.splitlines():
@@ -399,6 +401,9 @@ def parse_annotation_text(text: str) -> tuple:
             if not 0 <= key < KEY_COUNT or label not in _SLOTS or row[key] != NO_FINGER:
                 raise ValueError(f"bad or repeated annotation cell {cell!r}")
             row[key] = _SLOTS[label]
-        distances.append(float(dist_field))
+        distance = float(dist_field)
+        if not (math.isfinite(distance) and distance >= 0.0):
+            raise ValueError(f"bad annotation distance {dist_field!r}")
+        distances.append(distance)
         rows.append(row)
     return np.array(distances, dtype=np.float64), np.array(rows, dtype=np.int8).reshape(len(rows), KEY_COUNT)

@@ -10,9 +10,11 @@ read off the final duals: by complementary slackness an assignment's
 excess over the optimum is the sum of its reduced costs plus the negated
 duals of the columns it leaves uncovered.  A greedy pass over the rows
 therefore finds the lexicographic optimum by re-routing the solved
-matching along the cheapest chain of tight edges, without another float
-solve.  An exhaustive enumerator over all injective mappings serves as
-the independent oracle for small chords.
+matching along one shortest path over tight edges, without another float
+solve; one extra search node stands for every unassigned column, as in
+the square reduction of the rectangular problem.  An exhaustive
+enumerator over all injective mappings serves as the independent oracle
+for small chords.
 """
 
 from __future__ import annotations
@@ -185,21 +187,16 @@ def _lexicographic_optimum(cost: list, col4row: list, u: list, v: list) -> list:
     leaves uncovered, all terms >= 0; so only tight edges (reduced cost
     <= eps) can appear.  Row by row, the tight columns below the row's
     current one are tried in ascending order: the cheapest re-routing of
-    the matching onto that column (see _cheapest_chain) is taken if the
-    total stays within ``eps``.  Otherwise the row keeps its current
-    column, which always does; rows before it stay fixed.
+    the matching onto that column (see _reroute) is taken if the total
+    stays within ``eps``.  Otherwise the row keeps its current column,
+    which always does; rows before it stay fixed.
     """
     n_rows = len(cost)
-    n_cols = len(v)
     eps = _TIE_RTOL * max(1.0, max(map(max, cost)))  # costs are >= 0
     target = 0.0
     for i, j in enumerate(col4row):
         target += cost[i][j]
-    col4row = list(col4row)
-    row4col = [-1] * n_cols
-    for i, j in enumerate(col4row):
-        row4col[j] = i
-    fixed = [False] * n_cols
+    fixed = [False] * len(v)
     prefix = 0.0
     for i, row in enumerate(cost):
         current = col4row[i]
@@ -207,71 +204,50 @@ def _lexicographic_optimum(cost: list, col4row: list, u: list, v: list) -> list:
         for j in range(current):
             if fixed[j] or row[j] - ui - v[j] > eps:
                 continue
-            chain = _cheapest_chain(cost, u, v, eps, row4col, fixed, j, current)
-            if chain is None:
+            moved = _reroute(cost, u, v, eps, col4row, fixed, j, current)
+            if moved is None:
                 continue
-            movers = [row4col[col] for col in chain[:-1]]
-            moved = list(col4row)
-            for mover, col in zip(movers, chain[1:]):
-                moved[mover] = col
             rest = 0.0
             for r in range(i + 1, n_rows):
                 rest += cost[r][moved[r]]
-            if prefix + row[j] + rest > target + eps:
-                continue
-            col4row = moved
-            for mover, col in zip(movers, chain[1:]):
-                row4col[col] = mover
-            if chain[0] != chain[-1]:
-                row4col[chain[0]] = -1
-            break
+            if prefix + row[j] + rest <= target + eps:
+                col4row = moved
+                break
         fixed[col4row[i]] = True
         prefix += row[col4row[i]]
     return col4row
 
 
-def _tree_path(tree: dict, col: int) -> list:
-    """Columns from the root of a search tree (``tree[root] == -1``) to ``col``."""
-    path = []
-    while col != -1:
-        path.append(col)
-        col = tree[col]
-    return path[::-1]
+def _reroute(cost, u, v, eps, col4row, fixed, start, current) -> "list | None":
+    """Cheapest re-routing of col4row that hands ``start`` to the row on ``current``.
 
-
-def _cheapest_chain(cost, u, v, eps, row4col, fixed, start, current) -> "list | None":
-    """Cheapest column chain ``[s, .., current, start, .., t]`` handing ``start`` to the row on ``current``.
-
-    Read pairwise, the row holding each column moves to the next one, along
-    tight edges into unfixed columns; a move costs its change in reduced
-    cost.  Either the chain closes (``s == t == current``), or it ends on
-    an unassigned column ``t`` and starts on a column ``s`` that is left
-    uncovered, at a cost of ``v[t] - v[s]``.  Label-correcting searches
-    run forward from ``start`` and backward from ``current``; the matching
-    is the cheapest for its fixed rows, so no move cycle is negative and
-    an open chain whose two halves meet costs no less than a closed one.
-    Returns None when no chain exists.
+    A shortest path from ``start`` to ``current``: along an edge between
+    columns the row holding the first moves to the second, over a tight
+    edge into an unfixed column, at its change in reduced cost.  One extra
+    node stands for every unassigned column: a free column ``t`` reaches
+    it at ``v[t]`` (``t`` becomes covered), and it reaches any unfixed,
+    assigned column ``s`` at ``-v[s]`` (``s`` is left uncovered).  The
+    row on ``current`` closes the path by moving to ``start``.  The
+    matching is the cheapest for its fixed rows, so no cycle is negative
+    and the shortest path is the cheapest re-routing; a label-correcting
+    search finds it.  Returns the new col4row, or None when no path exists.
     """
     n_cols = len(v)
-    noise = eps * 1e-3  # smaller gains are float noise: ignoring them keeps trees acyclic
+    noise = eps * 1e-3  # smaller gains are float noise: ignoring them keeps the tree acyclic
+    row4col = [-1] * n_cols
+    for row, col in enumerate(col4row):
+        row4col[col] = row
+    unassigned = n_cols  # the extra node
 
-    def search(root, neighbours):
-        dist = {root: 0.0}
-        tree = {root: -1}
-        stack = [root]
-        while stack:
-            col = stack.pop()
-            for nxt, step in neighbours(col):
-                d = dist[col] + step
-                if nxt not in dist or d < dist[nxt] - noise:
-                    dist[nxt] = d
-                    tree[nxt] = col
-                    stack.append(nxt)
-        return dist, tree
-
-    def moves_out(col):  # the holder of col moves on
+    def moves(col):
+        if col == unassigned:
+            for s in range(n_cols):
+                if s != start and not fixed[s] and row4col[s] != -1:
+                    yield s, -v[s]
+            return
         row = row4col[col]
-        if col == current or row == -1:
+        if row == -1:
+            yield unassigned, v[col]
             return
         row_costs = cost[row]
         ur = u[row]
@@ -282,33 +258,30 @@ def _cheapest_chain(cost, u, v, eps, row4col, fixed, start, current) -> "list | 
                 if enter <= eps:
                     yield nxt, enter - leave
 
-    def moves_in(col):  # some holder moves into col
-        vc = v[col]
-        for prev in range(n_cols):
-            row = row4col[prev]
-            if prev != current and prev != start and not fixed[prev] and row != -1:
-                enter = cost[row][col] - u[row] - vc
-                if enter <= eps:
-                    yield prev, enter - (cost[row][prev] - u[row] - v[prev])
-
-    ahead, came_from = search(start, moves_out)
-    cycle = None
-    if current in ahead:
-        cycle = [current] + _tree_path(came_from, came_from[current]) + [current]
-    free = [col for col in ahead if row4col[col] == -1]
-    if not free:
-        return cycle
-    t = min(free, key=lambda col: ahead[col] + v[col])
-    behind, goes_to = search(current, moves_in)
-    s = min(behind, key=lambda col: behind[col] - v[col])
-    head = _tree_path(goes_to, s)[::-1]
-    tail = _tree_path(came_from, t)
-    # both kinds share the move off ``current``, so compare what follows it
-    if cycle is not None and (
-        ahead[current] <= behind[s] - v[s] + ahead[t] + v[t] or not set(head).isdisjoint(tail)
-    ):
-        return cycle
-    return head + tail
+    dist = {start: 0.0}
+    tree = {start: -1}
+    stack = [start]
+    while stack:
+        col = stack.pop()
+        if col == current:
+            continue
+        for nxt, step in moves(col):
+            d = dist[col] + step
+            if nxt not in dist or d < dist[nxt] - noise:
+                dist[nxt] = d
+                tree[nxt] = col
+                stack.append(nxt)
+    if current not in dist:
+        return None
+    moved = list(col4row)
+    moved[row4col[current]] = start
+    col = current
+    while col != start:
+        prev = tree[col]
+        if unassigned not in (prev, col):
+            moved[row4col[prev]] = col
+        col = prev
+    return moved
 
 
 def solve_cost_rows(rows: list, best_effort: bool = False) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -159,9 +160,18 @@ def _process_song(task: dict) -> dict:
 
 
 def cmd_annotate(args) -> int:
-    paths = _midi_paths(Path(args.midi))
+    midi = Path(args.midi)
+    if not midi.exists():
+        print(f"no such MIDI file or directory: {midi}", file=sys.stderr)
+        return 2
+    paths = _midi_paths(midi)
     if not paths:
         print(f"no MIDI files under {args.midi}", file=sys.stderr)
+        return 2
+    stems = Counter(p.stem for p in paths)
+    clashes = [p.name for p in paths if stems[p.stem] > 1]
+    if clashes:
+        print(f"songs would write over each other's outputs: {', '.join(clashes)}", file=sys.stderr)
         return 2
     if args.dt <= 0 or args.stretch <= 0 or args.episode_len <= 0 or args.lookahead < 0 or args.jobs < 1:
         print("dt, stretch and episode-len must be positive; lookahead >= 0; jobs >= 1", file=sys.stderr)
@@ -174,7 +184,11 @@ def cmd_annotate(args) -> int:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return 2
     tasks = [
         {
             "path": str(p),

@@ -7,6 +7,7 @@ floats (whitespace or comma separated), or kept as a bare string.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 
@@ -53,6 +54,24 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = _parse_value(raw.strip())
     return out
+
+
+def config_number(key: str, value, error: type = ConfigError) -> float:
+    """A parsed value as a finite float; raises ``error`` for anything else.
+
+    Booleans, bare strings, tuples, NaN and infinities are all rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise error(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def config_numbers(key: str, value, count: int, error: type = ConfigError) -> tuple:
+    """A parsed value as a tuple of ``count`` finite floats; raises ``error`` otherwise."""
+    values = value if isinstance(value, tuple) else (value,)
+    if len(values) != count:
+        raise error(f"{key} needs {count} numbers, got {value!r}")
+    return tuple(config_number(key, x, error) for x in values)
 
 
 def load_config(path) -> dict:

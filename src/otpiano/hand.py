@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, config_number, config_numbers
 from .keyboard import KeyboardGeometry
 
 LEFT = "left"
@@ -50,7 +50,7 @@ class FingerId:
 
     @classmethod
     def from_label(cls, label: str) -> "FingerId":
-        if len(label) != 2 or label[0] not in "LR":
+        if len(label) != 2 or label[0] not in "LR" or label[1] not in "12345":
             raise InvalidConfigError(f"bad finger label {label!r}")
         return cls(LEFT if label[0] == "L" else RIGHT, int(label[1]))
 
@@ -130,8 +130,8 @@ class HandConfig:
         """Build from a parsed config dict; unknown keys are rejected.
 
         Recognized keys: name, span_max, v_max, base_v_max, min_base_gap,
-        disabled (list of digit numbers, applied to both hands), and
-        rest_offset.<L|R><digit> = x y z overrides.
+        disabled (list of digit numbers 1..5, applied to both hands), and
+        rest_offset.<L|R><digit> = x y z overrides.  Numbers must be finite.
         """
         simple = {"name", "span_max", "v_max", "base_v_max", "min_base_gap", "disabled"}
         rest = _default_rest_offsets()
@@ -141,16 +141,16 @@ class HandConfig:
             if key in simple:
                 if key == "disabled":
                     vals = val if isinstance(val, tuple) else (val,)
-                    disabled = tuple(int(v) for v in vals)
+                    disabled = tuple(config_number(key, v, InvalidConfigError) for v in vals)
+                    if any(d not in (1, 2, 3, 4, 5) for d in disabled):
+                        raise InvalidConfigError(f"disabled must list digits 1..5, got {val!r}")
                 elif key == "name":
                     kwargs["name"] = str(val)
                 else:
-                    kwargs[key] = float(val)
+                    kwargs[key] = config_number(key, val, InvalidConfigError)
             elif key.startswith("rest_offset."):
                 finger = FingerId.from_label(key.split(".", 1)[1])
-                if not isinstance(val, tuple) or len(val) != 3:
-                    raise InvalidConfigError(f"{key}: expected three coordinates")
-                rest[finger] = tuple(float(x) for x in val)
+                rest[finger] = config_numbers(key, val, 3, InvalidConfigError)
             else:
                 raise InvalidConfigError(f"unknown hand config key {key!r}")
         mask = tuple(f.digit not in disabled for f in ALL_FINGERS)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, config_number, config_numbers
 
 KEY_COUNT = 88
 MIN_PITCH = 21
@@ -87,17 +87,14 @@ class KeyboardGeometry:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "KeyboardGeometry":
-        """Build from a parsed config dict; unknown keys are rejected."""
+        """Build from a parsed config dict; unknown keys and non-numbers are rejected."""
         known = {"white_key_width", "white_key_length", "black_key_setback", "black_key_height", "origin"}
         unknown = set(values) - known
         if unknown:
             raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
-        kwargs = dict(values)
-        if "origin" in kwargs:
-            origin = kwargs["origin"]
-            if isinstance(origin, float):
-                raise ConfigError("origin needs three coordinates")
-            kwargs["origin"] = tuple(float(x) for x in origin)
+        kwargs = {key: config_number(key, val) for key, val in values.items() if key != "origin"}
+        if "origin" in values:
+            kwargs["origin"] = config_numbers("origin", values["origin"], 3)
         return cls(**kwargs)
 
     def snapshot(self) -> dict:

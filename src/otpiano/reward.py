@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import config_number, config_numbers
 from .midi import DimensionMismatchError
 
 
@@ -69,6 +70,9 @@ class RewardParams:
             raise InvalidParamsError("tolerance_margin must be > 0")
         if not 0.0 < self.value_at_margin < 1.0:
             raise InvalidParamsError("value_at_margin must lie in (0, 1)")
+        lo, hi = self.tolerance_bounds
+        if lo > hi:
+            raise InvalidParamsError(f"tolerance_bounds {self.tolerance_bounds} must satisfy lo <= hi")
 
     def shaping(self, x: float) -> float:
         """The configured tolerance curve."""
@@ -76,6 +80,7 @@ class RewardParams:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "RewardParams":
+        """Build from a parsed config dict; unknown keys and non-numbers are rejected."""
         known = {
             "threshold",
             "scale",
@@ -88,9 +93,10 @@ class RewardParams:
         unknown = set(values) - known
         if unknown:
             raise InvalidParamsError(f"unknown reward keys: {sorted(unknown)}")
-        kwargs = dict(values)
-        if "tolerance_bounds" in kwargs:
-            kwargs["tolerance_bounds"] = tuple(float(x) for x in kwargs["tolerance_bounds"])
+        error = InvalidParamsError
+        kwargs = {key: config_number(key, val, error) for key, val in values.items() if key != "tolerance_bounds"}
+        if "tolerance_bounds" in values:
+            kwargs["tolerance_bounds"] = config_numbers("tolerance_bounds", values["tolerance_bounds"], 2, error)
         return cls(**kwargs)
 
     def snapshot(self) -> dict:

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .keyboard import KEY_COUNT
-from .midi import ACTION_DIM, GOAL_STEP_DIM, OBSERVATION_DIM, observation_layout
+from .midi import ACTION_DIM, GOAL_STEP_DIM, OBSERVATION_DIM, observation_dim, observation_layout
+from .reward import CSV_COLUMNS
 
 MAGIC = b"RP1T"
 FORMAT_VERSION = 1
@@ -29,7 +30,7 @@ EPISODE_SUFFIX = ".rp1t"
 _HEADER = struct.Struct("<4sIIII")
 _CRC = struct.Struct("<I")
 _META_LEN = struct.Struct("<I")
-_OBS_EXTRA = KEY_COUNT + 1 + 30 + 46  # observation size beyond the goal window
+_OBS_EXTRA = observation_dim(0)  # observation size beyond the goal window
 
 
 class InvalidRecordError(ValueError):
@@ -230,7 +231,7 @@ def score_csv(breakdown) -> str:
     ``breakdown`` holds one step's floats or per-step arrays, as
     ``score_annotation`` returns them.
     """
-    lines = ["step,ot,press,sustain,collision,energy,total"]
+    lines = [",".join(CSV_COLUMNS)]
     for t, row in enumerate(np.column_stack(breakdown.as_row()).tolist()):
         lines.append(f"{t},{','.join(map(repr, row))}")
     return "\n".join(lines) + "\n"

@@ -490,10 +490,14 @@ def test_annotation_text_best_effort_markers():
     assert text.splitlines()[-1] == f"0\t{float(annotation.distance[0])!r}\t{';'.join(cells)}"
 
 
-@pytest.mark.parametrize("cell", ["88:R1", "-1:R1", "39:R9", "39:X2", "39:", "39:R1:", "39:R1;39:L2"])
-def test_parse_annotation_text_rejects_bad_cells(cell):
+@pytest.mark.parametrize(
+    "distance,cell",
+    [pytest.param("0.0", cell, id=cell) for cell in ["88:R1", "-1:R1", "39:R9", "39:X2", "39:", "39:R1:", "39:R1;39:L2"]]
+    + [pytest.param(distance, "39:R1", id=f"distance={distance}") for distance in ["-1.5", "nan", "inf", "-inf"]],
+)
+def test_parse_annotation_text_rejects_bad_cells(distance, cell):
     with pytest.raises(ValueError):
-        parse_annotation_text(f"0\t0.0\t{cell}\n")
+        parse_annotation_text(f"0\t{distance}\t{cell}\n")
 
 
 def test_fingertip_trace_shape():

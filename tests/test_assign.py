@@ -286,6 +286,32 @@ def test_tie_break_matches_resolving_reference_on_near_ties():
             costs = base + rng.integers(0, 3, size=shape) * step
             assert solve_assignment(_matrix(costs), best_effort=True).pairs == _reference_pairs(costs)
 
+_RECOVERED_COLUMN_CASES = [
+    # (integer base, slack in 0.3-tolerance steps, expected pairs): an early
+    # re-routing leaves a column with a negative dual uncovered and a later
+    # one covers it again, which pays that dual back
+    (
+        [[1, 0, 1, 1], [0, 0, 1, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1], [1, 0, 0, 1]],
+        [[1, 3, 2, 1], [3, 3, 0, 2], [2, 1, 0, 2], [3, 3, 3, 1], [0, 0, 2, 3], [1, 1, 0, 0], [3, 3, 3, 0]],
+        ((0, 1), (1, 0), (2, 3), (3, 2)),
+    ),
+    (
+        [[1, 0, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1, 1], [1, 1, 1, 1, 0, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0, 0],
+         [1, 0, 0, 1, 0, 0, 0, 1]],
+        [[2, 2, 2, 3, 3, 0, 2, 2], [0, 3, 1, 1, 0, 0, 1, 2], [2, 2, 1, 1, 0, 3, 1, 2], [2, 2, 0, 1, 0, 2, 2, 3],
+         [3, 3, 3, 3, 0, 2, 3, 2]],
+        ((0, 1), (1, 3), (2, 4), (3, 2), (4, 5)),
+    ),
+]
+
+
+@pytest.mark.parametrize("base,steps,expected", _RECOVERED_COLUMN_CASES, ids=["best-effort-7x4", "5x8"])
+def test_tie_break_covers_an_uncovered_column_at_its_dual(base, steps, expected):
+    # expected pairs checked by exact integer enumeration (costs in 0.1-tolerance units)
+    costs = np.array(base, dtype=float) + np.array(steps) * 0.3 * assign_module._TIE_RTOL
+    assert solve_assignment(_matrix(costs), best_effort=True).pairs == expected == _reference_pairs(costs)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 # ---------------------------------------------------------------------------

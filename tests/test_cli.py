@@ -166,6 +166,65 @@ def test_annotate_rejects_missing_inputs(tmp_path, capsys):
     assert main(["annotate", "--midi", str(empty), "--out", str(tmp_path / "o")]) == 2
 
 
+_BAD_CONFIGS = [
+    ("--geometry", "white_key_width = abc"),
+    ("--geometry", "origin = 0.1 0.2"),
+    ("--reward-config", "threshold = abc"),
+    ("--reward-config", "threshold = nan"),
+    ("--reward-config", "tolerance_bounds = 0.1"),
+    ("--reward-config", "alpha_collision = yes"),
+    ("--embodiment", "disabled = 7"),
+    ("--embodiment", "disabled = 0"),
+    ("--embodiment", "disabled = 2.5"),
+    ("--embodiment", "disabled = true"),
+]
+
+
+@pytest.mark.parametrize("flag,text", _BAD_CONFIGS, ids=[text for _, text in _BAD_CONFIGS])
+def test_annotate_rejects_bad_config_values(song_dir, tmp_path, capsys, flag, text):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out, flag, str(config)) == 2
+    assert "bad configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BAD_DEBUG_CONFIGS = [(flag, text) for flag, text in _BAD_CONFIGS if flag != "--reward-config"]
+
+
+@pytest.mark.parametrize("flag,text", _BAD_DEBUG_CONFIGS, ids=[text for _, text in _BAD_DEBUG_CONFIGS])
+def test_debug_assign_rejects_bad_config_values(tmp_path, capsys, flag, text):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text + "\n")
+    assert main(["debug-assign", "--pitches", "60,64,67", flag, str(config)]) == 2
+    assert "bad inputs" in capsys.readouterr().err
+
+
+def test_annotate_rejects_missing_midi_path(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["annotate", "--midi", str(tmp_path / "missing.mid"), "--out", str(out)]) == 2
+    assert "missing.mid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_annotate_rejects_output_path_that_is_a_file(song_dir, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    out.write_text("keep me")
+    assert _annotate(song_dir, out) == 2
+    assert "out.txt" in capsys.readouterr().err
+    assert out.read_text() == "keep me"
+
+
+def test_annotate_rejects_songs_sharing_a_stem(song_dir, tmp_path, capsys):
+    (song_dir / "line.MIDI").write_bytes((song_dir / "chord.mid").read_bytes())
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out, "--jobs", "2") == 2
+    err = capsys.readouterr().err
+    assert "line.MIDI" in err and "line.mid" in err and "chord" not in err
+    assert not out.exists()
+
+
 def test_eval_episodes(song_dir, tmp_path, capsys):
     out = tmp_path / "out"
     _annotate(song_dir, out)
