@@ -8,11 +8,21 @@ Fingering therefore adapts to wherever the hands actually are, step by
 step.  Songs are scored once and chunked into fixed-length episodes
 afterwards; each episode's trajectory record is sliced from the song's
 arrays.
+
+The rollout runs on Python floats (``key_distances`` and
+``HandMotion.step``), which match their numpy forms bit for bit.  A step
+is a pure function of the active keys, the fingertips and the two hand
+bases; when all three equal the previous step's, compared bitwise so that
+-0.0 and 0.0 stay apart, the step is a fixed point and repeats the
+previous step's outputs without a cost build, solve or hand step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,50 +126,78 @@ def annotate_song(
     state = init_hands(hands, geom)
     n_fingers = len(state.fingers)
     slot_index = [ALL_FINGERS.index(finger) for finger in state.fingers]
+    by_slot = sorted(range(n_fingers), key=slot_index.__getitem__)
+    layout = struct.Struct("".join("3d" if slot in slot_index else "24x" for slot in range(10)) + "2d")
+    row_size = layout.size - 16  # a trace row: the state without the bases
+
+    def state_of(tips: list, base: tuple) -> bytes:
+        """Fingertips in the trace's slot layout (disabled slots zero), then the bases."""
+        return layout.pack(*itertools.chain.from_iterable(map(tips.__getitem__, by_slot)), *base)
+
     motion = HandMotion(state.fingers, hands, geom, goals.dt)
-    press_points = press_point_table(geom)
-    tips = state.fingertips
+    press_points = press_point_table(geom).tolist()
+    tips = state.fingertips.tolist()
     base = (state.base_x[LEFT], state.base_x[RIGHT])
+    state_bytes = state_of(tips, base)
     T = len(goals)
-    finger = np.full((T, KEY_COUNT), NO_FINGER, dtype=np.int8)
-    distance = np.zeros(T)
-    collision = np.zeros(T, dtype=bool)
-    trace = np.zeros((T, 10, 3), dtype=np.float64)
-    pressed = np.zeros((T, KEY_COUNT), dtype=bool)
-    for t, row in enumerate(goals.keys):
-        active = np.flatnonzero(row).tolist()
+    key_steps, key_list = np.nonzero(goals.keys)
+    ends = np.cumsum(np.bincount(key_steps, minlength=T)).tolist()
+    key_list = key_list.tolist()
+    finger = array("b", [NO_FINGER]) * (T * KEY_COUNT)
+    pressed = array("b", [0]) * (T * KEY_COUNT)
+    trace = bytearray(T * row_size)
+    distance, collision = array("d"), array("b")
+    previous, unmoved, start = None, False, 0
+    for t, end in enumerate(ends):
+        active = key_list[start:end]
+        start = end
+        row = t * KEY_COUNT
+        if unmoved and active == previous:
+            # same keys, fingertips and bases as step t - 1: repeat its outputs
+            finger[row : row + KEY_COUNT] = finger[row - KEY_COUNT : row]
+            pressed[row : row + KEY_COUNT] = pressed[row - KEY_COUNT : row]
+            trace[t * row_size : (t + 1) * row_size] = state_bytes[:row_size]
+            distance.append(distance[-1])
+            collision.append(collision[-1])
+            continue
+        previous = active
+        total = 0.0
         if active:
             if len(active) > n_fingers and not best_effort:
                 raise InfeasibleStepError(t, len(active), n_fingers)
-            points = press_points[active]
-            solved, distance[t], dropped_rows = solve_cost_rows(key_distances(points, tips).tolist(), best_effort)
-            key_rows = [r for r, _ in solved]
-            rows = [c for _, c in solved]
-            keys = [active[r] for r in key_rows]
-            targets = points[key_rows]
-            tips, base = motion.step(tips, base, rows, targets)
-            reach = tips[rows] - targets
-            pressed[t, keys] = np.sqrt((reach**2).sum(axis=1)) < params.threshold
-            finger[t, keys] = [slot_index[c] for c in rows]
-            if dropped_rows:
-                finger[t, [active[r] for r in dropped_rows]] = DROPPED
+            points = [press_points[key] for key in active]
+            solved, total, dropped_rows = solve_cost_rows(key_distances(points, tips), best_effort)
+            targets = [points[r] for r, _ in solved]
+            tips, base = motion.step(tips, base, [c for _, c in solved], targets)
+            for (r, c), (px, py, pz) in zip(solved, targets):
+                x, y, z = tips[c]
+                dx = x - px
+                dy = y - py
+                dz = z - pz
+                finger[row + active[r]] = slot_index[c]
+                pressed[row + active[r]] = math.sqrt((dx * dx + dy * dy) + dz * dz) < params.threshold
+            for r in dropped_rows:
+                finger[row + active[r]] = DROPPED
         else:
-            tips, base = motion.step(tips, base, [], None)
-        collision[t] = bases_collide(base, hands.min_base_gap)
-        trace[t, slot_index] = tips
-    for values in (finger, distance, collision, trace, pressed):
+            tips, base = motion.step(tips, base, [], [])
+        distance.append(total)
+        collision.append(bases_collide(base, hands.min_base_gap))
+        next_bytes = state_of(tips, base)
+        unmoved = next_bytes == state_bytes  # bitwise: -0.0 and 0.0 stay distinct
+        state_bytes = next_bytes
+        trace[t * row_size : (t + 1) * row_size] = state_bytes[:row_size]
+
+    arrays = dict(
+        finger=np.frombuffer(finger, dtype=np.int8).reshape(T, KEY_COUNT),
+        distance=np.frombuffer(distance, dtype=np.float64),
+        collision=np.frombuffer(collision, dtype=bool),
+        fingertip_trace=np.frombuffer(trace, dtype=np.float64).reshape(T, 10, 3),
+        pressed=np.frombuffer(pressed, dtype=bool).reshape(T, KEY_COUNT),
+    )
+    for values in arrays.values():
         values.flags.writeable = False
     snapshot = {"dt": goals.dt, **hands.snapshot(), **geom.snapshot(), **params.snapshot()}
-    return FingeringAnnotation(
-        finger=finger,
-        distance=distance,
-        collision=collision,
-        dt=goals.dt,
-        embodiment=hands.name,
-        snapshot=snapshot,
-        fingertip_trace=trace,
-        pressed=pressed,
-    )
+    return FingeringAnnotation(dt=goals.dt, embodiment=hands.name, snapshot=snapshot, **arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ for small chords.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .keyboard import KeyboardGeometry, key_press_point
+from .keyboard import KEY_COUNT, KeyboardGeometry, OutOfRangeError, press_point_table
 
 _INF = float("inf")
 _BRUTE_MAX_ROWS = 7
@@ -93,19 +94,36 @@ def build_cost_matrix(fingertips, finger_ids, active_keys, geom: KeyboardGeometr
     keys = sorted(active_keys)
     if not keys:
         raise ValueError("active_keys must be non-empty")
+    if keys[0] < 0 or keys[-1] >= KEY_COUNT:
+        raise OutOfRangeError(f"active keys {keys[0]}..{keys[-1]} outside [0, {KEY_COUNT})")
     tips = np.asarray(fingertips, dtype=np.float64)
     if tips.ndim != 2 or tips.shape[1] != 3 or tips.shape[0] == 0:
         raise ValueError("fingertips must be a non-empty (n, 3) array")
     if tips.shape[0] != len(finger_ids):
         raise ValueError("fingertips and finger_ids disagree on finger count")
-    points = np.array([key_press_point(k, geom) for k in keys], dtype=np.float64)
-    return CostMatrix(costs=key_distances(points, tips), key_ids=tuple(keys), finger_ids=tuple(finger_ids))
+    points = press_point_table(geom)[keys].tolist()
+    costs = np.array(key_distances(points, tips.tolist()), dtype=np.float64)
+    return CostMatrix(costs=costs, key_ids=tuple(keys), finger_ids=tuple(finger_ids))
 
 
-def key_distances(points: np.ndarray, tips: np.ndarray) -> np.ndarray:
-    """(k, n) distances from k press points to n fingertips, both (., 3) arrays."""
-    diff = points[:, None, :] - tips[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+def key_distances(points, tips) -> list:
+    """Cost rows: row i holds the distances from press point i to every fingertip.
+
+    Both are sequences of ``(x, y, z)`` Python floats.  Each distance sums
+    its squares as ``(dx*dx + dy*dy) + dz*dz``, the order of numpy's sum
+    over a last axis of length 3, so the rows are the bits a numpy build of
+    the same matrix gives.
+    """
+    rows = []
+    for px, py, pz in points:
+        row = []
+        for x, y, z in tips:
+            dx = px - x
+            dy = py - y
+            dz = pz - z
+            row.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

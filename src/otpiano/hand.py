@@ -10,6 +10,7 @@ costs only need fingertip positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,8 @@ class HandConfig:
     def __post_init__(self) -> None:
         if len(self.enabled) != len(self.fingers):
             raise InvalidConfigError("enabled mask length must match finger list")
+        if len(set(self.fingers)) != len(self.fingers):
+            raise InvalidConfigError("finger list repeats a finger")
         if self.span_max <= 0 or self.v_max <= 0 or self.base_v_max <= 0:
             raise InvalidConfigError("span_max, v_max and base_v_max must be > 0")
         if self.min_base_gap < 0:
@@ -184,22 +187,6 @@ class HandState:
     def fingertip(self, finger: FingerId) -> np.ndarray:
         return self.fingertips[self.fingers.index(finger)]
 
-    def hand_spread(self, hand: str) -> float:
-        """Max pairwise fingertip distance within one hand."""
-        pts = self.fingertips[[i for i, f in enumerate(self.fingers) if f.hand == hand]]
-        if len(pts) < 2:
-            return 0.0
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
-
-    def fingertip_slots(self, slots: int = 10) -> np.ndarray:
-        """Fingertips scattered into a fixed-size slot array (disabled rows zero)."""
-        out = np.zeros((slots, 3), dtype=np.float64)
-        for finger, point in zip(self.fingers, self.fingertips):
-            slot = ALL_FINGERS.index(finger)
-            out[slot] = point
-        return out
-
 
 def init_hands(config: HandConfig, geom: KeyboardGeometry) -> HandState:
     """Rest pose: left base at 1/3 of keyboard width, right at 2/3."""
@@ -217,7 +204,12 @@ class HandMotion:
     """Step constants of one embodiment at one dt, in finger-row order.
 
     Finger rows are positions in the hand state's finger tuple.  Built once
-    per song by the annotator, and per call by step_hand.
+    per song by the annotator, and per call by step_hand.  ``step`` is the
+    one hand-step kernel: it runs on Python floats, since numpy
+    call overhead dominates arrays of at most 10x3, and keeps numpy's order
+    of operations, so its results are the same bits a numpy build of the
+    step gives: norms sum as ``(dx*dx + dy*dy) + dz*dz`` and a centroid is
+    a running sum from 0.0 over the rows, then a division.
     """
 
     def __init__(self, fingers: tuple, config: HandConfig, geom: KeyboardGeometry, dt: float):
@@ -225,22 +217,22 @@ class HandMotion:
         self.is_left = tuple(finger.hand == LEFT for finger in fingers)
         # finger rows of the left hand, then of the right hand
         self.hand_rows = tuple(
-            np.array([i for i, finger in enumerate(fingers) if finger.hand == hand], dtype=np.intp)
-            for hand in (LEFT, RIGHT)
+            tuple(i for i, finger in enumerate(fingers) if finger.hand == hand) for hand in (LEFT, RIGHT)
         )
         # rest pose relative to the hand base: x offset, absolute y and z
-        self.rest = np.empty((len(fingers), 3), dtype=np.float64)
-        for i, finger in enumerate(fingers):
+        self.rest = []
+        for finger in fingers:
             dx, dy, dz = config.rest_offsets[finger]
-            self.rest[i] = (dx, oy + dy, oz + dz)
+            self.rest.append((float(dx), float(oy + dy), float(oz + dz)))
         self.step_reach = config.v_max * dt
         self.base_reach = config.base_v_max * dt
         self.radius = config.span_max / 2.0
 
-    def step(self, tips: np.ndarray, base: tuple, rows: list, targets: "np.ndarray | None") -> tuple:
+    def step(self, tips: list, base: tuple, rows: list, targets: list) -> tuple:
         """Advance one control step; returns the new ``(fingertips, (left_x, right_x))``.
 
-        ``targets[m]`` is the 3D point assigned to finger row ``rows[m]``.
+        ``tips`` holds one ``(x, y, z)`` point per finger row and
+        ``targets[m]`` is the point assigned to finger row ``rows[m]``.
         Assigned fingertips move toward their targets at up to v_max
         (arriving exactly when in range), each hand base moves toward the
         mean target x at up to base_v_max (staying put with no targets),
@@ -250,42 +242,55 @@ class HandMotion:
         the pairwise spread by span_max.
         """
         hand_xs = ([], [])
-        if rows:
-            for x, row in zip(targets[:, 0].tolist(), rows):
-                hand_xs[0 if self.is_left[row] else 1].append(x)
-        goals = self.rest.copy()
+        for row, target in zip(rows, targets):
+            hand_xs[0 if self.is_left[row] else 1].append(target[0])
         new_base = []
-        for x, xs, idx in zip(base, hand_xs, self.hand_rows):
+        for x, xs in zip(base, hand_xs):
             if xs:
                 delta = sum(xs) / len(xs) - x
                 x = x + max(-self.base_reach, min(self.base_reach, delta))
-            goals[idx, 0] += x
             new_base.append(x)
-        if rows:
-            goals[rows] = targets
+        left_x, right_x = new_base
+        goals = [(dx + (left_x if left else right_x), y, z) for (dx, y, z), left in zip(self.rest, self.is_left)]
+        for row, target in zip(rows, targets):
+            goals[row] = target
 
-        delta = goals - tips
-        dist = np.sqrt((delta**2).sum(axis=1))
-        far = dist > self.step_reach
-        new_tips = goals  # in-range fingertips arrive exactly
-        if far.any():
-            scale = (self.step_reach / dist[far])[:, None]
-            new_tips[far] = tips[far] + delta[far] * scale
+        reach = self.step_reach
+        new_tips = []
+        for (tx, ty, tz), goal in zip(tips, goals):
+            dx = goal[0] - tx
+            dy = goal[1] - ty
+            dz = goal[2] - tz
+            dist = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            if dist > reach:
+                scale = reach / dist
+                goal = (tx + dx * scale, ty + dy * scale, tz + dz * scale)
+            new_tips.append(goal)  # in-range fingertips arrive exactly
 
         # span projection per hand: clamp into ball of radius span_max/2 around centroid
         radius = self.radius
         for idx in self.hand_rows:
-            if not len(idx):
+            if not idx:
                 continue
-            pts = new_tips[idx]
-            centroid = pts.sum(axis=0) / len(idx)  # the same sum and division as pts.mean(axis=0)
-            offsets = pts - centroid
-            norms = np.sqrt((offsets**2).sum(axis=1))
-            over = norms > radius
-            if over.any():
-                pts[over] = centroid + offsets[over] * (radius / norms[over])[:, None]
-                new_tips[idx] = pts
-        return new_tips, tuple(new_base)
+            cx = cy = cz = 0.0
+            for i in idx:
+                x, y, z = new_tips[i]
+                cx += x
+                cy += y
+                cz += z
+            cx /= len(idx)
+            cy /= len(idx)
+            cz /= len(idx)
+            for i in idx:
+                x, y, z = new_tips[i]
+                ox = x - cx
+                oy = y - cy
+                oz = z - cz
+                norm = math.sqrt((ox * ox + oy * oy) + oz * oz)
+                if norm > radius:
+                    scale = radius / norm
+                    new_tips[i] = (cx + ox * scale, cy + oy * scale, cz + oz * scale)
+        return new_tips, (left_x, right_x)
 
 
 def step_hand(
@@ -301,9 +306,10 @@ def step_hand(
     rows = [state.fingers.index(finger) for finger in targets]
     points = np.array([targets[finger] for finger in targets], dtype=np.float64).reshape(len(rows), 3)
     tips, (left_x, right_x) = HandMotion(state.fingers, config, geom, dt).step(
-        state.fingertips, (state.base_x[LEFT], state.base_x[RIGHT]), rows, points
+        state.fingertips.tolist(), (state.base_x[LEFT], state.base_x[RIGHT]), rows, points.tolist()
     )
-    return HandState(fingers=state.fingers, fingertips=_readonly(tips), base_x={LEFT: left_x, RIGHT: right_x})
+    fingertips = np.array(tips, dtype=np.float64).reshape(len(state.fingers), 3)
+    return HandState(fingers=state.fingers, fingertips=_readonly(fingertips), base_x={LEFT: left_x, RIGHT: right_x})
 
 
 def bases_collide(base: tuple, min_base_gap: float) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy_reference as reference
 from conftest import key_rows
 from otpiano.annotate import (
     DROPPED,
@@ -20,7 +21,7 @@ from otpiano.annotate import (
     score_annotation,
     write_annotation_text,
 )
-from otpiano.assign import brute_force_assignment, build_cost_matrix, solve_assignment
+from otpiano.assign import brute_force_assignment, build_cost_matrix
 from otpiano.hand import (
     ALL_FINGERS,
     LEFT,
@@ -115,7 +116,7 @@ def test_scale_steps_match_per_step_brute_force():
         assert annotation.distance[t] == pytest.approx(oracle.total_cost, abs=1e-9)
         targets = {finger: key_press_point(k, GEOM) for k, finger in pairs}
         state = step_hand(state, targets, goals.dt, HANDS, GEOM)
-        assert np.array_equal(state.fingertip_slots(), annotation.fingertip_trace[t])
+        assert np.array_equal(reference.fingertip_slots(state), annotation.fingertip_trace[t])
 
 
 def test_strict_mode_rejects_oversized_chord():
@@ -152,7 +153,7 @@ def test_disabled_finger_never_assigned():
 
 
 def _reference_rollout(goals, hands, best_effort):
-    """annotate_song spelled out with the public per-step functions."""
+    """annotate_song spelled out per step on the numpy cost build and hand step."""
     state = init_hands(hands, GEOM)
     steps = []
     trace = np.zeros((len(goals), 10, 3))
@@ -160,19 +161,17 @@ def _reference_rollout(goals, hands, best_effort):
     for t in range(len(goals)):
         pairs, distance, dropped = (), 0.0, ()
         if _active(goals, t):
-            matrix = build_cost_matrix(state.fingertips, state.fingers, _active(goals, t), GEOM)
-            solution = solve_assignment(matrix, best_effort=best_effort)
+            matrix, solution = reference.solve_step(state, _active(goals, t), GEOM, best_effort)
             pairs = tuple((matrix.key_ids[r], matrix.finger_ids[c]) for r, c in solution.pairs)
             distance = solution.total_cost
             dropped = tuple(matrix.key_ids[r] for r in solution.dropped_rows)
         targets = {finger: key_press_point(key, GEOM) for key, finger in pairs}
-        state = step_hand(state, targets, goals.dt, hands, GEOM)
+        state = reference.step_hand(state, targets, goals.dt, hands, GEOM)
         for key, finger in pairs:
             reach = np.linalg.norm(state.fingertip(finger) - np.asarray(targets[finger]))
             pressed[t, key] = reach < DEFAULT_PARAMS.threshold
         steps.append((pairs, distance, dropped, collision_flag(state, hands)))
-        for finger, point in zip(state.fingers, state.fingertips):
-            trace[t, ALL_FINGERS.index(finger)] = point
+        trace[t] = reference.fingertip_slots(state)
     return steps, trace, pressed
 
 
@@ -206,6 +205,27 @@ def test_rollout_matches_reference_loop(hands, best_effort, max_keys):
     steps, trace, pressed = _reference_rollout(goals, hands, best_effort)
     assert _steps(annotation) == steps
     assert annotation.fingertip_trace.tobytes() == trace.tobytes()
+    assert np.array_equal(annotation.pressed, pressed)
+
+
+@pytest.mark.parametrize(
+    "active_sets",
+    [
+        [{87}] * 8,  # one far key, held while the speed cap closes in on it
+        [{3, 50, 54}] * 10,  # a right-hand chord held while the left base travels to key 3
+    ],
+    ids=["far-key", "chord-while-base-travels"],
+)
+def test_repeated_keys_with_moving_hands_are_stepped(active_sets):
+    # equal key rows alone are no fixed point: the hands still move, so
+    # every step must be computed, not copied from the step before
+    goals = _sequence(active_sets)
+    annotation = annotate_song(goals, HANDS, GEOM)
+    trace = annotation.fingertip_trace
+    assert all(trace[t].tobytes() != trace[t + 1].tobytes() for t in range(4))
+    steps, reference_trace, pressed = _reference_rollout(goals, HANDS, False)
+    assert _steps(annotation) == steps
+    assert trace.tobytes() == reference_trace.tobytes()
     assert np.array_equal(annotation.pressed, pressed)
 
 

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import numpy_reference as reference
 import otpiano.assign as assign_module
 from otpiano.assign import (
     Assignment,
@@ -12,10 +15,11 @@ from otpiano.assign import (
     brute_force_assignment,
     build_cost_matrix,
     format_debug_table,
+    key_distances,
     solve_assignment,
 )
 from otpiano.hand import HandConfig, init_hands
-from otpiano.keyboard import KeyboardGeometry, key_press_point
+from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point
 
 GEOM = KeyboardGeometry()
 FINGERS = HandConfig.default().fingers
@@ -64,11 +68,32 @@ def test_cost_matrix_shape_and_order():
     assert (matrix.costs >= 0).all()
 
 
+# coordinates include both zeros: the kernel must keep -0.0 apart from 0.0
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+_POINTS = st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=12)
+
+
+@given(points=_POINTS, tips=_POINTS)
+def test_distance_kernel_matches_numpy_reference(points, tips):
+    got = np.array(key_distances(points, tips), dtype=np.float64)
+    assert got.tobytes() == reference.key_distances(np.array(points), np.array(tips)).tobytes()
+
+
+@given(keys=st.sets(st.integers(0, 87), min_size=1, max_size=12), tips=_POINTS)
+def test_cost_matrix_matches_numpy_reference(keys, tips):
+    matrix = build_cost_matrix(tips, tuple(range(len(tips))), keys, GEOM)
+    points = np.array([key_press_point(k, GEOM) for k in sorted(keys)])
+    assert matrix.costs.tobytes() == reference.key_distances(points, np.array(tips)).tobytes()
+
+
 def test_cost_matrix_validation():
     with pytest.raises(ValueError):
         build_cost_matrix([], FINGERS[:0], {39}, GEOM)
     with pytest.raises(ValueError):
         build_cost_matrix([(0.0, 0.0, 0.0)], FINGERS[:1], set(), GEOM)
+    for key in (-1, 88):
+        with pytest.raises(OutOfRangeError):
+            build_cost_matrix([(0.0, 0.0, 0.0)], FINGERS[:1], {39, key}, GEOM)
     with pytest.raises(ValueError):
         _matrix([[np.inf]])
     with pytest.raises(ValueError):
@@ -238,7 +263,10 @@ def _reference_lexicographic_pairs(cost: list, target: float) -> tuple:
             col4row = solve(sub)[0]
             return prefix + cost[i][j] + sum(sub[r][c] for r, c in enumerate(col4row))
 
-        picked = next(j for j in available if completion_cost(j) <= target + eps)
+        # the first column whose completion meets the target; when summation
+        # order puts every completion just past it, the cheapest one
+        completions = [(completion_cost(j), j) for j in available]
+        picked = next((j for total, j in completions if total <= target + eps), min(completions)[1])
         chosen.append((i, picked))
         prefix += cost[i][picked]
         available.remove(picked)
@@ -285,6 +313,26 @@ def test_tie_break_matches_resolving_reference_on_near_ties():
             step = 0.4 * assign_module._TIE_RTOL * max(1.0, base.max())
             costs = base + rng.integers(0, 3, size=shape) * step
             assert solve_assignment(_matrix(costs), best_effort=True).pairs == _reference_pairs(costs)
+
+def test_resolving_reference_returns_its_best_candidate_on_exact_tolerance_sums():
+    # integer costs plus slack in steps of 0.2 tolerance (a 6x8 instance drawn
+    # from default_rng(31)).  The lexicographic optimum ends 5 steps, exactly
+    # one tolerance, above the optimum, so float summation order decides
+    # ``<= target + eps``: no completion of rows 4 and 5 meets it in floats
+    base = [[2, 2, 0, 2, 0, 0, 0, 1], [0, 0, 2, 0, 2, 1, 1, 2], [2, 0, 0, 2, 0, 0, 1, 1],
+            [1, 1, 1, 0, 0, 0, 2, 1], [1, 2, 2, 0, 1, 0, 1, 0], [2, 2, 2, 2, 1, 1, 2, 1]]
+    steps = [[2, 0, 2, 2, 0, 2, 1, 2], [0, 0, 1, 2, 2, 0, 1, 2], [1, 1, 0, 1, 2, 0, 2, 0],
+             [0, 2, 2, 2, 1, 0, 2, 0], [1, 2, 2, 1, 0, 1, 1, 1], [1, 2, 2, 0, 0, 2, 2, 0]]
+    costs = np.array(base, dtype=float) + np.array(steps) * 0.2 * assign_module._TIE_RTOL * 2.0
+    # checked by exact integer enumeration of all 20160 mappings
+    exact = ((0, 2), (1, 0), (2, 1), (3, 3), (4, 5), (5, 4))
+    assert _reference_pairs(costs) == exact
+    # the solver's float check misses that boundary tie in the last row and
+    # keeps column 7, which costs exactly what column 4 does
+    solved = solve_assignment(_matrix(costs))
+    assert solved.pairs == exact[:5] + ((5, 7),)
+    assert solved.total_cost == sum(costs[r, c] for r, c in exact)
+
 
 _RECOVERED_COLUMN_CASES = [
     # (integer base, slack in 0.3-tolerance steps, expected pairs): an early

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import numpy_reference as reference
 from otpiano.config import parse_config
 from otpiano.hand import (
     LEFT,
     RIGHT,
     FingerId,
     HandConfig,
+    HandMotion,
     HandState,
     InvalidConfigError,
     collision_flag,
@@ -38,8 +42,8 @@ def test_four_finger_variant_has_eight_fingertips():
 def test_span_constraint_holds_at_init():
     config = HandConfig.default()
     state = init_hands(config, GEOM)
-    assert state.hand_spread(LEFT) <= config.span_max
-    assert state.hand_spread(RIGHT) <= config.span_max
+    assert reference.hand_spread(state, LEFT) <= config.span_max
+    assert reference.hand_spread(state, RIGHT) <= config.span_max
 
 
 def test_exact_arrival_at_speed_limit():
@@ -84,7 +88,64 @@ def test_span_projection_bounds_spread():
     }
     for _ in range(10):
         state = step_hand(state, targets, 0.05, config, GEOM)
-    assert state.hand_spread(RIGHT) <= config.span_max + 1e-12
+    assert reference.hand_spread(state, RIGHT) <= config.span_max + 1e-12
+
+
+# coordinates include both zeros: the kernel must keep -0.0 apart from 0.0
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+_CONFIGS = [HandConfig.default(), HandConfig.four_finger(), HandConfig(span_max=0.05, base_v_max=3.0)]
+
+
+def _assert_step_matches_reference(config, dt, tips, base, rows, targets):
+    fingers = config.enabled_fingers
+    got_tips, got_base = HandMotion(fingers, config, GEOM, dt).step(tips, base, rows, targets)
+    want_tips, want_base = reference.HandMotion(fingers, config, GEOM, dt).step(
+        np.array(tips, dtype=np.float64), base, rows, np.array(targets, dtype=np.float64).reshape(len(rows), 3)
+    )
+    assert np.array(got_tips, dtype=np.float64).tobytes() == want_tips.tobytes()
+    assert [x.hex() for x in got_base] == [x.hex() for x in want_base]
+    return got_tips, got_base
+
+
+@given(data=st.data())
+def test_step_kernel_matches_numpy_reference(data):
+    config = data.draw(st.sampled_from(_CONFIGS))
+    dt = data.draw(st.sampled_from([0.01, 0.05, 0.2]))
+    reach = config.v_max * dt
+    n = len(config.enabled_fingers)
+    if data.draw(st.booleans(), label="scattered tips"):
+        tips = data.draw(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=n, max_size=n))
+    else:  # near the rest pose, where the span limit mostly holds
+        jitter = st.floats(-0.01, 0.01)
+        tips = [
+            tuple(c + data.draw(jitter) for c in tip) for tip in init_hands(config, GEOM).fingertips.tolist()
+        ]
+    base = data.draw(st.tuples(_COORD, _COORD))
+    rows = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    targets = []
+    for row in rows:
+        if data.draw(st.booleans(), label="in reach"):
+            unit = st.floats(-0.5, 0.5)  # |offset| <= 0.87 * reach
+            targets.append(tuple(c + data.draw(unit) * reach for c in tips[row]))
+        else:
+            targets.append(data.draw(st.tuples(_COORD, _COORD, _COORD)))
+    _assert_step_matches_reference(config, dt, tips, base, rows, targets)
+
+
+@given(pull=st.floats(0.06, 0.08), steps=st.integers(1, 8), lift=st.one_of(st.just(-0.0), st.floats(-0.05, 0.05)))
+def test_step_kernel_matches_numpy_reference_under_span_clamp(pull, steps, lift):
+    # thumb and little finger get targets in reach but more than span_max
+    # apart, so they arrive and every step's span projection pulls them back
+    config = HandConfig.default()
+    state = init_hands(config, GEOM)
+    rows = [config.enabled_fingers.index(FingerId(RIGHT, 1)), config.enabled_fingers.index(FingerId(RIGHT, 5))]
+    tips = list(map(tuple, state.fingertips.tolist()))
+    targets = [(tips[rows[0]][0] - pull, lift, 0.0), (tips[rows[1]][0] + pull, -0.0, lift)]
+    base = (state.base_x[LEFT], state.base_x[RIGHT])
+    for _ in range(steps):
+        tips, base = _assert_step_matches_reference(config, 0.05, tips, base, rows, targets)
+        assert tuple(tips[rows[0]]) != targets[0]  # held back by the clamp
+    assert reference.hand_spread(HandState(config.enabled_fingers, np.array(tips), {}), RIGHT) <= config.span_max + 1e-12
 
 
 def test_step_is_deterministic():
@@ -145,6 +206,8 @@ def test_config_validation():
         HandConfig(span_max=0.0)
     with pytest.raises(InvalidConfigError):
         HandConfig(enabled=(False,) * 5 + (True,) * 5)  # left hand empty
+    with pytest.raises(InvalidConfigError):
+        HandConfig(fingers=HandConfig().fingers[:9] + HandConfig().fingers[:1])
     with pytest.raises(InvalidConfigError):
         FingerId("middle", 1)
     with pytest.raises(InvalidConfigError):
