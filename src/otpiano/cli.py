@@ -35,6 +35,7 @@ from .midi import (
     DEFAULT_DT,
     DEFAULT_LOOKAHEAD,
     DEFAULT_STRETCH,
+    GoalSequence,
     discretize,
     goal_from_text,
     goal_to_text,
@@ -306,6 +307,7 @@ def cmd_stats(args) -> int:
         return 2
     sources = []
     f1_scores = []
+    chunks = {}  # song without a goal file -> (chunk, goal keys) of each of its episodes
     try:
         goal_songs = set()
         for path in sorted(directory.glob("*.goals.txt")):
@@ -313,13 +315,19 @@ def cmd_stats(args) -> int:
             goal_songs.add(path.name[: -len(".goals.txt")])
         for rec in iter_episodes(directory):
             # goal files already cover this song; episodes only add F1 metadata
-            if str(rec.meta.get("song", "")) not in goal_songs:
-                sources.append(rec)
+            song = str(rec.meta.get("song", ""))
+            if song not in goal_songs:
+                chunks.setdefault(song, []).append(rec.chunk_goal_keys())
             if args.f1_meta and "f1" in rec.meta:
                 f1_scores.append(float(rec.meta["f1"]))
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 2
+    # a song is one piece: its episodes joined in chunk order, so a key held
+    # across a chunk boundary is one onset
+    for song in sorted(chunks):
+        parts = sorted(chunks[song], key=lambda part: part[0])
+        sources.append(GoalSequence(np.concatenate([keys for _, keys in parts])))
     if not sources:
         print(f"no goal or episode files under {directory}", file=sys.stderr)
         return 2

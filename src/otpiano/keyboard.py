@@ -163,7 +163,3 @@ class KeyState:
             raise ValueError("key depths must lie in [0, 1]")
         if not 0.0 <= self.sustain <= 1.0:
             raise ValueError("sustain must lie in [0, 1]")
-
-    def pressed_keys(self, threshold: float = 0.5) -> frozenset:
-        """Keys whose depth reaches the pressed threshold."""
-        return frozenset(k for k, d in enumerate(self.depths) if d >= threshold)

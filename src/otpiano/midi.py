@@ -10,9 +10,12 @@ into goal vectors and observation blocks.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -329,10 +332,6 @@ class GoalSequence:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def key_onsets(self) -> list:
-        """(step, key) pairs where a key turns active, by step then key."""
-        return [tuple(pair) for pair in np.argwhere(onset_mask(self.keys)).tolist()]
-
 
 def onset_mask(keys: np.ndarray) -> np.ndarray:
     """Rows of a (T, 88) key array reduced to the keys not down the step before."""
@@ -557,46 +556,98 @@ def goal_to_text(seq: GoalSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One goal-text line: a step, a '# dt = <seconds>' header, another comment, or
+# a blank line.  A blank is any whitespace but the line break, as str.strip has
+# it.  A comment's text after its '#' run and blanks starts with neither a
+# blank nor '#' (so the runs cannot be cut short) nor 'dt'.
+_GOAL_LINE = re.compile(
+    r"""^(?:
+        ([0-9]+)\t([01])\t((?:-?[0-9]+(?:,-?[0-9]+)*)?)\r?      # <step> TAB <sustain> TAB <key>,<key>,...
+      | [^\S\n]*(?:\#+[^\S\n]*(?:                                # a '#' run and blanks, then
+            dt[^\S\n]*(=.*)                                       # '= <seconds>' after 'dt'
+          | (?:[^\s\#d]|d(?!t)).*                                  # or any other comment text
+          |                                                     # or nothing
+        ))?                                                     # (or a blank line)
+    )$""",
+    re.MULTILINE | re.VERBOSE,
+)
+
+
 def goal_from_text(text: str) -> GoalSequence:
     """Parse the goal text format back into a GoalSequence.
 
-    Raises ValueError on a malformed line or ``# dt`` header, a sustain
-    other than 0/1, or steps out of order, and OutOfRangeError (a
-    ValueError) on a key outside 0..87.
+    Lines end in ``\\n`` (or ``\\r\\n``).  Each is one of:
+
+    * a step, ``<step>\\t<sustain>\\t<keys>``: the step index (0, 1, 2, ...
+      in order) and the keys are decimal integers in ASCII digits, and a
+      key may carry a minus sign; the sustain is ``0`` or ``1``; the keys
+      are comma-separated with no empty item, and the field is empty on a
+      silent step;
+    * a ``# dt = <seconds>`` header (``#`` may repeat; spaces are free
+      around ``#``, ``dt`` and ``=``; the value is any text ``float``
+      reads);
+    * any other comment, a line whose first non-blank character is ``#``
+      and whose text after the ``#`` run and blanks does not start with
+      ``dt``;
+    * a blank line.
+
+    Comment, blank and header lines may appear anywhere, and the last
+    ``# dt`` header sets the period.  The first offending line, counted
+    from 1, is named in the error: ValueError for a line outside this
+    language, a ``# dt`` value that is not positive and finite, or a step
+    index out of order, and OutOfRangeError (a ValueError) for a key
+    outside 0..87.  Of two errors on one line, the step index is reported.
     """
+    lines = _GOAL_LINE.findall(text)
+    if len(lines) <= text.count("\n"):
+        _raise_at_first_bad_line(text)
+    is_step = np.fromiter(map(bool, map(itemgetter(0), lines)), bool, len(lines))
+    errors = []  # (line number, error); the first line's error is raised
     dt = DEFAULT_DT
-    steps, keys, sustain = [], [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
+    for n in np.flatnonzero(~is_step).tolist():
+        header = lines[n][3]
+        if not header:
             continue
-        if line.lstrip().startswith("#"):
-            body = line.lstrip().lstrip("#").strip()
-            if body.startswith("dt"):
-                name, sep, value = body.partition("=")
-                if name.strip() != "dt" or not sep:
-                    raise ValueError(f"line {lineno}: expected '# dt = <seconds>'")
-                dt = float(value)
-                if not 0.0 < dt < math.inf:
-                    raise ValueError(f"line {lineno}: dt must be positive and finite")
-            continue
-        # the keys field is empty on silent steps, so keep trailing tabs
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-        index, level, keys_field = parts
-        if int(index) != len(sustain):
-            raise ValueError(f"line {lineno}: step index {index} out of order")
-        if int(level) not in (0, 1):
-            raise ValueError(f"line {lineno}: sustain must be 0 or 1, got {level}")
-        for k in keys_field.split(","):
-            if k != "":
-                key = int(k)
-                if not 0 <= key < KEY_COUNT:
-                    raise OutOfRangeError(f"line {lineno}: key {key} outside [0, {KEY_COUNT})")
-                steps.append(len(sustain))
-                keys.append(key)
-        sustain.append(int(level))
-    grid = np.zeros((len(sustain), KEY_COUNT), dtype=bool)
-    grid[steps, keys] = True
-    return GoalSequence(grid, sustain=sustain, dt=dt)
+        try:
+            value = float(header[1:])
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value < math.inf:
+            errors.append((n + 1, ValueError(f"line {n + 1}: dt must be positive and finite")))
+            break
+        dt = value
+
+    lineno = np.flatnonzero(is_step) + 1
+    index, sustain, fields = (list(compress(map(itemgetter(i), lines), is_step.tolist())) for i in range(3))
+    wrong = np.flatnonzero(np.fromiter(map(float, index), np.float64, len(index)) != np.arange(len(index)))
+    if wrong.size:
+        row = wrong[0]
+        errors.append((lineno[row], ValueError(f"line {lineno[row]}: step index {index[row]} out of order")))
+
+    # each distinct keys field (a chord, often held for many steps) is parsed once
+    chords = {field: n for n, field in enumerate(dict.fromkeys(fields))}
+    chord_of_row = np.fromiter(map(chords.__getitem__, fields), np.intp, len(fields))
+    chord_keys = [field.split(",") if field else [] for field in chords]
+    chord_of_key = np.repeat(np.arange(len(chords)), list(map(len, chord_keys)))
+    keys = np.fromiter(map(float, chain.from_iterable(chord_keys)), np.float64, len(chord_of_key))
+    outside = (keys < 0) | (keys >= KEY_COUNT)
+    if outside.any():
+        row = np.flatnonzero(np.isin(chord_of_row, chord_of_key[outside]))[0]
+        key = next(k for k in fields[row].split(",") if not 0 <= float(k) < KEY_COUNT)
+        errors.append((lineno[row], OutOfRangeError(f"line {lineno[row]}: key {key} outside [0, {KEY_COUNT})")))
+    if errors:
+        raise min(errors, key=itemgetter(0))[1]
+
+    table = np.zeros((len(chords), KEY_COUNT), dtype=bool)
+    table[chord_of_key, keys.astype(np.intp)] = True
+    return GoalSequence(table[chord_of_row], sustain=np.fromiter(map("1".__eq__, sustain), bool, len(sustain)), dt=dt)
+
+
+def _raise_at_first_bad_line(text: str) -> None:
+    """Raise the error of the first line ``goal_from_text`` cannot accept."""
+    lines = text.split("\n")
+    bad = next(n for n, line in enumerate(lines) if not _GOAL_LINE.fullmatch(line))
+    goal_from_text("\n".join(lines[:bad]))  # an error on an earlier line comes first
+    raise ValueError(
+        f"line {bad + 1}: expected '<step>\\t<sustain 0|1>\\t<key>,<key>,...', a '#' comment or a blank line"
+    )

@@ -4,7 +4,9 @@ Layout: magic ``RP1T``, then version/T/obs_dim/act_dim as little-endian
 u32, then observations, actions and rewards as contiguous little-endian
 float32 arrays (row-major), a CRC32 over that payload, and finally a
 length-prefixed UTF-8 JSON metadata block.  Identical records serialize
-to identical bytes.
+to identical bytes.  A record read back holds read-only views of the
+bytes read from the file, taken once the CRC32 has checked them: reading
+copies no payload.
 """
 
 from __future__ import annotations
@@ -118,6 +120,23 @@ class EpisodeRecord:
         """(T, 88) bool goal keys decoded from the goal block (stats hook)."""
         return self.observations[:, :KEY_COUNT] > 0.5
 
+    def chunk_goal_keys(self) -> tuple:
+        """``(chunk, keys)``: the record's place in its song and the goal keys of its real steps.
+
+        ``keys`` is ``active_key_steps()`` without the padded tail, as the
+        ``chunk`` and ``n_real`` metadata give them; a record without them
+        is chunk 0 with every step real.  Values that are not integers in
+        range raise InvalidRecordError.
+        """
+        chunk = self.meta.get("chunk", 0)
+        n_real = self.meta.get("n_real", self.length)
+        for name, value in (("chunk", chunk), ("n_real", n_real)):
+            if type(value) is not int or value < 0:
+                raise InvalidRecordError(f"{name} must be an integer >= 0, got {value!r}")
+        if n_real > self.length:
+            raise InvalidRecordError(f"n_real {n_real} exceeds the episode length {self.length}")
+        return chunk, self.active_key_steps()[:n_real]
+
     def pressed_key_steps(self, threshold: float = 0.5) -> np.ndarray:
         """(T, 88) bool pressed keys decoded from the key-joint block."""
         start, stop = observation_layout(self._lookahead_window())["key_joints"]
@@ -150,8 +169,11 @@ def write_episode(rec: EpisodeRecord, sink) -> int:
 def read_episode(source) -> EpisodeRecord:
     """Deserialize a record from a binary file object, verifying the CRC.
 
-    Every malformed source raises a ValueError: one of this module's errors,
-    or a JSON or UTF-8 decoding error from the metadata block.
+    The CRC32 covers the whole payload before any array is built; the
+    arrays are then read-only views of the bytes read from ``source``, so
+    the payload is never copied.  Every malformed source raises a
+    ValueError: one of this module's errors, or a JSON or UTF-8 decoding
+    error from the metadata block.
     """
     data = source.read()
     if len(data) < _HEADER.size:
@@ -167,7 +189,7 @@ def read_episode(source) -> EpisodeRecord:
     pos = _HEADER.size
     if len(data) < pos + payload_len + _CRC.size + _META_LEN.size:
         raise TruncatedPayloadError("payload or trailer missing")
-    payload = data[pos : pos + payload_len]
+    payload = memoryview(data)[pos : pos + payload_len]
     pos += payload_len
     (crc,) = _CRC.unpack_from(data, pos)
     pos += _CRC.size

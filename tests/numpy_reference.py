@@ -13,6 +13,7 @@ import numpy as np
 from otpiano.assign import CostMatrix, solve_assignment
 from otpiano.hand import ALL_FINGERS, LEFT, RIGHT, HandState
 from otpiano.keyboard import key_press_point
+from otpiano.midi import onset_mask
 
 
 def key_distances(points: np.ndarray, tips: np.ndarray) -> np.ndarray:
@@ -113,3 +114,12 @@ def fingertip_slots(state: HandState, slots: int = 10) -> np.ndarray:
         out[ALL_FINGERS.index(finger)] = point
     return out
 
+
+def key_onsets(seq) -> list:
+    """(step, key) pairs where a goal key turns active, by step then key."""
+    return [tuple(pair) for pair in np.argwhere(onset_mask(seq.keys)).tolist()]
+
+
+def pressed_keys(state, threshold: float = 0.5) -> frozenset:
+    """Keys of a ``KeyState`` whose depth reaches the pressed threshold."""
+    return frozenset(k for k, d in enumerate(state.depths) if d >= threshold)

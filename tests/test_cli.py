@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import episode_with_raw_meta, simple_song
+from conftest import episode_with_raw_meta, golden_songs, simple_song
 from otpiano import cli
 from otpiano.cli import main
 from otpiano.store import load_episode
@@ -300,6 +300,31 @@ def test_stats_exit_code_on_empty(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["stats", "--in", str(empty)]) == 2
+
+
+@pytest.mark.parametrize("count_mode", ["onsets", "steps"])
+def test_stats_counts_a_song_once_without_its_goal_file(tmp_path, capsys, count_mode):
+    midi = tmp_path / "midi"
+    midi.mkdir()
+    (midi / "legato.mid").write_bytes(golden_songs()["legato"])
+    full = tmp_path / "full"
+    assert main(["annotate", "--midi", str(midi), "--out", str(full), "--episode-len", "64"]) == 0
+    # only the containers, named so that file order is the reverse of chunk order
+    episodes = sorted(full.glob("*.rp1t"))
+    assert len(episodes) > 2
+    only = tmp_path / "only"
+    only.mkdir()
+    for n, path in enumerate(reversed(episodes)):
+        (only / f"part{n:03d}.rp1t").write_bytes(path.read_bytes())
+    outputs = []
+    for directory in (full, only):
+        csv_path = tmp_path / f"{directory.name}.csv"
+        capsys.readouterr()
+        argv = ["stats", "--in", str(directory), "--f1-meta", "--count-mode", count_mode, "--csv", str(csv_path)]
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, csv_path.read_text()))
+    assert "pieces: 1\n" in outputs[0][0]
+    assert outputs[1] == outputs[0]
 
 
 def test_debug_assign(capsys):

@@ -3,13 +3,19 @@
 Every file ``otpiano annotate`` writes (goals, annotation, rewards CSV, PIG
 and episode containers) is compared by SHA-256 against digests recorded
 before the dense goal/press representation replaced the per-step sets, for
-ten-finger strict and four-finger best-effort runs.  A change that moves an
-output must say why and re-record these digests.
+ten-finger strict and four-finger best-effort runs.  The read side is pinned
+the same way: ``eval --episodes`` and ``stats`` over each run's outputs, and
+``eval --pig-ours/--pig-human`` between the two runs, file bytes and
+standard output alike, recorded before the container reader and the goal
+text parser were rewritten for speed.  A change that moves an output must
+say why and re-record these digests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -85,13 +91,68 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_annotate_outputs_match_golden_digests(run, tmp_path):
-    midi = tmp_path / "midi"
+READ_GOLDEN = {
+    "agree-chords.stdout": "c1fbe70e66123e5be4ef00e3d9a9abecd03d262a6cfbe06dd610481154580a61",
+    "agree-legato.stdout": "bcd4257233f74f7ddec75522864dd82de7af640f6ff8d2ec1e99635ede836221",
+    "agree-melody.stdout": "d3462d948cf825b9c36c5199594811da7d2046cb89615ac0b08c248b284eea05",
+    "eval-four-best-effort.csv": "08203db25e666755dc66edb6d6442cac8577f220a07270757b206640a88a0485",
+    "eval-four-best-effort.stdout": "e7d2aa59bdebccee66da46103a6facb31d437650dcdffb6073ee08233c7a30b3",
+    "eval-ten-strict.csv": "becdccb1d59489f064eb7b941e956113804590b4f02b46d97b68c98e025803d4",
+    "eval-ten-strict.stdout": "1f5c57c4e2fb763b76af1002b6490a3bc507271f26f4ce919c276a9d2bb464c6",
+    "rewards-four-best-effort.csv": "1cc14ac2bc6e6b122bd6b6daf13301733ce6a7e3d20a8cd230e5b0bfc4d6cf4b",
+    "rewards-ten-strict.csv": "a055f9c965c4f054dc5215fcbacecbcc9f13772d2dab0f4a48d33354148670a6",
+    "stats-four-best-effort.csv": "ebbacb09c72c9886b0f6f069a9664d2fac72a3d182d7b279b9cd728f751c6d45",
+    "stats-four-best-effort.stdout": "23153332721c6e8533fd3a0a15224dcff3d4c272be95f1baa04aa22dfa151930",
+    "stats-ten-strict.csv": "ebbacb09c72c9886b0f6f069a9664d2fac72a3d182d7b279b9cd728f751c6d45",
+    "stats-ten-strict.stdout": "23153332721c6e8533fd3a0a15224dcff3d4c272be95f1baa04aa22dfa151930",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv) -> str:
+    """Standard output of one successful CLI invocation."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([str(arg) for arg in argv]) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def annotated(tmp_path_factory):
+    """Run name -> output directory of ``annotate`` on the golden songs."""
+    base = tmp_path_factory.mktemp("golden")
+    midi = base / "midi"
     midi.mkdir()
     for name, data in golden_songs().items():
         (midi / f"{name}.mid").write_bytes(data)
-    out = tmp_path / "out"
-    assert main(["annotate", "--midi", str(midi), "--out", str(out), "--episode-len", "64", *RUNS[run]]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+    dirs = {}
+    for run, flags in RUNS.items():
+        dirs[run] = base / run
+        _run(["annotate", "--midi", midi, "--out", dirs[run], "--episode-len", "64", *flags])
+    return dirs
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_annotate_outputs_match_golden_digests(run, annotated):
+    digests = {path.name: _sha256(path.read_bytes()) for path in sorted(annotated[run].iterdir())}
     assert digests == GOLDEN[run]
+
+
+def test_read_outputs_match_golden_digests(annotated, tmp_path):
+    digests = {}
+    for run, directory in annotated.items():
+        csv, rewards, hist = (tmp_path / f"{kind}-{run}.csv" for kind in ("eval", "rewards", "stats"))
+        stdout = _run(["eval", "--episodes", directory, "--csv", csv, "--rewards-csv", rewards])
+        digests[f"eval-{run}.stdout"] = _sha256(stdout.encode())
+        stdout = _run(["stats", "--in", directory, "--f1-meta", "--csv", hist])
+        digests[f"stats-{run}.stdout"] = _sha256(stdout.encode())
+        for path in (csv, rewards, hist):
+            digests[path.name] = _sha256(path.read_bytes())
+    for song in sorted(golden_songs()):
+        pigs = [annotated[run] / f"{song}.pig.txt" for run in ("ten-strict", "four-best-effort")]
+        stdout = _run(["eval", "--pig-ours", pigs[0], "--pig-human", pigs[1]])
+        digests[f"agree-{song}.stdout"] = _sha256(stdout.encode())
+    assert digests == READ_GOLDEN

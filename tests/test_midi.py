@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import control_change, key_rows, midi_bytes, mutated_bytes, note_off, note_on, set_tempo, simple_song
+import goal_text_reference as reference
+from numpy_reference import key_onsets
 from otpiano.keyboard import KeyState, OutOfRangeError
 from otpiano.midi import (
     DimensionMismatchError,
     EmptySongError,
+    _GOAL_LINE,
     GoalSequence,
     MalformedMidiError,
     NoteEvent,
@@ -328,7 +331,7 @@ def test_stretch_scales_step_indices():
 
 def test_key_onsets_counts_activations_once():
     seq = discretize([_note(60, 0.0, 0.2), _note(60, 0.3, 0.4)], dt=0.05, stretch=1.0, trim_silence=False)
-    assert list(seq.key_onsets()) == [(0, 39), (6, 39)]
+    assert key_onsets(seq) == [(0, 39), (6, 39)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +470,112 @@ def test_goal_from_text_rejects_bad_lines(text, error):
         goal_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        ("0\t0\t39\n# dt = 0\n1\t0\tx\n", ValueError, 2),
+        ("0\t0\t39\n1\t0\t95\n2\t0\tx\n", OutOfRangeError, 2),
+        ("# song\n0\t0\t39\n5\t0\t95\n", ValueError, 3),
+        ("0\t0\t39\n\n1\t0\t40 \n", ValueError, 3),
+        ("0\t0\t39\r\n1\t1\t40,-5\r\n", OutOfRangeError, 2),
+        ("# dt = x\n", ValueError, 1),
+        ("0\t0\t95\n5\t0\t39\n# dt = 0\n", OutOfRangeError, 1),
+    ],
+    ids=["dt-before-syntax", "key-before-syntax", "index-before-key", "trailing-space", "crlf-key", "dt-text", "key-first"],
+)
+def test_goal_from_text_names_the_first_bad_line(text, error, line):
+    with pytest.raises(error, match=f"^line {line}:") as info:
+        goal_from_text(text)
+    assert type(info.value) is error
+
+
+def test_goal_from_text_takes_comments_anywhere_and_the_last_dt():
+    text = "# dt = 0.1\n0\t1\t39,40\n\n  ## note: dtype below is a comment\n1\t0\t\n#dt=0.025\r\n# dtype\n2\t0\t0,87\n"
+    with pytest.raises(ValueError, match="^line 7:"):
+        goal_from_text(text)
+    seq = goal_from_text(text.replace("# dtype\n", "# d type\n"))
+    assert seq.dt == 0.025 and seq.sustain.tolist() == [1, 0, 0]
+    assert np.argwhere(seq.keys).tolist() == [[0, 39], [0, 40], [2, 0], [2, 87]]
+
+
+# forms int() reads that the goal grammar rejects; the old line loop accepted each
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0\t0\t 39\n",
+        "0\t0\t39 \n",
+        "0\t0\t+39\n",
+        "0\t0\t39,,40\n",
+        "0\t0\t39,\n",
+        "0\t0\t,39\n",
+        "0\t00\t39\n",
+        "-0\t0\t39\n",
+        " 0\t0\t39\n",
+        "0\t0\t3_9\n",
+        "0\t0\t\u0663\u0669\n",
+        "0\t0\t39\r1\t0\t40\n",
+        "0\t0\t39\x0b1\t0\t40\n",
+    ],
+)
+def test_goal_from_text_rejects_lenient_integer_forms(text):
+    reference.goal_from_text(text)
+    with pytest.raises(ValueError, match="^line 1:"):
+        goal_from_text(text)
+
+
+_SEQUENCE_ROWS = st.lists(st.tuples(st.sets(st.integers(0, 87), max_size=10), st.sampled_from([0, 1])), max_size=20)
+
+
+@given(_SEQUENCE_ROWS, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example([({0, 87}, 1), (set(), 0), ({39}, 0)], 0.05)
+@example([], 5e-324)
+def test_goal_text_round_trip_matches_reference(rows, dt):
+    seq = GoalSequence(key_rows([keys for keys, _ in rows]), sustain=[level for _, level in rows], dt=dt)
+    text = goal_to_text(seq)
+    for parse in (goal_from_text, reference.goal_from_text):
+        back = parse(text)
+        assert back.dt == seq.dt
+        assert np.array_equal(back.keys, seq.keys) and np.array_equal(back.sustain, seq.sustain)
+
+
 # near-valid goal lines: headers with and without a value, steps with odd fields
 _GOAL_HEADER = st.tuples(
     st.sampled_from(["#", "# ", "#dt", "# dt", "# dtype:"]), st.sampled_from(["", "=", " = 0.05", " = x", " = nan", " = -1"])
 ).map("".join)
 _GOAL_STEP = st.lists(
-    st.sampled_from(["", "0", "1", "7", "-1", "x", "39", "87,88", "-5", "95", "0,39"]), min_size=1, max_size=4
+    st.sampled_from(["", "0", "1", "7", "-1", "x", "39", "87,88", "-5", "95", "0,39", " 1", "+1", "00", "1,,2"]),
+    min_size=1,
+    max_size=4,
 ).map("\t".join)
 _GOAL_TEXT = st.lists(_GOAL_HEADER | _GOAL_STEP, max_size=6).map("\n".join)
+
+
+def _outcome(parse, text):
+    """The parsed arrays and dt, or the class of the error raised."""
+    try:
+        seq = parse(text)
+    except ValueError as exc:
+        return type(exc)
+    return seq.keys.tobytes(), seq.keys.shape, seq.sustain.tobytes(), seq.dt
+
+
+def _newly_rejected(text) -> bool:
+    """Whether a line the old loop read as a step (three tab fields) falls outside the goal grammar."""
+    lines = [line.rstrip("\r") for line in text.splitlines()]
+    return any(
+        line.count("\t") == 2 and not line.lstrip().startswith("#") and not _GOAL_LINE.fullmatch(line)
+        for line in lines
+    )
+
+
+@given(_GOAL_TEXT)
+@settings(max_examples=500)
+def test_goal_from_text_matches_reference(text):
+    new = _outcome(goal_from_text, text)
+    if _newly_rejected(text):
+        assert isinstance(new, type) and issubclass(new, ValueError)
+    else:
+        assert new == _outcome(reference.goal_from_text, text)
 
 
 @given(_GOAL_TEXT | st.text())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import episode_with_raw_meta, mutated_bytes
+from otpiano.midi import ACTION_DIM, OBSERVATION_DIM
 from otpiano.store import (
+    CANONICAL_T,
     BadMagicError,
     ChecksumMismatchError,
     EPISODE_SUFFIX,
@@ -189,6 +192,43 @@ def test_save_load_files(tmp_path):
     assert path.stat().st_size == n
     back = load_episode(path)
     assert np.array_equal(back.rewards, rec.rewards)
+
+
+def test_load_episode_reads_without_copying(tmp_path):
+    rng = np.random.default_rng(9)
+    rec = _random_record(rng, T=CANONICAL_T, obs_dim=OBSERVATION_DIM, act_dim=ACTION_DIM)
+    path = tmp_path / f"canonical.ep000{EPISODE_SUFFIX}"
+    size = save_episode(rec, path)
+    tracemalloc.start()
+    try:
+        back = load_episode(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes once, and views into them: no payload copy
+    assert peak < 1.2 * size
+    assert back.is_canonical and not back.observations.flags.writeable
+    assert np.array_equal(back.observations, rec.observations) and np.array_equal(back.rewards, rec.rewards)
+
+
+def test_chunk_goal_keys_drops_the_padding():
+    rec = _random_record(np.random.default_rng(10), obs_dim=100, meta={"song": "s", "chunk": 3, "n_real": 2})
+    chunk, keys = rec.chunk_goal_keys()
+    assert chunk == 3
+    assert np.array_equal(keys, rec.active_key_steps()[:2])
+    chunk, keys = _random_record(np.random.default_rng(11), obs_dim=100, meta={"song": "s"}).chunk_goal_keys()
+    assert chunk == 0 and keys.shape == (5, 88)
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [{"chunk": "1"}, {"chunk": -1}, {"chunk": True}, {"n_real": 6}, {"n_real": 1.5}, {"n_real": None}],
+    ids=["chunk-text", "chunk-negative", "chunk-bool", "n_real-too-long", "n_real-float", "n_real-null"],
+)
+def test_chunk_goal_keys_rejects_bad_metadata(meta):
+    rec = _random_record(np.random.default_rng(12), obs_dim=100, meta=meta)
+    with pytest.raises(InvalidRecordError):
+        rec.chunk_goal_keys()
 
 
 def test_native_importer_reads_directory(tmp_path):
