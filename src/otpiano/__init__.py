@@ -71,11 +71,9 @@ from .pig import MalformedPigLineError, PigRecord, parse_pig, write_pig
 from .reward import (
     RewardBreakdown,
     RewardParams,
-    collision_reward,
     energy_cost,
     ot_reward,
-    press_reward,
-    sustain_reward,
+    score_steps,
     tolerance,
     total_reward,
 )

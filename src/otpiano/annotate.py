@@ -45,7 +45,7 @@ from .midi import (
     write_observations,
 )
 from .pig import PigRecord, midi_to_spelled
-from .reward import DEFAULT_PARAMS, RewardBreakdown, RewardParams, ot_reward, total_reward
+from .reward import DEFAULT_PARAMS, RewardBreakdown, RewardParams, score_steps
 from .store import EpisodeRecord
 
 DEFAULT_EPISODE_LEN = 550
@@ -280,7 +280,7 @@ def build_episode_record(
         np.zeros((T, HAND_STATE_DIM)),
     )
     silent = np.zeros((1, KEY_COUNT), dtype=bool)
-    padding = _score_rows(silent, silent, np.ones(1), np.zeros(1, dtype=bool), params).total[0]
+    padding = score_steps(silent, silent, np.zeros(1), np.zeros(1, dtype=bool), params).total[0]
     precision, recall = precision_recall(pressed, episode.take(goals.keys))
     meta = {
         "song": song,
@@ -367,28 +367,7 @@ def score_annotation(goals: GoalSequence, annotation: FingeringAnnotation, param
     """
     if len(goals) != len(annotation):
         raise ValueError("goal sequence and annotation disagree on step count")
-    # the scalar ot_reward: np.exp may differ from math.exp in the last bit
-    ot = np.array([ot_reward(d, params) for d in annotation.distance.tolist()])
-    return _score_rows(goals.keys, annotation.pressed, ot, annotation.collision, params)
-
-
-def _score_rows(active, pressed, ot, collided, params: RewardParams) -> RewardBreakdown:
-    """``press_reward`` and friends over (T, 88) active/pressed rows at once."""
-    # depth shaping per active key (depth 1 if pressed, else 0), one row per
-    # step in ascending key order, zero-padded: cumsum adds sequentially, in
-    # the order of press_reward's sum
-    n_active = active.sum(axis=1)
-    step = np.repeat(np.arange(len(ot)), n_active)
-    rank = np.arange(len(step)) - np.repeat(np.cumsum(n_active) - n_active, n_active)
-    depth = np.zeros((len(ot), n_active.max(initial=0) + 1))
-    depth[step, rank] = np.where(pressed[active], params.shaping(0.0), params.shaping(1.0))
-    np.cumsum(depth, axis=1, out=depth)
-    depth_term = np.divide(depth[:, -1], n_active, out=np.ones(len(ot)), where=n_active > 0)
-    false_press = (pressed & ~active).any(axis=1)
-    press = 0.5 * depth_term + 0.5 * np.where(false_press, 0.0, 1.0)
-    sustain = np.full(len(ot), params.shaping(0.0))
-    collision = np.where(collided, 0.0, 1.0)
-    return total_reward(ot, press, sustain, collision, np.zeros(len(ot)), params)
+    return score_steps(goals.keys, annotation.pressed, annotation.distance, annotation.collision, params)
 
 
 ANNOTATION_HEADER = "# otpiano annotation v1"

@@ -43,7 +43,7 @@ from .midi import (
 )
 from .pig import load_pig, save_pig
 from .reward import DEFAULT_PARAMS, RewardParams
-from .store import EPISODE_SUFFIX, iter_episodes, rewards_csv, save_episode, score_csv
+from .store import EPISODE_SUFFIX, csv_cell, iter_episodes, reward_rows, rewards_csv, save_episode, score_csv
 
 _MIDI_SUFFIXES = (".mid", ".midi")
 
@@ -246,21 +246,24 @@ def cmd_eval(args) -> int:
         if not directory.is_dir():
             print(f"not a directory: {directory}", file=sys.stderr)
             return 2
+        # read each container once and keep only its key rows and reward lines
+        by_song: dict = {}
+        reward_lines = []
         try:
-            records = list(iter_episodes(directory))
-        except Exception as exc:
+            for rec in iter_episodes(directory):
+                keys = (rec.pressed_key_steps(args.press_threshold), rec.active_key_steps())
+                by_song.setdefault(str(rec.meta.get("song", "?")), []).append(keys)
+                if args.rewards_csv:
+                    reward_lines += reward_rows(rec)
+        except (OSError, ValueError) as exc:
             print(f"cannot read episodes: {exc}", file=sys.stderr)
             return 2
-        if not records:
+        if not by_song:
             print(f"no episode files under {directory}", file=sys.stderr)
             return 2
-        by_song: dict = {}
-        for rec in records:
-            by_song.setdefault(str(rec.meta.get("song", "?")), []).append(rec)
         rows, traces = [], []
         for song in sorted(by_song):
-            pressed = np.concatenate([rec.pressed_key_steps(args.press_threshold) for rec in by_song[song]])
-            traces.append((pressed, np.concatenate([rec.active_key_steps() for rec in by_song[song]])))
+            traces.append(tuple(np.concatenate(part) for part in zip(*by_song[song])))
             rows.append((song, *precision_recall(*traces[-1])))
         rows.append(("OVERALL", *precision_recall(*(np.concatenate(part) for part in zip(*traces)))))
         rows = [(song, precision, recall, f1(precision, recall)) for song, precision, recall in rows]
@@ -271,10 +274,10 @@ def cmd_eval(args) -> int:
         eval_snapshot = f"# press_threshold = {args.press_threshold}\n# importer = native\n"
         if args.csv:
             lines = ["song,precision,recall,f1"]
-            lines += [f"{s},{p!r},{r!r},{v!r}" for s, p, r, v in rows]
+            lines += [f"{csv_cell(s)},{p!r},{r!r},{v!r}" for s, p, r, v in rows]
             Path(args.csv).write_text(eval_snapshot + "\n".join(lines) + "\n", encoding="utf-8")
         if args.rewards_csv:
-            Path(args.rewards_csv).write_text(eval_snapshot + rewards_csv(records), encoding="utf-8")
+            Path(args.rewards_csv).write_text(eval_snapshot + rewards_csv(reward_lines), encoding="utf-8")
         return 0
 
     try:
@@ -320,14 +323,14 @@ def cmd_stats(args) -> int:
                 chunks.setdefault(song, []).append(rec.chunk_goal_keys())
             if args.f1_meta and "f1" in rec.meta:
                 f1_scores.append(float(rec.meta["f1"]))
+        # a song is one piece: its episodes joined in chunk order, so a key
+        # held across a chunk boundary is one onset
+        for song in sorted(chunks):
+            parts = sorted(chunks[song], key=lambda part: part[0])
+            sources.append(GoalSequence(np.concatenate([keys for _, keys in parts])))
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 2
-    # a song is one piece: its episodes joined in chunk order, so a key held
-    # across a chunk boundary is one onset
-    for song in sorted(chunks):
-        parts = sorted(chunks[song], key=lambda part: part[0])
-        sources.append(GoalSequence(np.concatenate([keys for _, keys in parts])))
     if not sources:
         print(f"no goal or episode files under {directory}", file=sys.stderr)
         return 2

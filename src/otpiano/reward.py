@@ -4,6 +4,9 @@ The proximity term turns the solved finger-moving distance into a shaped
 reward that saturates at 1 once fingertips are within a press threshold.
 Press and sustain terms reuse a Gaussian tolerance curve; collision is a
 binary bonus and energy a penalty.  All shaping terms live in [0, 1].
+``score_steps`` is the one implementation of the press, sustain and
+collision terms: it scores many steps at once from (T, 88) key rows, and
+a single step is a one-row call.
 """
 
 from __future__ import annotations
@@ -128,33 +131,6 @@ def ot_reward(distance: float, params: RewardParams = DEFAULT_PARAMS) -> float:
     return math.exp(params.scale * excess * excess)
 
 
-def press_reward(key_state, active_keys, false_press: bool, params: RewardParams = DEFAULT_PARAMS) -> float:
-    """Half for sinking the active keys, half for touching nothing else.
-
-    The depth term averages the shaping of |depth - 1| over active keys
-    (vacuously 1 with no active keys); the second term zeroes out when any
-    inactive key is pressed.
-    """
-    active = sorted(active_keys)
-    if active:
-        depth_term = sum(params.shaping(abs(key_state.depths[k] - 1.0)) for k in active) / len(active)
-    else:
-        depth_term = 1.0
-    return 0.5 * depth_term + 0.5 * (0.0 if false_press else 1.0)
-
-
-def sustain_reward(s: float, s_target: float, params: RewardParams = DEFAULT_PARAMS) -> float:
-    """Shaped closeness of the sustain state to its target."""
-    if not 0.0 <= s <= 1.0 or not 0.0 <= s_target <= 1.0:
-        raise ValueError("sustain values must lie in [0, 1]")
-    return params.shaping(abs(s - s_target))
-
-
-def collision_reward(collided: bool) -> float:
-    """1 when the forearms stayed clear, 0 on collision."""
-    return 0.0 if collided else 1.0
-
-
 def energy_cost(torques, velocities) -> float:
     """Sum of |torque| * |velocity| over joints."""
     tau = np.asarray(torques, dtype=np.float64)
@@ -179,9 +155,6 @@ class RewardBreakdown:
         return (self.ot, self.press, self.sustain, self.collision, self.energy, self.total)
 
 
-CSV_COLUMNS = ("step", "ot", "press", "sustain", "collision", "energy", "total")
-
-
 def total_reward(
     ot: float,
     press: float,
@@ -194,7 +167,7 @@ def total_reward(
 
     Energy enters as a penalty (subtracted with weight alpha_energy); the
     collision bonus is weighted by alpha_collision.  Components are floats
-    for one step or equal-length arrays for many (as ``score_annotation``
+    for one step or equal-length arrays for many (as ``score_steps``
     passes them); each step's total is the same sum either way.
     """
     for name, value in (("ot", ot), ("press", press), ("sustain", sustain), ("collision", collision), ("energy", energy)):
@@ -202,3 +175,33 @@ def total_reward(
             raise ValueError(f"{name} component must be finite")
     total = ot + press + sustain + params.alpha_collision * collision - params.alpha_energy * energy
     return RewardBreakdown(ot=ot, press=press, sustain=sustain, collision=collision, energy=energy, total=total)
+
+
+def score_steps(active, pressed, distance, collided, params: RewardParams = DEFAULT_PARAMS) -> RewardBreakdown:
+    """Reward breakdown of T steps at once: one (T,) array per term.
+
+    ``active`` and ``pressed`` are (T, 88) bool arrays of the goal keys and
+    the keys held down, ``distance`` the (T,) float array of solved moving
+    distances and ``collided`` the (T,) collision flags.  A pressed key has
+    depth 1 and any other depth 0; the press term is half the mean depth
+    shaping over the active keys (1 with none) and half for pressing no
+    inactive key.  Sustain is scored at its target and energy is zero.
+    """
+    # the scalar ot_reward: np.exp may differ from math.exp in the last bit
+    ot = np.array([ot_reward(d, params) for d in distance.tolist()])
+    T = len(ot)
+    # depth shaping per active key, one row per step in ascending key order,
+    # zero-padded: cumsum adds sequentially, so each step's sum runs over its
+    # keys in ascending order whatever the row length
+    n_active = active.sum(axis=1)
+    step = np.repeat(np.arange(T), n_active)
+    rank = np.arange(len(step)) - np.repeat(np.cumsum(n_active) - n_active, n_active)
+    depth = np.zeros((T, n_active.max(initial=0) + 1))
+    depth[step, rank] = np.where(pressed[active], params.shaping(0.0), params.shaping(1.0))
+    np.cumsum(depth, axis=1, out=depth)
+    depth_term = np.divide(depth[:, -1], n_active, out=np.ones(T), where=n_active > 0)
+    false_press = (pressed & ~active).any(axis=1)
+    press = 0.5 * depth_term + 0.5 * np.where(false_press, 0.0, 1.0)
+    sustain = np.full(T, params.shaping(0.0))
+    collision = np.where(collided, 0.0, 1.0)
+    return total_reward(ot, press, sustain, collision, np.zeros(T), params)

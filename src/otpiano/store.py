@@ -22,7 +22,6 @@ import numpy as np
 
 from .keyboard import KEY_COUNT
 from .midi import ACTION_DIM, GOAL_STEP_DIM, OBSERVATION_DIM, observation_dim, observation_layout
-from .reward import CSV_COLUMNS
 
 MAGIC = b"RP1T"
 FORMAT_VERSION = 1
@@ -235,16 +234,27 @@ def iter_episodes(directory):
 # ---------------------------------------------------------------------------
 
 
-def rewards_csv(records) -> str:
-    """Per-step reward export with piece identity and F1 metadata."""
-    lines = ["song,chunk,step,reward,f1"]
-    for rec in records:
-        song = rec.meta.get("song", "")
-        chunk = rec.meta.get("chunk", "")
-        f1_value = rec.meta.get("f1", "")
-        for t in range(rec.length):
-            lines.append(f"{song},{chunk},{t},{rec.rewards[t]!r},{f1_value}")
-    return "\n".join(lines) + "\n"
+def csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, with quotes doubled, only when it holds a comma, quote or line break."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def reward_rows(rec: EpisodeRecord) -> list:
+    """One record's lines of the per-step reward export: song, chunk, step, reward, f1."""
+    song = csv_cell(str(rec.meta.get("song", "")))
+    chunk = rec.meta.get("chunk", "")
+    f1_value = rec.meta.get("f1", "")
+    return [f"{song},{chunk},{t},{reward!r},{f1_value}" for t, reward in enumerate(rec.rewards)]
+
+
+def rewards_csv(rows) -> str:
+    """Per-step reward export with piece identity and F1 metadata, from ``reward_rows`` lines."""
+    return "\n".join(["song,chunk,step,reward,f1", *rows]) + "\n"
+
+
+CSV_COLUMNS = ("step", "ot", "press", "sustain", "collision", "energy", "total")
 
 
 def score_csv(breakdown) -> str:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import numpy_reference as reference
 from conftest import key_rows
+from reward_reference import collision_reward, press_reward, sustain_reward
 from otpiano.annotate import (
     DROPPED,
     NO_FINGER,
@@ -35,15 +36,7 @@ from otpiano.hand import (
 from otpiano.keyboard import KeyboardGeometry, KeyState, OutOfRangeError, key_press_point
 from otpiano.metrics import f1
 from otpiano.midi import GoalSequence, NoteEvent, goal_from_text
-from otpiano.reward import (
-    DEFAULT_PARAMS,
-    RewardParams,
-    collision_reward,
-    ot_reward,
-    press_reward,
-    sustain_reward,
-    total_reward,
-)
+from otpiano.reward import DEFAULT_PARAMS, RewardParams, ot_reward, total_reward
 
 GEOM = KeyboardGeometry()
 HANDS = HandConfig.default()

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
 from conftest import episode_with_raw_meta, golden_songs, simple_song
 from otpiano import cli
 from otpiano.cli import main
-from otpiano.store import load_episode
+from otpiano.store import EpisodeRecord, load_episode, save_episode
 
 
 @pytest.fixture
@@ -294,6 +296,38 @@ def test_non_object_episode_metadata_exits_2(tmp_path, capsys, command):
     flag = "--episodes" if command == "eval" else "--in"
     assert main([command, flag, str(tmp_path)]) == 2
     assert "metadata must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_bad_observation_width_exits_2(tmp_path, capsys, command):
+    # a well-formed container whose 5-wide observations fit no observation layout
+    record = EpisodeRecord(np.zeros((3, 5)), np.zeros((3, 1)), np.zeros(3), meta={"song": "narrow"})
+    save_episode(record, tmp_path / "narrow.ep000.rp1t")
+    flag = "--episodes" if command == "eval" else "--in"
+    assert main([command, flag, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read")
+
+
+def test_eval_csv_exports_quote_song_names(tmp_path):
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    names = ["Op. 10, No. 3", 'say "hi"', "plain"]
+    for name in names:
+        (midi_dir / f"{name}.mid").write_bytes(simple_song([(60, 0, 960), (64, 960, 1920)]))
+    out = tmp_path / "out"
+    assert _annotate(midi_dir, out) == 0
+    csv_path, rewards_path = tmp_path / "eval.csv", tmp_path / "rewards.csv"
+    argv = ["eval", "--episodes", str(out), "--csv", str(csv_path), "--rewards-csv", str(rewards_path)]
+    assert main(argv) == 0
+    for path, width, expected in ((csv_path, 4, {*names, "OVERALL"}), (rewards_path, 5, set(names))):
+        text = path.read_text()
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        rows = list(csv.reader(lines))
+        assert all(len(row) == width for row in rows)
+        assert {row[0] for row in rows[1:]} == expected
+    assert "\nplain," in rewards_path.read_text()  # names without special characters stay unquoted
 
 
 def test_stats_exit_code_on_empty(tmp_path):

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import key_rows
+from reward_reference import collision_reward, press_reward, sustain_reward
 from otpiano.keyboard import KEY_COUNT, KeyState
 from otpiano.midi import DimensionMismatchError
 from otpiano.reward import (
     DEFAULT_PARAMS,
     InvalidParamsError,
     RewardParams,
-    collision_reward,
     energy_cost,
     ot_reward,
-    press_reward,
-    sustain_reward,
+    score_steps,
     tolerance,
     total_reward,
 )
@@ -117,10 +117,18 @@ def _key_state(pairs):
     return KeyState(depths=tuple(depths))
 
 
+def _score_one(active, pressed, collided=False):
+    """``score_steps`` on one step: the goal keys ``active``, the keys ``pressed``."""
+    return score_steps(key_rows([active]), key_rows([pressed]), np.zeros(1), np.array([collided]))
+
+
 def test_press_reward_all_keys_down():
     state = _key_state([(39, 1.0), (43, 1.0)])
     assert press_reward(state, {39, 43}, False) == pytest.approx(1.0)
     assert press_reward(state, {39, 43}, True) == pytest.approx(0.5)
+    assert _score_one({39, 43}, {39, 43}).press.tolist() == [press_reward(state, {39, 43}, False)]
+    # key 50 pressed but not active: a false press
+    assert _score_one({39, 43}, {39, 43, 50}).press.tolist() == [press_reward(state, {39, 43}, True)]
 
 
 def test_press_reward_partial_depth():
@@ -133,6 +141,8 @@ def test_press_reward_no_active_keys():
     state = _key_state([])
     assert press_reward(state, set(), False) == 1.0
     assert press_reward(state, set(), True) == 0.5
+    assert _score_one(set(), set()).press.tolist() == [1.0]
+    assert _score_one(set(), {50}).press.tolist() == [0.5]
 
 
 def test_sustain_reward():
@@ -148,6 +158,8 @@ def test_collision_reward():
     assert collision_reward(False) == 1.0
     assert collision_reward(True) == 0.0
     assert collision_reward(True) == collision_reward(True)
+    assert _score_one({39}, {39}, collided=False).collision.tolist() == [1.0]
+    assert _score_one({39}, {39}, collided=True).collision.tolist() == [0.0]
 
 
 def test_energy_cost():

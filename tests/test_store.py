@@ -24,6 +24,7 @@ from otpiano.store import (
     iter_episodes,
     load_episode,
     read_episode,
+    reward_rows,
     rewards_csv,
     save_episode,
     score_csv,
@@ -262,7 +263,7 @@ def test_goal_decoding_hooks():
 def test_csv_exports():
     rng = np.random.default_rng(8)
     rec = _random_record(rng, T=2)
-    text = rewards_csv([rec])
+    text = rewards_csv(reward_rows(rec))
     lines = text.strip().splitlines()
     assert lines[0] == "song,chunk,step,reward,f1"
     assert len(lines) == 3
