@@ -125,16 +125,15 @@ def annotate_song(
     """
     state = init_hands(hands, geom)
     n_fingers = len(state.fingers)
-    slot_index = [ALL_FINGERS.index(finger) for finger in state.fingers]
-    by_slot = sorted(range(n_fingers), key=slot_index.__getitem__)
+    slot_index = [ALL_FINGERS.index(finger) for finger in state.fingers]  # ascending, so rows are in slot order
     layout = struct.Struct("".join("3d" if slot in slot_index else "24x" for slot in range(10)) + "2d")
     row_size = layout.size - 16  # a trace row: the state without the bases
 
     def state_of(tips: list, base: tuple) -> bytes:
         """Fingertips in the trace's slot layout (disabled slots zero), then the bases."""
-        return layout.pack(*itertools.chain.from_iterable(map(tips.__getitem__, by_slot)), *base)
+        return layout.pack(*itertools.chain.from_iterable(tips), *base)
 
-    motion = HandMotion(state.fingers, hands, geom, goals.dt)
+    motion = HandMotion(hands, geom, goals.dt)
     press_points = press_point_table(geom).tolist()
     tips = state.fingertips.tolist()
     base = (state.base_x[LEFT], state.base_x[RIGHT])

@@ -322,7 +322,10 @@ def cmd_stats(args) -> int:
             if song not in goal_songs:
                 chunks.setdefault(song, []).append(rec.chunk_goal_keys())
             if args.f1_meta and "f1" in rec.meta:
-                f1_scores.append(float(rec.meta["f1"]))
+                f1_value = rec.meta["f1"]
+                if not isinstance(f1_value, (int, float, str)):
+                    raise ValueError(f"f1 metadata must be a number, got {f1_value!r}")
+                f1_scores.append(float(f1_value))
         # a song is one piece: its episodes joined in chunk order, so a key
         # held across a chunk boundary is one onset
         for song in sorted(chunks):

@@ -78,19 +78,3 @@ def load_config(path) -> dict:
     """Read and parse a config file."""
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
-
-def format_config(values: dict) -> str:
-    """Render a dict back to canonical ``key = value`` text (sorted keys)."""
-    lines = []
-    for key in sorted(values):
-        val = values[key]
-        if isinstance(val, bool):
-            rendered = "true" if val else "false"
-        elif isinstance(val, tuple):
-            rendered = " ".join(repr(float(x)) for x in val)
-        elif isinstance(val, float):
-            rendered = repr(val)
-        else:
-            rendered = str(val)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"

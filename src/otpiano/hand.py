@@ -5,7 +5,9 @@ per-step speed cap; each hand has a scalar base position that follows the
 lateral center of its targets, and a span limit that keeps fingertips of
 one hand inside a reach ball (a hand cannot press keys too far apart).
 This replaces joint-level simulation for annotation purposes: assignment
-costs only need fingertip positions.
+costs only need fingertip positions.  An embodiment (``HandConfig``) is the
+set of digits switched off on both hands, such as the little fingers of
+the four-finger hand, plus the motion limits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .keyboard import KeyboardGeometry
 
 LEFT = "left"
 RIGHT = "right"
-DIGIT_NAMES = ("thumb", "index", "middle", "ring", "little")
+DIGITS = (1, 2, 3, 4, 5)  # thumb, index, middle, ring, little
 
 DEFAULT_SPAN_MAX = 0.20
 DEFAULT_V_MAX = 2.0
@@ -74,11 +76,15 @@ def _default_rest_offsets() -> dict:
 
 @dataclass(frozen=True)
 class HandConfig:
-    """Embodiment description: enabled digits plus motion limits (SI units)."""
+    """Embodiment description: disabled digits plus motion limits (SI units).
+
+    ``disabled`` lists digits 1 (thumb) .. 5 (little), each switched off on
+    both hands, the meaning of the config key of that name; at least one
+    digit stays on.  It is stored as a sorted tuple without repeats.
+    """
 
     name: str = "ten-finger"
-    fingers: tuple = ALL_FINGERS
-    enabled: tuple = (True,) * 10
+    disabled: tuple = ()
     span_max: float = DEFAULT_SPAN_MAX
     v_max: float = DEFAULT_V_MAX
     base_v_max: float = DEFAULT_BASE_V_MAX
@@ -86,38 +92,23 @@ class HandConfig:
     rest_offsets: dict = field(default_factory=_default_rest_offsets)
 
     def __post_init__(self) -> None:
-        if len(self.enabled) != len(self.fingers):
-            raise InvalidConfigError("enabled mask length must match finger list")
-        if len(set(self.fingers)) != len(self.fingers):
-            raise InvalidConfigError("finger list repeats a finger")
+        if any(isinstance(d, bool) or d not in DIGITS for d in self.disabled):
+            raise InvalidConfigError(f"disabled must list digits 1..5, got {self.disabled!r}")
+        object.__setattr__(self, "disabled", tuple(sorted({int(d) for d in self.disabled})))
+        if self.disabled == DIGITS:
+            raise InvalidConfigError("every digit is disabled")
         if self.span_max <= 0 or self.v_max <= 0 or self.base_v_max <= 0:
             raise InvalidConfigError("span_max, v_max and base_v_max must be > 0")
         if self.min_base_gap < 0:
             raise InvalidConfigError("min_base_gap must be >= 0")
-        for hand in (LEFT, RIGHT):
-            if not any(f.hand == hand and on for f, on in zip(self.fingers, self.enabled)):
-                raise InvalidConfigError(f"no enabled finger on the {hand} hand")
-        missing = [f for f in self.fingers if f not in self.rest_offsets]
+        missing = [f for f in ALL_FINGERS if f not in self.rest_offsets]
         if missing:
             raise InvalidConfigError(f"missing rest offsets for {missing}")
 
     @property
     def enabled_fingers(self) -> tuple:
-        return tuple(f for f, on in zip(self.fingers, self.enabled) if on)
-
-    def disable_digit(self, digit: int, name: "str | None" = None) -> "HandConfig":
-        """Copy with one digit switched off on both hands."""
-        mask = tuple(on and f.digit != digit for f, on in zip(self.fingers, self.enabled))
-        return HandConfig(
-            name=name or f"{self.name}-no-{DIGIT_NAMES[digit - 1]}",
-            fingers=self.fingers,
-            enabled=mask,
-            span_max=self.span_max,
-            v_max=self.v_max,
-            base_v_max=self.base_v_max,
-            min_base_gap=self.min_base_gap,
-            rest_offsets=self.rest_offsets,
-        )
+        """The fingers not disabled, in ``ALL_FINGERS`` order."""
+        return tuple(f for f in ALL_FINGERS if f.digit not in self.disabled)
 
     @classmethod
     def default(cls) -> "HandConfig":
@@ -126,7 +117,7 @@ class HandConfig:
     @classmethod
     def four_finger(cls) -> "HandConfig":
         """Little fingers disabled: eight fingertips total."""
-        return cls().disable_digit(5, name="four-finger")
+        return cls(name="four-finger", disabled=(5,))
 
     @classmethod
     def from_mapping(cls, values: dict) -> "HandConfig":
@@ -139,14 +130,11 @@ class HandConfig:
         simple = {"name", "span_max", "v_max", "base_v_max", "min_base_gap", "disabled"}
         rest = _default_rest_offsets()
         kwargs: dict = {}
-        disabled: tuple = ()
         for key, val in values.items():
             if key in simple:
                 if key == "disabled":
                     vals = val if isinstance(val, tuple) else (val,)
-                    disabled = tuple(config_number(key, v, InvalidConfigError) for v in vals)
-                    if any(d not in (1, 2, 3, 4, 5) for d in disabled):
-                        raise InvalidConfigError(f"disabled must list digits 1..5, got {val!r}")
+                    kwargs[key] = tuple(config_number(key, v, InvalidConfigError) for v in vals)
                 elif key == "name":
                     kwargs["name"] = str(val)
                 else:
@@ -156,8 +144,7 @@ class HandConfig:
                 rest[finger] = config_numbers(key, val, 3, InvalidConfigError)
             else:
                 raise InvalidConfigError(f"unknown hand config key {key!r}")
-        mask = tuple(f.digit not in disabled for f in ALL_FINGERS)
-        return cls(enabled=mask, rest_offsets=rest, **kwargs)
+        return cls(rest_offsets=rest, **kwargs)
 
     def snapshot(self) -> dict:
         """Flat dict describing the embodiment, for output headers."""
@@ -203,7 +190,8 @@ def init_hands(config: HandConfig, geom: KeyboardGeometry) -> HandState:
 class HandMotion:
     """Step constants of one embodiment at one dt, in finger-row order.
 
-    Finger rows are positions in the hand state's finger tuple.  Built once
+    Finger rows are positions in ``config.enabled_fingers``, which is also
+    the finger tuple of every hand state of that config.  Built once
     per song by the annotator, and per call by step_hand.  ``step`` is the
     one hand-step kernel: it runs on Python floats, since numpy
     call overhead dominates arrays of at most 10x3, and keeps numpy's order
@@ -212,8 +200,9 @@ class HandMotion:
     a running sum from 0.0 over the rows, then a division.
     """
 
-    def __init__(self, fingers: tuple, config: HandConfig, geom: KeyboardGeometry, dt: float):
+    def __init__(self, config: HandConfig, geom: KeyboardGeometry, dt: float):
         _, oy, oz = geom.origin
+        fingers = config.enabled_fingers
         self.is_left = tuple(finger.hand == LEFT for finger in fingers)
         # finger rows of the left hand, then of the right hand
         self.hand_rows = tuple(
@@ -300,12 +289,14 @@ def step_hand(
 
     ``targets`` maps enabled FingerId -> 3D point.
     """
+    if state.fingers != config.enabled_fingers:
+        raise InvalidConfigError("hand state has other fingers than the config enables")
     for finger in targets:
         if finger not in state.fingers:
             raise InvalidConfigError(f"target for disabled or unknown finger {finger}")
     rows = [state.fingers.index(finger) for finger in targets]
     points = np.array([targets[finger] for finger in targets], dtype=np.float64).reshape(len(rows), 3)
-    tips, (left_x, right_x) = HandMotion(state.fingers, config, geom, dt).step(
+    tips, (left_x, right_x) = HandMotion(config, geom, dt).step(
         state.fingertips.tolist(), (state.base_x[LEFT], state.base_x[RIGHT]), rows, points.tolist()
     )
     fingertips = np.array(tips, dtype=np.float64).reshape(len(state.fingers), 3)

@@ -51,14 +51,6 @@ def is_black(key: int) -> bool:
     return (key + MIN_PITCH) % 12 in _BLACK_PITCH_CLASSES
 
 
-def white_index(key: int) -> int:
-    """Position of a white key among the white keys, 0..51 left to right."""
-    _check_key(key)
-    if is_black(key):
-        raise ValueError(f"key {key} is black")
-    return sum(1 for k in range(key) if not is_black(k))
-
-
 @dataclass(frozen=True)
 class KeyboardGeometry:
     """Physical layout used to place press-point targets.

@@ -243,9 +243,7 @@ def csv_cell(text: str) -> str:
 
 def reward_rows(rec: EpisodeRecord) -> list:
     """One record's lines of the per-step reward export: song, chunk, step, reward, f1."""
-    song = csv_cell(str(rec.meta.get("song", "")))
-    chunk = rec.meta.get("chunk", "")
-    f1_value = rec.meta.get("f1", "")
+    song, chunk, f1_value = (csv_cell(str(rec.meta.get(name, ""))) for name in ("song", "chunk", "f1"))
     return [f"{song},{chunk},{t},{reward!r},{f1_value}" for t, reward in enumerate(rec.rewards)]
 
 

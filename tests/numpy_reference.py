@@ -25,8 +25,9 @@ def key_distances(points: np.ndarray, tips: np.ndarray) -> np.ndarray:
 class HandMotion:
     """Array form of ``otpiano.hand.HandMotion``: the same constants and step."""
 
-    def __init__(self, fingers: tuple, config, geom, dt: float):
+    def __init__(self, config, geom, dt: float):
         _, oy, oz = geom.origin
+        fingers = config.enabled_fingers
         self.is_left = tuple(finger.hand == LEFT for finger in fingers)
         self.hand_rows = tuple(
             np.array([i for i, finger in enumerate(fingers) if finger.hand == hand], dtype=np.intp)
@@ -84,7 +85,7 @@ def step_hand(state: HandState, targets: dict, dt: float, config, geom) -> HandS
     """``otpiano.hand.step_hand`` through the array step."""
     rows = [state.fingers.index(finger) for finger in targets]
     points = np.array([targets[finger] for finger in targets], dtype=np.float64).reshape(len(rows), 3)
-    tips, (left_x, right_x) = HandMotion(state.fingers, config, geom, dt).step(
+    tips, (left_x, right_x) = HandMotion(config, geom, dt).step(
         state.fingertips, (state.base_x[LEFT], state.base_x[RIGHT]), rows, points
     )
     return HandState(fingers=state.fingers, fingertips=tips, base_x={LEFT: left_x, RIGHT: right_x})

@@ -186,7 +186,7 @@ def _held_chords(rng, n_steps, max_keys):
     [
         (HANDS, False, 10),
         (HandConfig.four_finger(), True, 14),
-        (HandConfig.default().disable_digit(3), False, 8),
+        (HandConfig(name="no-middle", disabled=(3,)), False, 8),
     ],
     ids=["ten-strict", "four-best-effort", "no-middle-strict"],
 )

@@ -22,7 +22,7 @@ from otpiano.hand import HandConfig, init_hands
 from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point
 
 GEOM = KeyboardGeometry()
-FINGERS = HandConfig.default().fingers
+FINGERS = HandConfig.default().enabled_fingers
 
 
 def _matrix(costs):

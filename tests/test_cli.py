@@ -179,6 +179,7 @@ _BAD_CONFIGS = [
     ("--embodiment", "disabled = 0"),
     ("--embodiment", "disabled = 2.5"),
     ("--embodiment", "disabled = true"),
+    ("--embodiment", "disabled = 1 2 3 4 5"),
 ]
 
 
@@ -298,6 +299,23 @@ def test_non_object_episode_metadata_exits_2(tmp_path, capsys, command):
     assert "metadata must be a JSON object" in capsys.readouterr().err
 
 
+def _rewrite_meta(path, **changes):
+    rec = load_episode(path)
+    save_episode(EpisodeRecord(rec.observations, rec.actions, rec.rewards, meta={**rec.meta, **changes}), path)
+
+
+@pytest.mark.parametrize("value", [None, [0.5], {"f1": 0.5}], ids=["null", "list", "object"])
+def test_stats_non_numeric_f1_metadata_exits_2(song_dir, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    _rewrite_meta(sorted(out.glob("*.rp1t"))[0], f1=value)
+    capsys.readouterr()
+    assert main(["stats", "--in", str(out), "--f1-meta"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read inputs")
+
+
 @pytest.mark.parametrize("command", ["eval", "stats"])
 def test_bad_observation_width_exits_2(tmp_path, capsys, command):
     # a well-formed container whose 5-wide observations fit no observation layout
@@ -318,6 +336,8 @@ def test_eval_csv_exports_quote_song_names(tmp_path):
         (midi_dir / f"{name}.mid").write_bytes(simple_song([(60, 0, 960), (64, 960, 1920)]))
     out = tmp_path / "out"
     assert _annotate(midi_dir, out) == 0
+    # metadata cells are quoted too
+    _rewrite_meta(sorted(out.glob("plain.*.rp1t"))[0], chunk="a,b", f1=[0.5, 0.25])
     csv_path, rewards_path = tmp_path / "eval.csv", tmp_path / "rewards.csv"
     argv = ["eval", "--episodes", str(out), "--csv", str(csv_path), "--rewards-csv", str(rewards_path)]
     assert main(argv) == 0
@@ -327,6 +347,7 @@ def test_eval_csv_exports_quote_song_names(tmp_path):
         rows = list(csv.reader(lines))
         assert all(len(row) == width for row in rows)
         assert {row[0] for row in rows[1:]} == expected
+    assert ["a,b", "[0.5, 0.25]"] in [[row[1], row[4]] for row in rows]
     assert "\nplain," in rewards_path.read_text()  # names without special characters stay unquoted
 
 

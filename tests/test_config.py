@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from otpiano.config import ConfigError, format_config, load_config, parse_config
+from otpiano.config import ConfigError, load_config, parse_config
 from otpiano.hand import HandConfig
 from otpiano.keyboard import KeyboardGeometry
 from otpiano.reward import RewardParams
@@ -41,11 +41,6 @@ def test_parse_errors():
         parse_config("a = 1\na = 2\n")
     with pytest.raises(ConfigError):
         parse_config("a =\n")
-
-
-def test_format_parse_round_trip():
-    values = {"span": 0.2, "flag": True, "origin": (1.0, 2.0, 3.0), "name": "x"}
-    assert parse_config(format_config(values)) == values
 
 
 def test_load_config(tmp_path):

@@ -97,9 +97,8 @@ _CONFIGS = [HandConfig.default(), HandConfig.four_finger(), HandConfig(span_max=
 
 
 def _assert_step_matches_reference(config, dt, tips, base, rows, targets):
-    fingers = config.enabled_fingers
-    got_tips, got_base = HandMotion(fingers, config, GEOM, dt).step(tips, base, rows, targets)
-    want_tips, want_base = reference.HandMotion(fingers, config, GEOM, dt).step(
+    got_tips, got_base = HandMotion(config, GEOM, dt).step(tips, base, rows, targets)
+    want_tips, want_base = reference.HandMotion(config, GEOM, dt).step(
         np.array(tips, dtype=np.float64), base, rows, np.array(targets, dtype=np.float64).reshape(len(rows), 3)
     )
     assert np.array(got_tips, dtype=np.float64).tobytes() == want_tips.tobytes()
@@ -186,6 +185,8 @@ def test_target_on_disabled_finger_rejected():
     state = init_hands(config, GEOM)
     with pytest.raises(InvalidConfigError):
         step_hand(state, {FingerId(RIGHT, 5): (0.5, 0.0, 0.0)}, 0.05, config, GEOM)
+    with pytest.raises(InvalidConfigError):  # a state of another embodiment
+        step_hand(state, {}, 0.05, HandConfig.default(), GEOM)
 
 
 def _state_with_bases(left_x, right_x):
@@ -205,9 +206,9 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         HandConfig(span_max=0.0)
     with pytest.raises(InvalidConfigError):
-        HandConfig(enabled=(False,) * 5 + (True,) * 5)  # left hand empty
+        HandConfig(disabled=(1, 2, 3, 4, 5))  # no finger left
     with pytest.raises(InvalidConfigError):
-        HandConfig(fingers=HandConfig().fingers[:9] + HandConfig().fingers[:1])
+        HandConfig(disabled=(6,))
     with pytest.raises(InvalidConfigError):
         FingerId("middle", 1)
     with pytest.raises(InvalidConfigError):
@@ -231,5 +232,5 @@ def test_config_from_text():
 
 
 def test_finger_labels_round_trip():
-    for finger in HandConfig.default().fingers:
+    for finger in HandConfig.default().enabled_fingers:
         assert FingerId.from_label(finger.label()) == finger

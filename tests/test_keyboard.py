@@ -18,7 +18,6 @@ from otpiano.keyboard import (
     key_for_pitch,
     key_press_point,
     pitch_for_key,
-    white_index,
 )
 
 
@@ -53,13 +52,6 @@ def test_black_white_classification():
     assert blacks == 36
     assert KEY_COUNT - blacks == WHITE_KEY_COUNT == 52
     assert WHITE_KEY_COUNT / KEY_COUNT == pytest.approx(0.59091, abs=5e-6)
-
-
-def test_white_index_rejects_black_keys():
-    assert white_index(0) == 0
-    assert white_index(87) == 51
-    with pytest.raises(ValueError):
-        white_index(1)
 
 
 def test_press_point_defaults():
