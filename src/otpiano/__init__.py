@@ -32,7 +32,7 @@ from .assign import (
     build_cost_matrix,
     solve_assignment,
 )
-from .hand import FingerId, HandConfig, HandState, collision_flag, init_hands, step_hand
+from .hand import FingerId, HandConfig, HandState, bases_collide, init_hands, step_hand
 from .keyboard import (
     KEY_COUNT,
     KeyboardGeometry,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .assign import InfeasibleError, key_distances, solve_cost_rows
-from .hand import ALL_FINGERS, LEFT, RIGHT, HandConfig, HandMotion, bases_collide, init_hands
+from .hand import ALL_FINGERS, LEFT, HandConfig, HandMotion, bases_collide, init_hands
 from .keyboard import KEY_COUNT, MAX_PITCH, MIN_PITCH, KeyboardGeometry, key_for_pitch, press_point_table
 from .metrics import f1, precision_recall
 from .midi import (
@@ -135,8 +135,7 @@ def annotate_song(
 
     motion = HandMotion(hands, geom, goals.dt)
     press_points = press_point_table(geom).tolist()
-    tips = state.fingertips.tolist()
-    base = (state.base_x[LEFT], state.base_x[RIGHT])
+    tips, base = state.fingertips, state.base
     state_bytes = state_of(tips, base)
     T = len(goals)
     key_steps, key_list = np.nonzero(goals.keys)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -42,16 +43,17 @@ from .midi import (
     load_midi,
 )
 from .pig import load_pig, save_pig
-from .reward import DEFAULT_PARAMS, RewardParams
+from .reward import RewardParams
 from .store import EPISODE_SUFFIX, csv_cell, iter_episodes, reward_rows, rewards_csv, save_episode, score_csv
 
 _MIDI_SUFFIXES = (".mid", ".midi")
 
 
-def _load_geometry(path) -> KeyboardGeometry:
+def _load_settings(cls, path):
+    """``cls`` read from a config file, or its defaults without one."""
     if path is None:
-        return KeyboardGeometry()
-    return KeyboardGeometry.from_mapping(load_config(path))
+        return cls()
+    return cls.from_mapping(load_config(path))
 
 
 def _load_embodiment(spec: str) -> HandConfig:
@@ -59,16 +61,9 @@ def _load_embodiment(spec: str) -> HandConfig:
         return HandConfig.default()
     if spec == "four-finger":
         return HandConfig.four_finger()
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise FileNotFoundError(f"embodiment {spec!r} is neither a builtin name nor a config file")
-    return HandConfig.from_mapping(load_config(path))
-
-
-def _load_reward_params(path) -> RewardParams:
-    if path is None:
-        return DEFAULT_PARAMS
-    return RewardParams.from_mapping(load_config(path))
+    return _load_settings(HandConfig, spec)
 
 
 def _midi_paths(root: Path) -> list:
@@ -174,13 +169,14 @@ def cmd_annotate(args) -> int:
     if clashes:
         print(f"songs would write over each other's outputs: {', '.join(clashes)}", file=sys.stderr)
         return 2
-    if args.dt <= 0 or args.stretch <= 0 or args.episode_len <= 0 or args.lookahead < 0 or args.jobs < 1:
-        print("dt, stretch and episode-len must be positive; lookahead >= 0; jobs >= 1", file=sys.stderr)
+    finite = 0 < args.dt < math.inf and 0 < args.stretch < math.inf
+    if not finite or args.episode_len <= 0 or args.lookahead < 0 or args.jobs < 1:
+        print("dt, stretch and episode-len must be positive and finite; lookahead >= 0; jobs >= 1", file=sys.stderr)
         return 2
     try:
-        geom = _load_geometry(args.geometry)
+        geom = _load_settings(KeyboardGeometry, args.geometry)
         hands = _load_embodiment(args.embodiment)
-        params = _load_reward_params(args.reward_config)
+        params = _load_settings(RewardParams, args.reward_config)
     except (OSError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -365,7 +361,7 @@ def cmd_debug_assign(args) -> int:
     try:
         pitches = [int(p) for p in args.pitches.split(",") if p]
         keys = {key_for_pitch(p) for p in pitches}
-        geom = _load_geometry(args.geometry)
+        geom = _load_settings(KeyboardGeometry, args.geometry)
         hands = _load_embodiment(args.embodiment)
     except (OSError, ValueError) as exc:
         print(f"bad inputs: {exc}", file=sys.stderr)

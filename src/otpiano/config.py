@@ -1,4 +1,4 @@
-"""Plain-text ``key = value`` config files shared by geometry and hand setup.
+"""Plain-text ``key = value`` config files shared by geometry, reward and hand setup.
 
 One assignment per line, ``#`` starts a comment, values are SI units.
 A value is parsed as a bool (``true``/``false``), a float, a tuple of
@@ -7,6 +7,7 @@ floats (whitespace or comma separated), or kept as a bare string.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -72,6 +73,29 @@ def config_numbers(key: str, value, count: int, error: type = ConfigError) -> tu
     if len(values) != count:
         raise error(f"{key} needs {count} numbers, got {value!r}")
     return tuple(config_number(key, x, error) for x in values)
+
+
+def settings_from_mapping(cls: type, values: dict, error: type = ConfigError):
+    """Build the settings dataclass ``cls`` from a parsed config dict; raises ``error`` otherwise.
+
+    Every key must name a field.  A field whose default is a tuple takes
+    that many finite numbers; any other field takes one finite number.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in defaults:
+            raise error(f"unknown {cls.__name__} key {key!r}")
+        if isinstance(defaults[key], tuple):
+            kwargs[key] = config_numbers(key, value, len(defaults[key]), error)
+        else:
+            kwargs[key] = config_number(key, value, error)
+    return cls(**kwargs)
+
+
+def settings_snapshot(settings, prefix: str) -> dict:
+    """Every field of a settings dataclass as ``{"<prefix>.<field>": value}``, in declaration order."""
+    return {f"{prefix}.{f.name}": getattr(settings, f.name) for f in dataclasses.fields(settings)}
 
 
 def load_config(path) -> dict:

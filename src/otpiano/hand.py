@@ -7,15 +7,15 @@ one hand inside a reach ball (a hand cannot press keys too far apart).
 This replaces joint-level simulation for annotation purposes: assignment
 costs only need fingertip positions.  An embodiment (``HandConfig``) is the
 set of digits switched off on both hands, such as the little fingers of
-the four-finger hand, plus the motion limits.
+the four-finger hand, plus the motion limits.  A hand state is the
+fingertips as ``(x, y, z)`` Python floats plus the ``(left_x, right_x)``
+base pair, the values the one step kernel ``HandMotion.step`` works on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .config import ConfigError, config_number, config_numbers
 from .keyboard import KeyboardGeometry
@@ -127,18 +127,16 @@ class HandConfig:
         disabled (list of digit numbers 1..5, applied to both hands), and
         rest_offset.<L|R><digit> = x y z overrides.  Numbers must be finite.
         """
-        simple = {"name", "span_max", "v_max", "base_v_max", "min_base_gap", "disabled"}
         rest = _default_rest_offsets()
         kwargs: dict = {}
         for key, val in values.items():
-            if key in simple:
-                if key == "disabled":
-                    vals = val if isinstance(val, tuple) else (val,)
-                    kwargs[key] = tuple(config_number(key, v, InvalidConfigError) for v in vals)
-                elif key == "name":
-                    kwargs["name"] = str(val)
-                else:
-                    kwargs[key] = config_number(key, val, InvalidConfigError)
+            if key == "name":
+                kwargs[key] = str(val)
+            elif key == "disabled":
+                vals = val if isinstance(val, tuple) else (val,)
+                kwargs[key] = tuple(config_number(key, v, InvalidConfigError) for v in vals)
+            elif key in ("span_max", "v_max", "base_v_max", "min_base_gap"):
+                kwargs[key] = config_number(key, val, InvalidConfigError)
             elif key.startswith("rest_offset."):
                 finger = FingerId.from_label(key.split(".", 1)[1])
                 rest[finger] = config_numbers(key, val, 3, InvalidConfigError)
@@ -147,8 +145,8 @@ class HandConfig:
         return cls(rest_offsets=rest, **kwargs)
 
     def snapshot(self) -> dict:
-        """Flat dict describing the embodiment, for output headers."""
-        return {
+        """Flat dict describing the embodiment, for output headers; rest offsets only where not default."""
+        snapshot = {
             "hand.name": self.name,
             "hand.enabled": ",".join(f.label() for f in self.enabled_fingers),
             "hand.span_max": self.span_max,
@@ -156,35 +154,45 @@ class HandConfig:
             "hand.base_v_max": self.base_v_max,
             "hand.min_base_gap": self.min_base_gap,
         }
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+        for finger, default in _default_rest_offsets().items():
+            offset = tuple(self.rest_offsets[finger])
+            if offset != default:
+                snapshot[f"hand.rest_offset.{finger.label()}"] = offset
+        return snapshot
 
 
 @dataclass(frozen=True)
 class HandState:
-    """Immutable snapshot: enabled fingertips plus per-hand base x."""
+    """Immutable hand snapshot, in the form ``HandMotion.step`` works on.
+
+    One ``(x, y, z)`` float tuple per finger of ``fingers`` and the ``(left_x, right_x)`` bases.
+    """
 
     fingers: tuple
-    fingertips: np.ndarray  # (n_enabled, 3)
-    base_x: dict  # hand -> x in meters
+    fingertips: tuple
+    base: tuple
 
-    def fingertip(self, finger: FingerId) -> np.ndarray:
+    def fingertip(self, finger: FingerId) -> tuple:
         return self.fingertips[self.fingers.index(finger)]
 
 
+def _rest_pose(config: HandConfig, geom: KeyboardGeometry) -> list:
+    """Rest pose of each enabled finger relative to its hand base: x offset, absolute y and z."""
+    _, oy, oz = geom.origin
+    offsets = map(config.rest_offsets.get, config.enabled_fingers)
+    return [(float(dx), float(oy + dy), float(oz + dz)) for dx, dy, dz in offsets]
+
+
 def init_hands(config: HandConfig, geom: KeyboardGeometry) -> HandState:
-    """Rest pose: left base at 1/3 of keyboard width, right at 2/3."""
-    ox, oy, oz = geom.origin
-    base = {LEFT: ox + geom.width / 3.0, RIGHT: ox + 2.0 * geom.width / 3.0}
+    """Rest pose: bases at 1/3 and 2/3 of the keyboard width, fingertips at their rest offsets."""
+    ox = geom.origin[0]
+    left_x, right_x = ox + geom.width / 3.0, ox + 2.0 * geom.width / 3.0
     fingers = config.enabled_fingers
-    tips = np.empty((len(fingers), 3), dtype=np.float64)
-    for i, finger in enumerate(fingers):
-        dx, dy, dz = config.rest_offsets[finger]
-        tips[i] = (base[finger.hand] + dx, oy + dy, oz + dz)
-    return HandState(fingers=fingers, fingertips=_readonly(tips), base_x=dict(base))
+    tips = tuple(
+        (dx + (left_x if finger.hand == LEFT else right_x), y, z)
+        for finger, (dx, y, z) in zip(fingers, _rest_pose(config, geom))
+    )
+    return HandState(fingers=fingers, fingertips=tips, base=(left_x, right_x))
 
 
 class HandMotion:
@@ -201,18 +209,13 @@ class HandMotion:
     """
 
     def __init__(self, config: HandConfig, geom: KeyboardGeometry, dt: float):
-        _, oy, oz = geom.origin
         fingers = config.enabled_fingers
         self.is_left = tuple(finger.hand == LEFT for finger in fingers)
         # finger rows of the left hand, then of the right hand
         self.hand_rows = tuple(
             tuple(i for i, finger in enumerate(fingers) if finger.hand == hand) for hand in (LEFT, RIGHT)
         )
-        # rest pose relative to the hand base: x offset, absolute y and z
-        self.rest = []
-        for finger in fingers:
-            dx, dy, dz = config.rest_offsets[finger]
-            self.rest.append((float(dx), float(oy + dy), float(oz + dz)))
+        self.rest = _rest_pose(config, geom)
         self.step_reach = config.v_max * dt
         self.base_reach = config.base_v_max * dt
         self.radius = config.span_max / 2.0
@@ -291,23 +294,18 @@ def step_hand(
     """
     if state.fingers != config.enabled_fingers:
         raise InvalidConfigError("hand state has other fingers than the config enables")
-    for finger in targets:
+    rows, points = [], []
+    for finger, target in targets.items():
         if finger not in state.fingers:
             raise InvalidConfigError(f"target for disabled or unknown finger {finger}")
-    rows = [state.fingers.index(finger) for finger in targets]
-    points = np.array([targets[finger] for finger in targets], dtype=np.float64).reshape(len(rows), 3)
-    tips, (left_x, right_x) = HandMotion(config, geom, dt).step(
-        state.fingertips.tolist(), (state.base_x[LEFT], state.base_x[RIGHT]), rows, points.tolist()
-    )
-    fingertips = np.array(tips, dtype=np.float64).reshape(len(state.fingers), 3)
-    return HandState(fingers=state.fingers, fingertips=_readonly(fingertips), base_x={LEFT: left_x, RIGHT: right_x})
+        if len(target) != 3:
+            raise InvalidConfigError(f"target for {finger} must be 3 numbers, got {target!r}")
+        rows.append(state.fingers.index(finger))
+        points.append(tuple(float(c) for c in target))
+    tips, base = HandMotion(config, geom, dt).step(state.fingertips, state.base, rows, points)
+    return HandState(fingers=state.fingers, fingertips=tuple(tips), base=base)
 
 
 def bases_collide(base: tuple, min_base_gap: float) -> bool:
     """Forearm-collision proxy on ``(left_x, right_x)``: bases closer than min_base_gap."""
     return abs(base[0] - base[1]) < min_base_gap
-
-
-def collision_flag(state: HandState, config: HandConfig) -> bool:
-    """Forearm-collision proxy: hand bases closer than min_base_gap."""
-    return bases_collide((state.base_x[LEFT], state.base_x[RIGHT]), config.min_base_gap)

@@ -7,17 +7,16 @@ the front plane, black keys are set back toward the fallboard and raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, config_number, config_numbers
+from .config import ConfigError, settings_from_mapping, settings_snapshot
 
 KEY_COUNT = 88
 MIN_PITCH = 21
 MAX_PITCH = 108
 WHITE_KEY_COUNT = 52
-BLACK_KEY_COUNT = 36
 
 # pitch classes (pitch mod 12) of the black keys: C#, D#, F#, G#, A#
 _BLACK_PITCH_CLASSES = frozenset({1, 3, 6, 8, 10})
@@ -66,9 +65,9 @@ class KeyboardGeometry:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        for name in ("white_key_width", "white_key_length", "black_key_setback", "black_key_height"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0")
+        for f in fields(self):  # every length but the origin point
+            if not isinstance(f.default, tuple) and getattr(self, f.name) <= 0.0:
+                raise ConfigError(f"{f.name} must be > 0")
         if len(self.origin) != 3:
             raise ConfigError("origin must be a 3D point")
 
@@ -80,24 +79,11 @@ class KeyboardGeometry:
     @classmethod
     def from_mapping(cls, values: dict) -> "KeyboardGeometry":
         """Build from a parsed config dict; unknown keys and non-numbers are rejected."""
-        known = {"white_key_width", "white_key_length", "black_key_setback", "black_key_height", "origin"}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigError(f"unknown geometry keys: {sorted(unknown)}")
-        kwargs = {key: config_number(key, val) for key, val in values.items() if key != "origin"}
-        if "origin" in values:
-            kwargs["origin"] = config_numbers("origin", values["origin"], 3)
-        return cls(**kwargs)
+        return settings_from_mapping(cls, values)
 
     def snapshot(self) -> dict:
         """Flat dict of every dimension, for embedding in output files."""
-        return {
-            "geometry.white_key_width": self.white_key_width,
-            "geometry.white_key_length": self.white_key_length,
-            "geometry.black_key_setback": self.black_key_setback,
-            "geometry.black_key_height": self.black_key_height,
-            "geometry.origin": self.origin,
-        }
+        return settings_snapshot(self, "geometry")
 
 
 # white index of each key, -1 for black keys, computed once

@@ -13,6 +13,7 @@ import math
 import re
 import struct
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter
@@ -129,16 +130,10 @@ def _seconds_at(tick: int, segments: list[tuple[int, float, float]]) -> float:
     """Convert an absolute tick to seconds via tempo segments.
 
     Each segment is (start_tick, start_seconds, seconds_per_tick); segments
-    are sorted by start_tick and the last one extends to infinity.
+    are sorted by start_tick and the last one extends to infinity.  A tick
+    takes the last segment that starts at or before it.
     """
-    lo, hi = 0, len(segments) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if segments[mid][0] <= tick:
-            lo = mid
-        else:
-            hi = mid - 1
-    start_tick, start_sec, sec_per_tick = segments[lo]
+    start_tick, start_sec, sec_per_tick = segments[bisect_right(segments, tick, key=itemgetter(0)) - 1]
     return start_sec + (tick - start_tick) * sec_per_tick
 
 
@@ -244,10 +239,9 @@ def parse_midi(data: bytes) -> MidiSong:
         segments = [(0, 0.0, fixed_sec_per_tick)]
     else:
         tempo_events.sort(key=lambda pair: pair[0])
-        segments = []
         cur_tick, cur_sec = 0, 0.0
         cur_us = _DEFAULT_US_PER_BEAT
-        segments.append((0, 0.0, cur_us / (division * 1e6)))
+        segments = [(0, 0.0, cur_us / (division * 1e6))]
         for t_tick, us in tempo_events:
             cur_sec += (t_tick - cur_tick) * cur_us / (division * 1e6)
             cur_tick = t_tick

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config_number, config_numbers
+from .config import settings_from_mapping, settings_snapshot
 from .midi import DimensionMismatchError
 
 
@@ -84,34 +84,11 @@ class RewardParams:
     @classmethod
     def from_mapping(cls, values: dict) -> "RewardParams":
         """Build from a parsed config dict; unknown keys and non-numbers are rejected."""
-        known = {
-            "threshold",
-            "scale",
-            "alpha_collision",
-            "alpha_energy",
-            "tolerance_bounds",
-            "tolerance_margin",
-            "value_at_margin",
-        }
-        unknown = set(values) - known
-        if unknown:
-            raise InvalidParamsError(f"unknown reward keys: {sorted(unknown)}")
-        error = InvalidParamsError
-        kwargs = {key: config_number(key, val, error) for key, val in values.items() if key != "tolerance_bounds"}
-        if "tolerance_bounds" in values:
-            kwargs["tolerance_bounds"] = config_numbers("tolerance_bounds", values["tolerance_bounds"], 2, error)
-        return cls(**kwargs)
+        return settings_from_mapping(cls, values, InvalidParamsError)
 
     def snapshot(self) -> dict:
-        return {
-            "reward.threshold": self.threshold,
-            "reward.scale": self.scale,
-            "reward.alpha_collision": self.alpha_collision,
-            "reward.alpha_energy": self.alpha_energy,
-            "reward.tolerance_bounds": self.tolerance_bounds,
-            "reward.tolerance_margin": self.tolerance_margin,
-            "reward.value_at_margin": self.value_at_margin,
-        }
+        """Flat dict of every parameter, for embedding in output files."""
+        return settings_snapshot(self, "reward")
 
 
 DEFAULT_PARAMS = RewardParams()

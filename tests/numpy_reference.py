@@ -85,23 +85,22 @@ def step_hand(state: HandState, targets: dict, dt: float, config, geom) -> HandS
     """``otpiano.hand.step_hand`` through the array step."""
     rows = [state.fingers.index(finger) for finger in targets]
     points = np.array([targets[finger] for finger in targets], dtype=np.float64).reshape(len(rows), 3)
-    tips, (left_x, right_x) = HandMotion(config, geom, dt).step(
-        state.fingertips, (state.base_x[LEFT], state.base_x[RIGHT]), rows, points
-    )
-    return HandState(fingers=state.fingers, fingertips=tips, base_x={LEFT: left_x, RIGHT: right_x})
+    tips, base = HandMotion(config, geom, dt).step(np.array(state.fingertips), state.base, rows, points)
+    return HandState(fingers=state.fingers, fingertips=tuple(map(tuple, tips.tolist())), base=base)
 
 
 def solve_step(state: HandState, active: set, geom, best_effort: bool):
     """One step's assignment on the array cost build: (matrix key order, solution)."""
     keys = sorted(active)
     points = np.array([key_press_point(k, geom) for k in keys], dtype=np.float64)
-    matrix = CostMatrix(costs=key_distances(points, state.fingertips), key_ids=tuple(keys), finger_ids=state.fingers)
+    costs = key_distances(points, np.array(state.fingertips))
+    matrix = CostMatrix(costs=costs, key_ids=tuple(keys), finger_ids=state.fingers)
     return matrix, solve_assignment(matrix, best_effort=best_effort)
 
 
 def hand_spread(state: HandState, hand: str) -> float:
     """Max pairwise fingertip distance within one hand."""
-    pts = state.fingertips[[i for i, f in enumerate(state.fingers) if f.hand == hand]]
+    pts = np.array(state.fingertips)[[i for i, f in enumerate(state.fingers) if f.hand == hand]]
     if len(pts) < 2:
         return 0.0
     diff = pts[:, None, :] - pts[None, :, :]

@@ -29,7 +29,7 @@ from otpiano.hand import (
     RIGHT,
     FingerId,
     HandConfig,
-    collision_flag,
+    bases_collide,
     init_hands,
     step_hand,
 )
@@ -163,7 +163,7 @@ def _reference_rollout(goals, hands, best_effort):
         for key, finger in pairs:
             reach = np.linalg.norm(state.fingertip(finger) - np.asarray(targets[finger]))
             pressed[t, key] = reach < DEFAULT_PARAMS.threshold
-        steps.append((pairs, distance, dropped, collision_flag(state, hands)))
+        steps.append((pairs, distance, dropped, bases_collide(state.base, hands.min_base_gap)))
         trace[t] = reference.fingertip_slots(state)
     return steps, trace, pressed
 

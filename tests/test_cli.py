@@ -259,6 +259,23 @@ def test_annotate_rejects_bad_flags(song_dir, tmp_path):
     out = tmp_path / "out"
     assert main(["annotate", "--midi", str(song_dir), "--out", str(out), "--dt", "0"]) == 2
     assert main(["annotate", "--midi", str(song_dir), "--out", str(out), "--lookahead", "-1"]) == 2
+    for flag in ("--dt", "--stretch"):
+        for value in ("nan", "inf"):
+            assert main(["annotate", "--midi", str(song_dir), "--out", str(out), flag, value]) == 2
+    assert not out.exists()
+
+
+def test_rest_offset_override_is_recorded(song_dir, tmp_path):
+    headers, configs = [], []
+    for name, text in (("plain", ""), ("moved", "rest_offset.L1 = 0.01 0 0\n")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        out = tmp_path / name
+        assert _annotate(song_dir, out, "--embodiment", str(config)) == 0
+        headers.append([line for line in (out / "line.annotation.txt").read_text().splitlines() if line.startswith("#")])
+        configs.append(load_episode(out / "line.ep000.rp1t").meta["config"])
+    assert [line for line in headers[1] if line not in headers[0]] == ["# hand.rest_offset.L1 = (0.01, 0.0, 0.0)"]
+    assert configs[1] == {**configs[0], "hand.rest_offset.L1": "(0.01, 0.0, 0.0)"}
 
 
 def test_eval_pig_agreement(song_dir, tmp_path, capsys):

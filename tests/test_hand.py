@@ -15,7 +15,7 @@ from otpiano.hand import (
     HandMotion,
     HandState,
     InvalidConfigError,
-    collision_flag,
+    bases_collide,
     init_hands,
     step_hand,
 )
@@ -26,16 +26,16 @@ GEOM = KeyboardGeometry()
 
 def test_default_init_ten_fingertips_symmetric():
     state = init_hands(HandConfig.default(), GEOM)
-    assert state.fingertips.shape == (10, 3)
+    assert np.shape(state.fingertips) == (10, 3)
     center = GEOM.width / 2.0
-    assert state.fingertips[:, 0].mean() == pytest.approx(center)
-    assert state.base_x[LEFT] == pytest.approx(GEOM.width / 3.0)
-    assert state.base_x[RIGHT] == pytest.approx(2.0 * GEOM.width / 3.0)
+    assert np.array(state.fingertips)[:, 0].mean() == pytest.approx(center)
+    assert state.base[0] == pytest.approx(GEOM.width / 3.0)
+    assert state.base[1] == pytest.approx(2.0 * GEOM.width / 3.0)
 
 
 def test_four_finger_variant_has_eight_fingertips():
     state = init_hands(HandConfig.four_finger(), GEOM)
-    assert state.fingertips.shape == (8, 3)
+    assert np.shape(state.fingertips) == (8, 3)
     assert all(f.digit != 5 for f in state.fingers)
 
 
@@ -62,7 +62,7 @@ def test_speed_cap_limits_travel():
     finger = FingerId(LEFT, 3)
     target = state.fingertip(finger) + np.array([0.0, 5.0, 0.0])
     after = step_hand(state, {finger: target}, 0.05, config, GEOM)
-    moved = np.linalg.norm(after.fingertip(finger) - state.fingertip(finger))
+    moved = np.linalg.norm(np.subtract(after.fingertip(finger), state.fingertip(finger)))
     assert moved == pytest.approx(config.v_max * 0.05)
 
 
@@ -70,12 +70,11 @@ def test_no_assignment_relaxes_to_rest():
     config = HandConfig.default()
     rest = init_hands(config, GEOM)
     # perturb one fingertip, then relax with no targets
-    tips = rest.fingertips.copy()
-    tips[0] += (0.03, 0.05, 0.02)
-    state = HandState(fingers=rest.fingers, fingertips=tips, base_x=dict(rest.base_x))
+    tips = (tuple(np.add(rest.fingertips[0], (0.03, 0.05, 0.02)).tolist()), *rest.fingertips[1:])
+    state = HandState(fingers=rest.fingers, fingertips=tips, base=rest.base)
     for _ in range(5):
         state = step_hand(state, {}, 0.05, config, GEOM)
-    assert np.allclose(state.fingertips, rest.fingertips, atol=1e-12)
+    assert np.allclose(np.array(state.fingertips), np.array(rest.fingertips), atol=1e-12)
 
 
 def test_span_projection_bounds_spread():
@@ -117,7 +116,7 @@ def test_step_kernel_matches_numpy_reference(data):
     else:  # near the rest pose, where the span limit mostly holds
         jitter = st.floats(-0.01, 0.01)
         tips = [
-            tuple(c + data.draw(jitter) for c in tip) for tip in init_hands(config, GEOM).fingertips.tolist()
+            tuple(c + data.draw(jitter) for c in tip) for tip in init_hands(config, GEOM).fingertips
         ]
     base = data.draw(st.tuples(_COORD, _COORD))
     rows = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
@@ -138,13 +137,13 @@ def test_step_kernel_matches_numpy_reference_under_span_clamp(pull, steps, lift)
     config = HandConfig.default()
     state = init_hands(config, GEOM)
     rows = [config.enabled_fingers.index(FingerId(RIGHT, 1)), config.enabled_fingers.index(FingerId(RIGHT, 5))]
-    tips = list(map(tuple, state.fingertips.tolist()))
+    tips = list(state.fingertips)
     targets = [(tips[rows[0]][0] - pull, lift, 0.0), (tips[rows[1]][0] + pull, -0.0, lift)]
-    base = (state.base_x[LEFT], state.base_x[RIGHT])
+    base = state.base
     for _ in range(steps):
         tips, base = _assert_step_matches_reference(config, 0.05, tips, base, rows, targets)
         assert tuple(tips[rows[0]]) != targets[0]  # held back by the clamp
-    assert reference.hand_spread(HandState(config.enabled_fingers, np.array(tips), {}), RIGHT) <= config.span_max + 1e-12
+    assert reference.hand_spread(HandState(config.enabled_fingers, tuple(tips), base), RIGHT) <= config.span_max + 1e-12
 
 
 def test_step_is_deterministic():
@@ -155,8 +154,8 @@ def test_step_is_deterministic():
     for _ in range(7):
         a = step_hand(a, target, 0.05, config, GEOM)
         b = step_hand(b, target, 0.05, config, GEOM)
-    assert a.fingertips.tobytes() == b.fingertips.tobytes()
-    assert a.base_x == b.base_x
+    assert np.array(a.fingertips).tobytes() == np.array(b.fingertips).tobytes()
+    assert a.base == b.base
 
 
 def test_disabling_preserves_remaining_motion_when_unconstrained():
@@ -176,8 +175,8 @@ def test_base_stays_without_targets_for_that_hand():
     config = HandConfig.default()
     state = init_hands(config, GEOM)
     after = step_hand(state, {FingerId(RIGHT, 1): (1.0, 0.0, 0.0)}, 0.05, config, GEOM)
-    assert after.base_x[LEFT] == state.base_x[LEFT]
-    assert after.base_x[RIGHT] != state.base_x[RIGHT]
+    assert after.base[0] == state.base[0]
+    assert after.base[1] != state.base[1]
 
 
 def test_target_on_disabled_finger_rejected():
@@ -187,19 +186,15 @@ def test_target_on_disabled_finger_rejected():
         step_hand(state, {FingerId(RIGHT, 5): (0.5, 0.0, 0.0)}, 0.05, config, GEOM)
     with pytest.raises(InvalidConfigError):  # a state of another embodiment
         step_hand(state, {}, 0.05, HandConfig.default(), GEOM)
-
-
-def _state_with_bases(left_x, right_x):
-    config = HandConfig.default()
-    state = init_hands(config, GEOM)
-    return HandState(fingers=state.fingers, fingertips=state.fingertips, base_x={LEFT: left_x, RIGHT: right_x})
+    with pytest.raises(InvalidConfigError):  # not a 3D point
+        step_hand(state, {FingerId(RIGHT, 1): (0.5, 0.0)}, 0.05, config, GEOM)
 
 
 def test_collision_flag_boundaries():
-    config = HandConfig.default()  # min_base_gap = 0.10
-    assert collision_flag(_state_with_bases(0.0, 0.5), config) is False
-    assert collision_flag(_state_with_bases(0.0, 0.05), config) is True
-    assert collision_flag(_state_with_bases(0.0, 0.10), config) is False  # strict inequality
+    gap = HandConfig.default().min_base_gap  # 0.10
+    assert bases_collide((0.0, 0.5), gap) is False
+    assert bases_collide((0.0, 0.05), gap) is True
+    assert bases_collide((0.0, 0.10), gap) is False  # strict inequality
 
 
 def test_config_validation():
