@@ -2,12 +2,13 @@
 
 Rolls the hand surrogate through a goal sequence one control step at a
 time: build the fingertip-to-key cost matrix from the current hand state,
-solve the assignment, record the chosen pairs and their total moving
-distance, then advance the hands toward the assigned press points.
-Fingering therefore adapts to wherever the hands actually are, step by
-step.  Songs are scored once and chunked into fixed-length episodes
-afterwards; each episode's trajectory record is sliced from the song's
-arrays.
+solve the assignment, record the chosen fingers and their total moving
+distance, then advance the hands toward the assigned press points and
+record their new state.  Fingering therefore adapts to wherever the hands
+actually are.  Dropped keys, the fingertip trace, collisions and reached
+keys are read off those records after the rollout.  Songs are scored
+once and chunked into fixed-length episodes afterwards; each episode's
+trajectory record is sliced from the song's arrays.
 
 The rollout runs on Python floats (``key_distances`` and
 ``HandMotion.step``), which match their numpy forms bit for bit.  A step
@@ -124,17 +125,16 @@ def annotate_song(
     the dropped keys.  The whole rollout is deterministic.
     """
     state = init_hands(hands, geom)
-    n_fingers = len(state.fingers)
     slot_index = [ALL_FINGERS.index(finger) for finger in state.fingers]  # ascending, so rows are in slot order
     layout = struct.Struct("".join("3d" if slot in slot_index else "24x" for slot in range(10)) + "2d")
-    row_size = layout.size - 16  # a trace row: the state without the bases
 
     def state_of(tips: list, base: tuple) -> bytes:
         """Fingertips in the trace's slot layout (disabled slots zero), then the bases."""
         return layout.pack(*itertools.chain.from_iterable(tips), *base)
 
     motion = HandMotion(hands, geom, goals.dt)
-    press_points = press_point_table(geom).tolist()
+    press_table = press_point_table(geom)
+    press_points = press_table.tolist()
     tips, base = state.fingertips, state.base
     state_bytes = state_of(tips, base)
     T = len(goals)
@@ -142,9 +142,7 @@ def annotate_song(
     ends = np.cumsum(np.bincount(key_steps, minlength=T)).tolist()
     key_list = key_list.tolist()
     finger = array("b", [NO_FINGER]) * (T * KEY_COUNT)
-    pressed = array("b", [0]) * (T * KEY_COUNT)
-    trace = bytearray(T * row_size)
-    distance, collision = array("d"), array("b")
+    distance, states = array("d"), bytearray()
     previous, unmoved, start = None, False, 0
     for t, end in enumerate(ends):
         active = key_list[start:end]
@@ -153,44 +151,38 @@ def annotate_song(
         if unmoved and active == previous:
             # same keys, fingertips and bases as step t - 1: repeat its outputs
             finger[row : row + KEY_COUNT] = finger[row - KEY_COUNT : row]
-            pressed[row : row + KEY_COUNT] = pressed[row - KEY_COUNT : row]
-            trace[t * row_size : (t + 1) * row_size] = state_bytes[:row_size]
             distance.append(distance[-1])
-            collision.append(collision[-1])
+            states += state_bytes
             continue
         previous = active
-        total = 0.0
-        if active:
-            if len(active) > n_fingers and not best_effort:
-                raise InfeasibleStepError(t, len(active), n_fingers)
-            points = [press_points[key] for key in active]
-            solved, total, dropped_rows = solve_cost_rows(key_distances(points, tips), best_effort)
-            targets = [points[r] for r, _ in solved]
-            tips, base = motion.step(tips, base, [c for _, c in solved], targets)
-            for (r, c), (px, py, pz) in zip(solved, targets):
-                x, y, z = tips[c]
-                dx = x - px
-                dy = y - py
-                dz = z - pz
-                finger[row + active[r]] = slot_index[c]
-                pressed[row + active[r]] = math.sqrt((dx * dx + dy * dy) + dz * dz) < params.threshold
-            for r in dropped_rows:
-                finger[row + active[r]] = DROPPED
-        else:
-            tips, base = motion.step(tips, base, [], [])
+        if len(active) > len(state.fingers) and not best_effort:
+            raise InfeasibleStepError(t, len(active), len(state.fingers))
+        points = [press_points[key] for key in active]
+        solved, total, _ = solve_cost_rows(key_distances(points, tips), best_effort) if active else ((), 0.0, ())
+        for r, c in solved:
+            finger[row + active[r]] = slot_index[c]
+        tips, base = motion.step(tips, base, [c for _, c in solved], [points[r] for r, _ in solved])
         distance.append(total)
-        collision.append(bases_collide(base, hands.min_base_gap))
         next_bytes = state_of(tips, base)
         unmoved = next_bytes == state_bytes  # bitwise: -0.0 and 0.0 stay distinct
         state_bytes = next_bytes
-        trace[t * row_size : (t + 1) * row_size] = state_bytes[:row_size]
+        states += state_bytes
 
+    # what the rollout implies, read off its cells and state rows: dropped keys, trace, reached keys
+    finger = np.frombuffer(finger, dtype=np.int8).reshape(T, KEY_COUNT)
+    finger[goals.keys & (finger == NO_FINGER)] = DROPPED  # active keys that best-effort mode left out
+    states = np.frombuffer(states, dtype=np.float64).reshape(T, 32)  # ten fingertip points, then the two bases
+    trace = states[:, :30].reshape(T, 10, 3)
+    steps, keys = np.nonzero(finger >= 0)
+    offset = trace[steps, finger[steps, keys]] - press_table[keys]
+    pressed = np.zeros((T, KEY_COUNT), dtype=bool)
+    pressed[steps, keys] = np.sqrt(np.sum(offset * offset, axis=1)) < params.threshold  # summed as key_distances
     arrays = dict(
-        finger=np.frombuffer(finger, dtype=np.int8).reshape(T, KEY_COUNT),
+        finger=finger,
         distance=np.frombuffer(distance, dtype=np.float64),
-        collision=np.frombuffer(collision, dtype=bool),
-        fingertip_trace=np.frombuffer(trace, dtype=np.float64).reshape(T, 10, 3),
-        pressed=np.frombuffer(pressed, dtype=bool).reshape(T, KEY_COUNT),
+        collision=bases_collide(states[:, 30:].T, hands.min_base_gap),
+        fingertip_trace=trace,
+        pressed=pressed,
     )
     for values in arrays.values():
         values.flags.writeable = False

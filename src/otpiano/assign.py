@@ -12,7 +12,9 @@ duals of the columns it leaves uncovered.  A greedy pass over the rows
 therefore finds the lexicographic optimum by re-routing the solved
 matching along one shortest path over tight edges, without another float
 solve; one extra search node stands for every unassigned column, as in
-the square reduction of the rectangular problem.  An exhaustive
+the square reduction of the rectangular problem.  A tie exactly one
+tolerance above the optimum is decided by float summation order and can
+keep a later column (see _lexicographic_optimum).  An exhaustive
 enumerator over all injective mappings serves as the independent oracle
 for small chords.
 """
@@ -207,7 +209,9 @@ def _lexicographic_optimum(cost: list, col4row: list, u: list, v: list) -> list:
     current one are tried in ascending order: the cheapest re-routing of
     the matching onto that column (see _reroute) is taken if the total
     stays within ``eps``.  Otherwise the row keeps its current column,
-    which always does; rows before it stay fixed.
+    which always does; rows before it stay fixed.  The bound is a float
+    sum, so summation order decides a tie exactly ``eps`` above the optimum
+    and can keep a later column (test_resolving_reference_returns_its_best_candidate_on_exact_tolerance_sums).
     """
     n_rows = len(cost)
     eps = _TIE_RTOL * max(1.0, max(map(max, cost)))  # costs are >= 0

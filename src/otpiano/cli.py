@@ -204,7 +204,8 @@ def cmd_annotate(args) -> int:
         for p in paths
     ]
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # under fork every worker starts at the first submit: start no more than there are songs
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_process_song, tasks))
     else:
         results = [_process_song(t) for t in tasks]
@@ -238,6 +239,9 @@ def cmd_eval(args) -> int:
         return 2
 
     if args.episodes is not None:
+        if not 0.0 < args.press_threshold <= 1.0:  # key depths lie in [0, 1]; nan fails this too
+            print(f"press-threshold must lie in (0, 1], got {args.press_threshold}", file=sys.stderr)
+            return 2
         directory = Path(args.episodes)
         if not directory.is_dir():
             print(f"not a directory: {directory}", file=sys.stderr)

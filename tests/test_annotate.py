@@ -196,6 +196,11 @@ def test_rollout_matches_reference_loop(hands, best_effort, max_keys):
         assert (goals.keys.sum(axis=1) > len(hands.enabled_fingers)).any()
     annotation = annotate_song(goals, hands, GEOM, best_effort=best_effort)
     steps, trace, pressed = _reference_rollout(goals, hands, best_effort)
+    # both values of each derived array occur, so the comparison below covers both
+    collided = np.array([collision for *_, collision in steps])
+    assigned = annotation.finger >= 0
+    assert collided.any() and not collided.all()
+    assert (assigned & pressed).any() and (assigned & ~pressed).any()
     assert _steps(annotation) == steps
     assert annotation.fingertip_trace.tobytes() == trace.tobytes()
     assert np.array_equal(annotation.pressed, pressed)
@@ -511,6 +516,26 @@ def test_annotation_text_best_effort_markers():
 def test_parse_annotation_text_rejects_bad_cells(distance, cell):
     with pytest.raises(ValueError):
         parse_annotation_text(f"0\t{distance}\t{cell}\n")
+
+
+@pytest.mark.parametrize("min_base_gap, collided", [(1.0, True), (0.0, False)])
+def test_collision_follows_min_base_gap(min_base_gap, collided):
+    # the bases start, and move only toward press points, between keys 20 and 70
+    # (x = 0.28 to 0.94 m), so they stay under 1 m apart; no gap is below 0
+    goals = _sequence([{30, 50}, set(), {39, 41}, {20, 60, 70}] * 3)
+    annotation = annotate_song(goals, HandConfig(min_base_gap=min_base_gap), GEOM)
+    assert annotation.collision.tolist() == [collided] * len(goals)
+
+
+def test_far_key_is_pressed_once_its_fingertip_arrives():
+    goals = _sequence([{87}] * 8)
+    annotation = annotate_song(goals, HANDS, GEOM)
+    assert (annotation.finger[:, 87] >= 0).all()
+    reached = annotation.pressed[:, 87].tolist()
+    assert not reached[0] and reached[-1]
+    assert reached == sorted(reached)  # unreached until the speed cap lets it arrive, then held
+    slot = annotation.finger[-1, 87]
+    assert np.linalg.norm(annotation.fingertip_trace[-1, slot] - key_press_point(87, GEOM)) < DEFAULT_PARAMS.threshold
 
 
 def test_fingertip_trace_shape():

@@ -80,6 +80,28 @@ def test_parallel_run_is_content_identical(song_dir, tmp_path):
         assert (parallel / path.name).read_bytes() == path.read_bytes()
 
 
+def test_annotate_starts_no_more_workers_than_songs(song_dir, tmp_path, monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so no worker starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert _annotate(song_dir, tmp_path / "out", "--jobs", "64") == 0
+    assert sizes == [2]
+
+
 def test_annotate_strict_failure_lists_song(tmp_path, capsys):
     midi_dir = tmp_path / "midi"
     midi_dir.mkdir()
@@ -243,6 +265,16 @@ def test_eval_episodes(song_dir, tmp_path, capsys):
     assert lines[0] == "song,precision,recall,f1"
     assert len(lines) == 4  # two songs plus the corpus-level row
     assert lines[-1].startswith("OVERALL,")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_eval_rejects_press_threshold_outside_unit_interval(song_dir, tmp_path, capsys, threshold):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    capsys.readouterr()
+    assert main(["eval", "--episodes", str(out), "--press-threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert "press-threshold" in captured.err and not captured.out
 
 
 def test_eval_rewards_csv(song_dir, tmp_path):
