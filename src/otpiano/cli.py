@@ -1,8 +1,8 @@
 """Batch command-line frontend: annotate songs, evaluate rollouts, corpus stats.
 
 Subcommands write files and text/CSV reports for downstream programs; there
-is no interactive mode.  Exit codes: 0 success, 1 some songs failed (each
-is reported and leaves no files), 2 unusable inputs.
+is no interactive mode.  Exit codes: 0 success, 1 failed songs (each reported,
+leaving no files) or an infeasible debug-assign chord, 2 an unusable input or output path.
 """
 
 from __future__ import annotations
@@ -49,6 +49,17 @@ from .store import EPISODE_SUFFIX, csv_cell, iter_episodes, reward_rows, rewards
 _MIDI_SUFFIXES = (".mid", ".midi")
 
 
+class UsageError(Exception):
+    """An unusable input or output path: ``main`` prints the message and exits 2."""
+
+
+def _write_report(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_settings(cls, path):
     """``cls`` read from a config file, or its defaults without one."""
     if path is None:
@@ -68,7 +79,7 @@ def _load_embodiment(spec: str) -> HandConfig:
 
 def _midi_paths(root: Path) -> list:
     if root.is_dir():
-        return sorted(p for p in root.iterdir() if p.suffix.lower() in _MIDI_SUFFIXES)
+        return sorted(p for p in root.iterdir() if p.suffix.lower() in _MIDI_SUFFIXES and p.is_file())
     return [root]
 
 
@@ -158,34 +169,28 @@ def _process_song(task: dict) -> dict:
 def cmd_annotate(args) -> int:
     midi = Path(args.midi)
     if not midi.exists():
-        print(f"no such MIDI file or directory: {midi}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no such MIDI file or directory: {midi}")
     paths = _midi_paths(midi)
     if not paths:
-        print(f"no MIDI files under {args.midi}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no MIDI files under {args.midi}")
     stems = Counter(p.stem for p in paths)
     clashes = [p.name for p in paths if stems[p.stem] > 1]
     if clashes:
-        print(f"songs would write over each other's outputs: {', '.join(clashes)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"songs would write over each other's outputs: {', '.join(clashes)}")
     finite = 0 < args.dt < math.inf and 0 < args.stretch < math.inf
     if not finite or args.episode_len <= 0 or args.lookahead < 0 or args.jobs < 1:
-        print("dt, stretch and episode-len must be positive and finite; lookahead >= 0; jobs >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("dt, stretch and episode-len must be positive and finite; lookahead >= 0; jobs >= 1")
     try:
         geom = _load_settings(KeyboardGeometry, args.geometry)
         hands = _load_embodiment(args.embodiment)
         params = _load_settings(RewardParams, args.reward_config)
     except (OSError, ValueError) as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad configuration: {exc}") from exc
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot create output directory {out_dir}: {exc}") from exc
     tasks = [
         {
             "path": str(p),
@@ -235,17 +240,14 @@ def cmd_annotate(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.episodes is None and not (args.pig_ours and args.pig_human):
-        print("eval needs --episodes or both --pig-ours and --pig-human", file=sys.stderr)
-        return 2
+        raise UsageError("eval needs --episodes or both --pig-ours and --pig-human")
 
     if args.episodes is not None:
         if not 0.0 < args.press_threshold <= 1.0:  # key depths lie in [0, 1]; nan fails this too
-            print(f"press-threshold must lie in (0, 1], got {args.press_threshold}", file=sys.stderr)
-            return 2
+            raise UsageError(f"press-threshold must lie in (0, 1], got {args.press_threshold}")
         directory = Path(args.episodes)
         if not directory.is_dir():
-            print(f"not a directory: {directory}", file=sys.stderr)
-            return 2
+            raise UsageError(f"not a directory: {directory}")
         # read each container once and keep only its key rows and reward lines
         by_song: dict = {}
         reward_lines = []
@@ -256,11 +258,9 @@ def cmd_eval(args) -> int:
                 if args.rewards_csv:
                     reward_lines += reward_rows(rec)
         except (OSError, ValueError) as exc:
-            print(f"cannot read episodes: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot read episodes: {exc}") from exc
         if not by_song:
-            print(f"no episode files under {directory}", file=sys.stderr)
-            return 2
+            raise UsageError(f"no episode files under {directory}")
         rows, traces = [], []
         for song in sorted(by_song):
             traces.append(tuple(np.concatenate(part) for part in zip(*by_song[song])))
@@ -275,22 +275,20 @@ def cmd_eval(args) -> int:
         if args.csv:
             lines = ["song,precision,recall,f1"]
             lines += [f"{csv_cell(s)},{p!r},{r!r},{v!r}" for s, p, r, v in rows]
-            Path(args.csv).write_text(eval_snapshot + "\n".join(lines) + "\n", encoding="utf-8")
+            _write_report(args.csv, eval_snapshot + "\n".join(lines) + "\n")
         if args.rewards_csv:
-            Path(args.rewards_csv).write_text(eval_snapshot + rewards_csv(reward_lines), encoding="utf-8")
+            _write_report(args.rewards_csv, eval_snapshot + rewards_csv(reward_lines))
         return 0
 
     try:
         ours = load_pig(args.pig_ours)
         reference = load_pig(args.pig_human)
     except (OSError, ValueError) as exc:
-        print(f"cannot read PIG file: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read PIG file: {exc}") from exc
     try:
         result = fingering_agreement(ours, reference, onset_tolerance=args.onset_tolerance)
     except ValueError as exc:
-        print(f"agreement undefined: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"agreement undefined: {exc}") from exc
     print(
         f"agreement={result.agreement:.6f}\tmatched={result.matched}"
         f"\tunmatched_ours={result.unmatched_ours}\tunmatched_human={result.unmatched_reference}"
@@ -306,8 +304,7 @@ def cmd_eval(args) -> int:
 def cmd_stats(args) -> int:
     directory = Path(args.input)
     if not directory.is_dir():
-        print(f"not a directory: {directory}", file=sys.stderr)
-        return 2
+        raise UsageError(f"not a directory: {directory}")
     sources = []
     f1_scores = []
     chunks = {}  # song without a goal file -> (chunk, goal keys) of each of its episodes
@@ -332,11 +329,9 @@ def cmd_stats(args) -> int:
             parts = sorted(chunks[song], key=lambda part: part[0])
             sources.append(GoalSequence(np.concatenate([keys for _, keys in parts])))
     except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot read inputs: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read inputs: {exc}") from exc
     if not sources:
-        print(f"no goal or episode files under {directory}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no goal or episode files under {directory}")
     stats = dataset_stats(sources, f1_scores=f1_scores or None, count_mode=args.count_mode)
 
     print(f"pieces: {len(stats.active_key_counts)}")
@@ -352,7 +347,7 @@ def cmd_stats(args) -> int:
         for key, count in enumerate(stats.key_histogram):
             color = "black" if is_black(key) else "white"
             lines.append(f"{key},{pitch_for_key(key)},{color},{count}")
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_report(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -368,11 +363,9 @@ def cmd_debug_assign(args) -> int:
         geom = _load_settings(KeyboardGeometry, args.geometry)
         hands = _load_embodiment(args.embodiment)
     except (OSError, ValueError) as exc:
-        print(f"bad inputs: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad inputs: {exc}") from exc
     if not keys:
-        print("need at least one pitch", file=sys.stderr)
-        return 2
+        raise UsageError("need at least one pitch")
     state = init_hands(hands, geom)
     matrix = build_cost_matrix(state.fingertips, state.fingers, keys, geom)
     try:
@@ -458,7 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

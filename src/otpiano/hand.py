@@ -211,7 +211,7 @@ class HandMotion:
     def __init__(self, config: HandConfig, geom: KeyboardGeometry, dt: float):
         fingers = config.enabled_fingers
         self.is_left = tuple(finger.hand == LEFT for finger in fingers)
-        # finger rows of the left hand, then of the right hand
+        # finger rows of the left hand, then of the right hand; neither is empty, since a digit stays enabled
         self.hand_rows = tuple(
             tuple(i for i, finger in enumerate(fingers) if finger.hand == hand) for hand in (LEFT, RIGHT)
         )
@@ -262,8 +262,6 @@ class HandMotion:
         # span projection per hand: clamp into ball of radius span_max/2 around centroid
         radius = self.radius
         for idx in self.hand_rows:
-            if not idx:
-                continue
             cx = cy = cz = 0.0
             for i in idx:
                 x, y, z = new_tips[i]

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import episode_with_raw_meta, golden_songs, simple_song
+from conftest import episode_with_raw_meta, golden_songs, midi_bytes, note_off, note_on, set_tempo, simple_song
 from otpiano import cli
 from otpiano.cli import main
 from otpiano.store import EpisodeRecord, load_episode, save_episode
@@ -248,6 +248,68 @@ def test_annotate_rejects_songs_sharing_a_stem(song_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line.MIDI" in err and "line.mid" in err and "chord" not in err
     assert not out.exists()
+
+
+def test_annotate_skips_directories_named_like_songs(song_dir, tmp_path, capsys):
+    # neither a song of its own nor a stem clash with line.mid
+    (song_dir / "sub.mid").mkdir()
+    (song_dir / "line.MIDI").mkdir()
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    assert "FAIL" not in capsys.readouterr().err
+    assert {path.name.split(".")[0] for path in out.iterdir()} == {"line", "chord"}
+
+
+def test_annotate_one_midi_file(song_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["annotate", "--midi", str(song_dir / "line.mid"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("line\tsteps=")
+    assert {path.name.split(".")[0] for path in out.iterdir()} == {"line"}
+
+
+def test_annotate_notes_midi_problems_and_succeeds(tmp_path, capsys):
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    # pitch 60 is never released
+    events = [(0, set_tempo(500000)), (0, note_on(0, 60)), (480, note_on(0, 64)), (480, note_off(0, 64))]
+    (midi_dir / "hanging.mid").write_bytes(midi_bytes([events]))
+    assert _annotate(midi_dir, tmp_path / "out") == 0
+    captured = capsys.readouterr()
+    assert "hanging\tsteps=" in captured.out
+    assert "  note: track 0: note-on without note-off (pitch 60, tick 0)\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["stats", "--in", "{tmp}/early.pig"], "not a directory"),
+        (["eval", "--pig-ours", "{tmp}/early.pig", "--pig-human", "{tmp}/late.pig"], "agreement undefined"),
+        (["debug-assign", "--pitches", ","], "need at least one pitch"),
+    ],
+    ids=["stats-in-file", "pig-without-match", "no-pitch"],
+)
+def test_unusable_inputs_exit_2(tmp_path, capsys, argv, message):
+    # the only notes of the two PIG files lie 2 s apart, so no note matches
+    (tmp_path / "early.pig").write_text("0\t0.0\t0.5\tC4\t80\t80\t0\t1\n")
+    (tmp_path / "late.pig").write_text("0\t2.0\t2.5\tC4\t80\t80\t0\t1\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and not captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--episodes", "{out}", "--csv"], ["eval", "--episodes", "{out}", "--rewards-csv"], ["stats", "--in", "{out}", "--csv"]],
+    ids=["eval-csv", "eval-rewards-csv", "stats-csv"],
+)
+def test_unwritable_report_exits_2(song_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    capsys.readouterr()
+    target = tmp_path / "missing" / "report.csv"
+    assert main([*(arg.format(out=out) for arg in argv), str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_eval_episodes(song_dir, tmp_path, capsys):
