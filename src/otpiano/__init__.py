@@ -16,7 +16,6 @@ from .annotate import (
     Episode,
     FingeringAnnotation,
     InfeasibleStepError,
-    UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
     build_episode_record,

@@ -62,10 +62,6 @@ class InfeasibleStepError(InfeasibleError):
         self.n_fingers = n_fingers
 
 
-class UnlabeledNoteError(ValueError):
-    """A note has no finger label (dropped in best-effort mode)."""
-
-
 NO_FINGER = -1  # ``FingeringAnnotation.finger`` cell of a key without a finger
 DROPPED = -2  # cell of an active key that best-effort mode left out
 _LABELS = {DROPPED: "-", **{slot: finger.label() for slot, finger in enumerate(ALL_FINGERS)}}
@@ -299,18 +295,15 @@ def annotation_to_pig(
     notes,
     stretch: float = DEFAULT_STRETCH,
     trim_silence: bool = True,
-    on_unlabeled: str = "error",
 ) -> list:
     """Label each note onset with the finger assigned at its first step.
 
     The notes and the stretch/trim settings must match the discretization
     the annotation was produced from.  Right-hand fingers become positive
     digits on channel 0, left-hand fingers negative digits on channel 1.
-    A note without a label (dropped in best-effort mode, or off-keyboard)
-    raises UnlabeledNoteError, or is skipped with ``on_unlabeled="skip"``.
+    A note without a finger is skipped: a key best-effort mode dropped, a
+    pitch off the keyboard, or a note that covers no step of the annotation.
     """
-    if on_unlabeled not in ("error", "skip"):
-        raise ValueError("on_unlabeled must be 'error' or 'skip'")
     notes = sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
     # same playable-note shift as discretize, so step indices line up
     shift = trim_shift(notes, stretch) if (trim_silence and notes) else 0.0
@@ -322,8 +315,6 @@ def annotation_to_pig(
         if 0 <= first < len(annotation) and MIN_PITCH <= note.pitch <= MAX_PITCH:
             slot = annotation.finger[first, key_for_pitch(note.pitch)]
         if slot < 0:
-            if on_unlabeled == "error":
-                raise UnlabeledNoteError(f"note pitch {note.pitch} at {note.onset:.3f}s has no finger label")
             continue
         finger = ALL_FINGERS[slot]
         digit = finger.digit if finger.hand != LEFT else -finger.digit

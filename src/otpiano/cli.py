@@ -1,7 +1,10 @@
 """Batch command-line frontend: annotate songs, evaluate rollouts, corpus stats.
 
 Subcommands write files and text/CSV reports for downstream programs; there
-is no interactive mode.  Exit codes: 0 success, 1 failed songs (each reported,
+is no interactive mode.  ``annotate`` replaces each song's files in ``--out``
+as a set and prints the song's MIDI problems, off-keyboard notes included, as
+``note:`` lines; ``eval`` and ``stats`` check their report paths before they
+read any input.  Exit codes: 0 success, 1 failed songs (each reported,
 leaving no files) or an infeasible debug-assign chord, 2 an unusable input or output path.
 """
 
@@ -47,10 +50,20 @@ from .reward import RewardParams
 from .store import EPISODE_SUFFIX, csv_cell, iter_episodes, reward_rows, rewards_csv, save_episode, score_csv
 
 _MIDI_SUFFIXES = (".mid", ".midi")
+_SONG_SUFFIXES = (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt")  # besides .epNNN containers
 
 
 class UsageError(Exception):
     """An unusable input or output path: ``main`` prints the message and exits 2."""
+
+
+def _check_report_paths(*paths) -> None:
+    """Refuse, before any input is read, a report path that cannot be a file in an existing directory."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise UsageError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise UsageError(f"cannot write {path}: {path.parent} is not a directory")
 
 
 def _write_report(path, text: str) -> None:
@@ -95,8 +108,11 @@ def _snapshot_comments(snapshot: dict) -> list:
 def _process_song(task: dict) -> dict:
     """Annotate one MIDI file and write all outputs; returns a summary dict.
 
-    Any failure becomes an ``error`` entry and removes the files the song
-    had already started to write.
+    The files an earlier run wrote for the song's stem are deleted first, so
+    afterwards the song's files in the output directory are exactly this
+    run's.  Any failure becomes an ``error`` entry and removes the files the
+    song had already started to write.  ``problems`` lists the song's
+    ``MidiSong.problems``, off-keyboard notes included.
     """
     path = Path(task["path"])
     out_dir = Path(task["out"])
@@ -111,6 +127,13 @@ def _process_song(task: dict) -> dict:
         return written[-1]
 
     try:
+        # a re-run replaces the song's files as a set: delete what an earlier run wrote, found by name
+        for suffix in _SONG_SUFFIXES:
+            (out_dir / f"{stem}{suffix}").unlink(missing_ok=True)
+        index = 0
+        while (stale := out_dir / f"{stem}.ep{index:03d}{EPISODE_SUFFIX}").exists():
+            stale.unlink()
+            index += 1
         song = load_midi(path)
         goals = discretize(
             song.notes,
@@ -129,21 +152,12 @@ def _process_song(task: dict) -> dict:
             "run.best_effort": task["best_effort"],
         }
         comments = _snapshot_comments(snapshot)
-        # PIG labeling can still fail on an unlabeled note: do it before any file is written
-        records = None
-        if task["pig_out"]:
-            records = annotation_to_pig(
-                annotation,
-                song.notes,
-                stretch=task["stretch"],
-                trim_silence=task["trim_silence"],
-                on_unlabeled="skip" if task["best_effort"] else "error",
-            )
         output(".goals.txt").write_text("".join(f"# {c}\n" for c in comments) + goal_to_text(goals), encoding="utf-8")
         output(".annotation.txt").write_text(write_annotation_text(annotation, snapshot), encoding="utf-8")
         scores = score_annotation(goals, annotation, params)
         output(".rewards.csv").write_text("".join(f"# {c}\n" for c in comments) + score_csv(scores), encoding="utf-8")
-        if records is not None:
+        if task["pig_out"]:
+            records = annotation_to_pig(annotation, song.notes, stretch=task["stretch"], trim_silence=task["trim_silence"])
             save_pig(records, output(".pig.txt"), header_comments=comments)
         episodes = chunk_episodes(goals, annotation, task["episode_len"])
         for episode in episodes:
@@ -245,6 +259,7 @@ def cmd_eval(args) -> int:
     if args.episodes is not None:
         if not 0.0 < args.press_threshold <= 1.0:  # key depths lie in [0, 1]; nan fails this too
             raise UsageError(f"press-threshold must lie in (0, 1], got {args.press_threshold}")
+        _check_report_paths(args.csv, args.rewards_csv)
         directory = Path(args.episodes)
         if not directory.is_dir():
             raise UsageError(f"not a directory: {directory}")
@@ -302,6 +317,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_report_paths(args.csv)
     directory = Path(args.input)
     if not directory.is_dir():
         raise UsageError(f"not a directory: {directory}")

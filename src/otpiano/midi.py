@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 import struct
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -74,7 +73,12 @@ class PedalEvent:
 
 @dataclass(frozen=True)
 class MidiSong:
-    """Parse result: matched notes, pedal events, and skipped-event reports."""
+    """Parse result: matched notes, pedal events, and one report line per problem.
+
+    ``notes`` keeps every matched note, off-keyboard pitches included;
+    ``problems`` names each skipped event and each note outside the 88 keys,
+    which ``discretize`` leaves out.
+    """
 
     notes: tuple[NoteEvent, ...]
     pedal: tuple[PedalEvent, ...]
@@ -143,8 +147,9 @@ def parse_midi(data: bytes) -> MidiSong:
     Note on/off pairs are matched per (track, channel, pitch) first-in
     first-out; a note-on with velocity 0 counts as a note-off.  The tempo
     map is merged across tracks and applied to convert ticks to seconds.
-    Unmatched note-offs and dangling note-ons are skipped and reported in
-    ``MidiSong.problems``.  Structurally invalid data raises
+    Unmatched note-offs, dangling note-ons and zero-length notes are skipped
+    and reported in ``MidiSong.problems``; a matched note outside the 88-key
+    range is kept and reported there too.  Structurally invalid data raises
     MalformedMidiError.
     """
     if len(data) < 14 or data[:4] != b"MThd":
@@ -268,6 +273,10 @@ def parse_midi(data: bytes) -> MidiSong:
                 if offset <= onset:
                     problems.append(f"track {track_no}: zero-length note skipped (pitch {pitch}, tick {on_tick})")
                     continue
+                if not MIN_PITCH <= pitch <= MAX_PITCH:
+                    problems.append(
+                        f"track {track_no}: note outside the 88-key range left out (pitch {pitch}, tick {on_tick})"
+                    )
                 notes.append(NoteEvent(pitch, onset, offset, velocity, channel))
         for (channel, pitch), queue in sorted(open_notes.items()):
             for on_tick, _velocity in queue:
@@ -376,19 +385,14 @@ def discretize(
     grid starts at the earliest onset.  A key is active at step t when the
     stretched [onset, offset) interval intersects [t*dt, (t+1)*dt); boundary
     comparisons carry a 1e-9-step tolerance.  The sustain bit samples the
-    pedal state (CC value >= 64) at each step start.
+    pedal state (CC value >= 64) at each step start.  Notes outside the
+    88-key range are left out silently; ``parse_midi`` reports them.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     if stretch <= 0.0:
         raise ValueError("stretch must be > 0")
-    notes = list(notes)
     kept = keyboard_notes(notes)
-    if len(kept) < len(notes):
-        warnings.warn(
-            f"dropped {len(notes) - len(kept)} notes outside the 88-key range",
-            stacklevel=2,
-        )
     if not kept:
         if trim_silence:
             raise EmptySongError("cannot trim silence: song has no playable notes")

@@ -13,7 +13,6 @@ from otpiano.annotate import (
     NO_FINGER,
     FingeringAnnotation,
     InfeasibleStepError,
-    UnlabeledNoteError,
     annotate_song,
     annotation_to_pig,
     build_episode_record,
@@ -330,21 +329,19 @@ def test_pig_export_shift_matches_discretize_with_junk_notes():
 
     notes = [NoteEvent(pitch=10, onset=0.0, offset=0.1, velocity=50, channel=0),
              NoteEvent(pitch=60, onset=2.0, offset=2.5, velocity=80, channel=0)]
-    with pytest.warns(UserWarning):
-        goals = discretize(notes, dt=0.05, stretch=1.0, trim_silence=True)
+    goals = discretize(notes, dt=0.05, stretch=1.0, trim_silence=True)
     annotation = annotate_song(goals, HANDS, GEOM)
-    records = annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=True, on_unlabeled="skip")
+    records = annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=True)
     (record,) = records  # the junk note is skipped, the C4 resolves at step 0
     assert record.pitch == 60
     assert record.onset == 2.0
 
 
 def test_pig_export_unlabeled_note():
+    # a note whose key has no finger at its first step is skipped, not an error
     annotation = _manual_annotation([[]])
     notes = [NoteEvent(pitch=60, onset=0.0, offset=0.04, velocity=80, channel=0)]
-    with pytest.raises(UnlabeledNoteError):
-        annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False)
-    assert annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False, on_unlabeled="skip") == []
+    assert annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False) == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from conftest import episode_with_raw_meta, golden_songs, midi_bytes, note_off, note_on, set_tempo, simple_song
 from otpiano import cli
 from otpiano.cli import main
+from otpiano.pig import load_pig
 from otpiano.store import EpisodeRecord, load_episode, save_episode
 
 
@@ -114,21 +115,20 @@ def test_annotate_strict_failure_lists_song(tmp_path, capsys):
     assert _annotate(midi_dir, out, "--best-effort") == 0
 
 
-def test_annotate_unlabeled_note_fails_only_that_song(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [(), ("--pig-out",)], ids=["plain", "pig-out"])
+def test_annotate_reports_off_keyboard_notes_per_song(tmp_path, capsys, extra):
     midi_dir = tmp_path / "midi"
     midi_dir.mkdir()
-    # pitch 12 is below A0: no key, so strict PIG export cannot label it
-    (midi_dir / "bad.mid").write_bytes(simple_song([(60, 0, 480), (12, 480, 960)]))
-    (midi_dir / "good.mid").write_bytes(simple_song([(60, 0, 480), (64, 480, 960)]))
+    # pitch 12 lies below A0 and 120 above C8: each song leaves its note out and says so, in strict mode too
+    (midi_dir / "high.mid").write_bytes(simple_song([(64, 0, 480), (120, 480, 960)]))
+    (midi_dir / "low.mid").write_bytes(simple_song([(60, 0, 480), (12, 480, 960)]))
     out = tmp_path / "out"
-    with pytest.warns(UserWarning):
-        assert _annotate(midi_dir, out, "--pig-out") == 1
-    captured = capsys.readouterr()
-    assert "FAIL bad: UnlabeledNoteError" in captured.err
-    assert "good\tsteps=" in captured.out
-    for suffix in (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt", ".ep000.rp1t"):
-        assert (out / f"good{suffix}").exists()
-    assert not list(out.glob("bad.*"))
+    assert _annotate(midi_dir, out, *extra) == 0
+    err = capsys.readouterr().err
+    for pitch in (12, 120):
+        assert f"  note: track 0: note outside the 88-key range left out (pitch {pitch}, tick 480)\n" in err
+    if extra:
+        assert [(record.pitch, record.onset) for record in load_pig(out / "low.pig.txt")] == [(60, 0.0)]
 
 
 def _fail_one_song(monkeypatch, where):
@@ -172,6 +172,39 @@ def test_annotate_failure_is_isolated_and_cleaned_up(song_dir, tmp_path, capsys,
     assert sorted(path.name for path in out.iterdir()) == good
     for name in good:
         assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+@pytest.mark.parametrize("first", [("--episode-len", "8"), ("--pig-out",)], ids=["episode-len", "pig-out"])
+def test_annotate_rerun_replaces_a_songs_files(song_dir, tmp_path, first):
+    # the first run writes files the second does not: more containers, or a PIG file
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert _annotate(song_dir, fresh) == 0
+    assert _annotate(song_dir, out, *first) == 0
+    assert _annotate(song_dir, out) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(path.name for path in fresh.iterdir())
+    for path in fresh.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["annotate_song", "save_episode"])
+def test_annotate_failing_rerun_leaves_none_of_the_songs_files(song_dir, tmp_path, capsys, monkeypatch, where):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out, "--pig-out", "--episode-len", "16") == 0
+    bad = _fail_one_song(monkeypatch, where)
+    assert _annotate(song_dir, out, "--episode-len", "16") == 1
+    assert f"FAIL {bad}: " in capsys.readouterr().err
+    assert not list(out.glob(f"{bad}.*"))
+
+
+def test_annotate_rerun_leaves_a_dotted_stems_files_alone(song_dir, tmp_path):
+    # the files of song "line.epic" start with "line.", yet belong to another song than line's
+    (song_dir / "line.epic.mid").write_bytes((song_dir / "chord.mid").read_bytes())
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out, "--pig-out") == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    for name in ("line.mid", "line.epic.mid"):
+        assert _annotate(song_dir / name, out, "--pig-out") == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_annotate_four_finger_embodiment(song_dir, tmp_path):
@@ -310,6 +343,25 @@ def test_unwritable_report_exits_2(song_dir, tmp_path, capsys, argv):
     assert main([*(arg.format(out=out) for arg in argv), str(target)]) == 2
     assert capsys.readouterr().err.startswith(f"cannot write {target}: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--episodes", "{out}", "--csv", "{tmp}/ok.csv", "--rewards-csv", "{tmp}/missing/r.csv"],
+        ["eval", "--episodes", "{out}", "--csv", "{tmp}/ok.csv", "--rewards-csv", "{tmp}"],
+        ["stats", "--in", "{out}", "--csv", "{tmp}/missing/h.csv"],
+    ],
+    ids=["eval-missing-dir", "eval-is-dir", "stats-missing-dir"],
+)
+def test_report_paths_are_checked_before_any_output(song_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    capsys.readouterr()
+    assert main([arg.format(out=out, tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write ") and not captured.out
+    assert not (tmp_path / "ok.csv").exists()
 
 
 def test_eval_episodes(song_dir, tmp_path, capsys):

@@ -103,6 +103,16 @@ def test_dangling_note_on_reported():
     assert any("note-on without note-off" in p for p in song.problems)
 
 
+@pytest.mark.parametrize("pitch", [20, 109])
+def test_off_keyboard_note_is_kept_and_reported(pitch):
+    # one note just outside A0..C8 between two keyboard notes, on the second track
+    track = [(0, note_on(0, 60)), (480, note_off(0, 60)), (0, note_on(0, pitch)), (480, note_off(0, pitch)),
+             (0, note_on(0, 64)), (480, note_off(0, 64))]
+    song = parse_midi(midi_bytes([[(0, set_tempo(500000))], track]))
+    assert [n.pitch for n in song.notes] == [60, pitch, 64]
+    assert song.problems == (f"track 1: note outside the 88-key range left out (pitch {pitch}, tick 480)",)
+
+
 def test_sustain_pedal_events_collected():
     data = simple_song([(60, 0, 480)], pedal=[(0, 100), (480, 0)])
     song = parse_midi(data)
@@ -293,19 +303,17 @@ def test_empty_inputs():
 
 
 def test_out_of_range_pitches_dropped():
-    with pytest.warns(UserWarning):
-        seq = discretize([_note(10, 0.0, 0.1), _note(60, 0.0, 0.1)], stretch=1.0, trim_silence=False)
+    seq = discretize([_note(10, 0.0, 0.1), _note(60, 0.0, 0.1)], stretch=1.0, trim_silence=False)
     assert _active(seq, 0) == {39}
 
 
 def test_trim_ignores_unplayable_notes():
     # the early sub-keyboard note must not define the time origin
     notes = [_note(10, 0.0, 0.1), _note(60, 2.0, 2.1)]
-    with pytest.warns(UserWarning):
-        seq = discretize(notes, dt=0.05, stretch=1.0, trim_silence=True)
+    seq = discretize(notes, dt=0.05, stretch=1.0, trim_silence=True)
     assert _active(seq, 0) == {39}
     assert len(seq) == 2
-    with pytest.warns(UserWarning), pytest.raises(EmptySongError):
+    with pytest.raises(EmptySongError):
         discretize([_note(10, 0.0, 0.1)], trim_silence=True)
 
 
