@@ -295,6 +295,8 @@ def cmd_eval(args) -> int:
             _write_report(args.rewards_csv, eval_snapshot + rewards_csv(reward_lines))
         return 0
 
+    if not 0.0 <= args.onset_tolerance < math.inf:  # nan fails this too
+        raise UsageError(f"onset-tolerance must be finite and >= 0, got {args.onset_tolerance}")
     try:
         ours = load_pig(args.pig_ours)
         reference = load_pig(args.pig_human)
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--press-threshold", type=float, default=DEFAULT_PRESS_THRESHOLD, help="key depth counted as pressed")
     p.add_argument("--pig-ours", default=None, help="our PIG fingering file")
     p.add_argument("--pig-human", default=None, help="reference PIG fingering file")
-    p.add_argument("--onset-tolerance", type=float, default=0.05, help="note matching tolerance in seconds")
+    p.add_argument("--onset-tolerance", type=float, default=0.05, help="note matching tolerance in seconds (finite, >= 0)")
     p.add_argument("--csv", default=None, help="write per-piece results as CSV")
     p.add_argument("--rewards-csv", default=None, help="write per-step rewards with F1 metadata as CSV")
     p.set_defaults(func=cmd_eval)

@@ -9,6 +9,7 @@ fraction of pieces above F1 thresholds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,34 +74,44 @@ class AgreementResult:
 def fingering_agreement(ours, reference, onset_tolerance: float = 0.05) -> AgreementResult:
     """Compare two PIG record lists note by note.
 
-    Notes are matched by pitch with onsets within ``onset_tolerance``
-    seconds (nearest-first, each note used once); unmatched notes are
-    excluded from the ratio but counted.  Labels must be identical tokens
-    to agree (substitutions included).
+    Our notes are taken in onset order.  Each is matched to the reference
+    note of the same MIDI pitch with the nearest onset, if that gap is at
+    most ``onset_tolerance`` seconds; the earliest reference note in onset
+    order wins a tie, and each reference note is used once.  A NaN tolerance
+    matches nothing.  Unmatched notes are excluded from the ratio but
+    counted.  Labels must be identical tokens to agree (substitutions
+    included).  Raises NoOverlapError when no note matches.
     """
-    remaining = {}
+    remaining = {}  # pitch -> (onsets, records) of the unmatched reference notes, in onset order
     for rec in sorted(reference, key=lambda r: r.onset):
-        remaining.setdefault(rec.pitch, []).append(rec)
+        onsets, records = remaining.setdefault(rec.pitch, ([], []))
+        onsets.append(rec.onset)
+        records.append(rec)
     matched = 0
     agreeing = 0
     unmatched_ours = 0
     for rec in sorted(ours, key=lambda r: r.onset):
-        candidates = remaining.get(rec.pitch, [])
-        best = None
-        best_gap = None
-        for other in candidates:
-            gap = abs(other.onset - rec.onset)
-            if gap <= onset_tolerance and (best_gap is None or gap < best_gap):
-                best = other
-                best_gap = gap
-        if best is None:
+        onsets, records = remaining.get(rec.pitch, ((), ()))
+        if not onsets:
             unmatched_ours += 1
             continue
-        candidates.remove(best)
+        # the nearest candidate is onsets[j - 1] or onsets[j]; gaps do not shrink away from them
+        j = min(bisect_left(onsets, rec.onset), len(onsets) - 1)
+        gap = abs(onsets[j] - rec.onset)
+        # step left while the gap does not grow: the left neighbour wins a tie with
+        # the right one, and rounding can give earlier notes on the left the same gap
+        while j > 0 and abs(onsets[j - 1] - rec.onset) <= gap:
+            j -= 1
+            gap = abs(onsets[j] - rec.onset)
+        if not gap <= onset_tolerance:
+            unmatched_ours += 1
+            continue
+        del onsets[j]
+        best = records.pop(j)
         matched += 1
         if rec.finger == best.finger:
             agreeing += 1
-    unmatched_reference = sum(len(v) for v in remaining.values())
+    unmatched_reference = sum(len(records) for _, records in remaining.values())
     if matched == 0:
         raise NoOverlapError("no notes matched between the two files")
     return AgreementResult(

@@ -9,8 +9,10 @@ are headers and are skipped on parse.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 PIG_HEADER = "//Version: PianoFingering_v170101"
 
@@ -18,6 +20,10 @@ _NOTE_LETTER_SEMITONE = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11
 _SEMITONE_SHARP_NAME = ["C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B"]
 _PITCH_RE = re.compile(r"^([A-G])([#b]*)(-?\d+)$")
 _FINGER_TOKEN_RE = re.compile(r"^-?[1-5]$")
+# Each distinct pitch spelling and finger token is checked once.  The caches
+# are bounded because file tokens are untrusted: ``[#b]*`` and ``-?\d+`` admit
+# unboundedly many valid spellings.  A token that raises is not cached.
+_TOKEN_CACHE_SIZE = 1024
 
 
 class MalformedPigLineError(ValueError):
@@ -28,6 +34,7 @@ class MalformedPigLineError(ValueError):
         self.lineno = lineno
 
 
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def spelled_to_midi(name: str) -> int:
     """Convert a spelled pitch like ``C4`` or ``Bb3`` to a MIDI number (C4 = 60)."""
     match = _PITCH_RE.match(name)
@@ -48,6 +55,7 @@ def midi_to_spelled(pitch: int) -> str:
     return f"{_SEMITONE_SHARP_NAME[semitone]}{octave - 1}"
 
 
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def _check_finger(token: str) -> None:
     parts = token.split("_")
     if not 1 <= len(parts) <= 2 or not all(_FINGER_TOKEN_RE.match(p) for p in parts):
@@ -56,7 +64,13 @@ def _check_finger(token: str) -> None:
 
 @dataclass(frozen=True)
 class PigRecord:
-    """One PIG note record; ``finger`` keeps the file token verbatim."""
+    """One PIG note record; ``finger`` keeps the file token verbatim.
+
+    Construction checks the record: onset and offset are finite with the
+    offset not before the onset, the finger label is one or two signed
+    digits 1..5 joined by ``_``, and the spelled pitch parses.  A bad
+    field raises ValueError.
+    """
 
     note_id: int
     onset: float
@@ -68,6 +82,8 @@ class PigRecord:
     finger: str
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.onset) and math.isfinite(self.offset)):
+            raise ValueError(f"onset and offset must be finite, got {self.onset!r} and {self.offset!r}")
         if self.offset < self.onset:
             raise ValueError("offset before onset")
         _check_finger(self.finger)
@@ -90,9 +106,14 @@ class PigRecord:
 
 
 def parse_pig(text: str) -> list[PigRecord]:
-    """Parse PIG text into records, skipping ``//`` header lines.
+    """Parse PIG text into records, skipping blank and ``//`` header lines.
 
-    A line that does not parse raises MalformedPigLineError.
+    Each line holds 8 tab-separated fields; the numeric ones are read with
+    ``int()`` and ``float()``, so surrounding spaces, a leading ``+`` and
+    exponents such as ``1e0`` are accepted.  A line with the wrong number of
+    fields, a field that does not convert, or a record that ``PigRecord``
+    rejects (including a NaN or infinite time) raises MalformedPigLineError
+    with its 1-based line number.
     """
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -102,17 +123,18 @@ def parse_pig(text: str) -> list[PigRecord]:
         fields = stripped.split("\t")
         if len(fields) != 8:
             raise MalformedPigLineError(lineno, f"expected 8 tab-separated fields, got {len(fields)}")
-        try:
+        note_id, onset, offset, pitch, onset_velocity, offset_velocity, channel, finger = fields
+        try:  # fields convert left to right, so the first bad one names the error
             records.append(
                 PigRecord(
-                    note_id=int(fields[0]),
-                    onset=float(fields[1]),
-                    offset=float(fields[2]),
-                    spelled_pitch=fields[3],
-                    onset_velocity=int(fields[4]),
-                    offset_velocity=int(fields[5]),
-                    channel=int(fields[6]),
-                    finger=fields[7],
+                    int(note_id),
+                    float(onset),
+                    float(offset),
+                    pitch,
+                    int(onset_velocity),
+                    int(offset_velocity),
+                    int(channel),
+                    finger,
                 )
             )
         except ValueError as exc:

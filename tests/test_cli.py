@@ -391,6 +391,14 @@ def test_eval_rejects_press_threshold_outside_unit_interval(song_dir, tmp_path, 
     assert "press-threshold" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.05"])
+def test_eval_rejects_onset_tolerance_outside_range(capsys, monkeypatch, tolerance):
+    monkeypatch.setattr(cli, "load_pig", lambda path: pytest.fail("a PIG file was read before the check"))
+    assert main(["eval", "--pig-ours", "a.pig", "--pig-human", "b.pig", "--onset-tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("onset-tolerance must be finite and >= 0") and not captured.out
+
+
 def test_eval_rewards_csv(song_dir, tmp_path):
     out = tmp_path / "out"
     _annotate(song_dir, out)
@@ -430,6 +438,9 @@ def test_eval_pig_agreement(song_dir, tmp_path, capsys):
     pig = out / "line.pig.txt"
     assert main(["eval", "--pig-ours", str(pig), "--pig-human", str(pig)]) == 0
     assert "agreement=1.000000" in capsys.readouterr().out
+    # a zero tolerance still matches equal onsets
+    assert main(["eval", "--pig-ours", str(pig), "--pig-human", str(pig), "--onset-tolerance", "0"]) == 0
+    assert "agreement=1.000000\tmatched=3\tunmatched_ours=0" in capsys.readouterr().out
 
 
 def test_eval_exit_codes(tmp_path):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agreement_reference
 from conftest import key_rows
 from otpiano.metrics import (
     AgreementResult,
@@ -142,6 +145,71 @@ def test_agreement_onset_tolerance():
 def test_agreement_no_overlap():
     with pytest.raises(NoOverlapError):
         fingering_agreement([_pig(0, 0.0, "C4", "1")], [_pig(0, 0.0, "G7", "2")])
+
+
+def test_agreement_tie_goes_to_the_earlier_note():
+    ours = [_pig(0, 0.25, "C4", "1")]
+    theirs = [_pig(1, 0.5, "C4", "2"), _pig(0, 0.0, "C4", "1")]
+    result = fingering_agreement(ours, theirs, onset_tolerance=0.3)
+    assert (result.agreeing, result.unmatched_reference) == (1, 1)
+
+
+def test_agreement_tie_after_rounding_goes_to_the_earliest_note():
+    # 1.0 minus each of these onsets rounds to the same gap, so all three notes tie
+    ours = [_pig(0, 1.0, "C4", "1")]
+    theirs = [_pig(2, 2e-17, "C4", "2"), _pig(1, 1e-17, "C4", "2"), _pig(0, 0.0, "C4", "1")]
+    assert fingering_agreement(ours, theirs, onset_tolerance=1.0).agreeing == 1
+
+
+def test_agreement_nan_tolerance_matches_nothing():
+    ours = [_pig(0, 0.0, "C4", "1")]
+    with pytest.raises(NoOverlapError):
+        fingering_agreement(ours, list(ours), onset_tolerance=math.nan)
+
+
+def _nudged(onset, ulps):
+    for _ in range(abs(ulps)):
+        onset = math.nextafter(onset, math.copysign(math.inf, ulps))
+    return onset
+
+
+@st.composite
+def _agreement_inputs(draw):
+    # One grid per instance makes equidistant pairs common.  A note nudged by an
+    # ulp or by 1e-17 from its neighbour can have the same gap to a far note after
+    # rounding.  Both sides draw (onset, pitch) from one pool, so equal onsets
+    # and duplicate records are common.
+    grid = draw(st.sampled_from([0.1, 0.05, 0.3, 1 / 3]))
+    notes = st.tuples(
+        st.integers(0, 4),
+        st.sampled_from([0.0, 0.02, -0.02]),
+        st.sampled_from([0.0, 1e-17, -1e-17]),
+        st.integers(-2, 2),
+        st.sampled_from(["C#4", "Db4", "C4"]),
+    )
+    pool = [
+        (_nudged(k * grid + jitter + nudge, ulps), pitch)
+        for k, jitter, nudge, ulps, pitch in draw(st.lists(notes, min_size=1, max_size=25))
+    ]
+    side = st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(["1", "2"])), min_size=1, max_size=25)
+    ours = [_pig(0, onset, pitch, finger) for (onset, pitch), finger in draw(side)]
+    theirs = [_pig(0, onset, pitch, finger) for (onset, pitch), finger in draw(side)]
+    return ours, theirs, draw(st.sampled_from([math.inf, 0.1, 0.05, 0.02, 1e-9, 0.0, math.nan]))
+
+
+def _agreement_or_none(match, ours, theirs, tolerance):
+    try:
+        return match(ours, theirs, onset_tolerance=tolerance)
+    except NoOverlapError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_agreement_inputs())
+def test_agreement_matches_linear_scan(inputs):
+    assert _agreement_or_none(fingering_agreement, *inputs) == _agreement_or_none(
+        agreement_reference.fingering_agreement, *inputs
+    )
 
 
 # ---------------------------------------------------------------------------

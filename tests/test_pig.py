@@ -69,6 +69,37 @@ def test_record_validation():
         PigRecord(0, 0.0, 0.5, "C4", 80, 80, 0, "6")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [1, 2], ids=["onset", "offset"])
+def test_non_finite_times_rejected(field, value):
+    fields = "0\t0.0\t0.5\tC4\t80\t80\t0\t1".split("\t")
+    fields[field] = value
+    with pytest.raises(MalformedPigLineError, match="finite") as err:
+        parse_pig(GOLDEN + "\t".join(fields) + "\n")
+    assert err.value.lineno == 7
+
+
+@pytest.mark.parametrize(
+    "line", ["0\t0.0\t0.5\tH4\t80\t80\t0\t1", "0\t0.0\t0.5\tC4\t80\t80\t0\t1_9"], ids=["pitch", "finger"]
+)
+def test_bad_token_error_repeats(line):
+    # the token caches keep only tokens that passed, so a second error reads like the first
+    messages = []
+    for _ in range(2):
+        with pytest.raises(MalformedPigLineError) as err:
+            parse_pig(line + "\n")
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "bad" in messages[0]
+
+
+def test_spelling_cache_is_bounded():
+    # file tokens are untrusted and ``-?\d+`` octaves are unbounded
+    for octave in range(3000):
+        assert spelled_to_midi(f"C{octave}") == 12 * (octave + 1)
+    info = spelled_to_midi.cache_info()
+    assert info.currsize <= info.maxsize < 3000
+
+
 @pytest.mark.parametrize(
     "name,midi",
     [("C4", 60), ("A0", 21), ("C8", 108), ("Bb3", 58), ("F#4", 66), ("B#3", 60), ("Cb4", 59), ("C-1", 0)],
