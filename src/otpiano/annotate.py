@@ -15,7 +15,10 @@ The rollout runs on Python floats (``key_distances`` and
 is a pure function of the active keys, the fingertips and the two hand
 bases; when all three equal the previous step's, compared bitwise so that
 -0.0 and 0.0 stay apart, the step is a fixed point and repeats the
-previous step's outputs without a cost build, solve or hand step.
+previous step's outputs without a cost build, solve or hand step.  A
+step whose every key already has a fingertip exactly on its press point,
+with no other fingertip near one, takes its pairs from ``resting_pairs``
+at distance 0.0 without a cost build or solve; only the hand step runs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .assign import InfeasibleError, key_distances, solve_cost_rows
+from .assign import InfeasibleError, key_distances, resting_gap, resting_pairs, solve_cost_rows
 from .hand import ALL_FINGERS, LEFT, HandConfig, HandMotion, bases_collide, init_hands
 from .keyboard import KEY_COUNT, MAX_PITCH, MIN_PITCH, KeyboardGeometry, key_for_pitch, press_point_table
 from .metrics import f1, precision_recall
@@ -132,6 +135,7 @@ def annotate_song(
     press_table = press_point_table(geom)
     press_points = press_table.tolist()
     tips, base = state.fingertips, state.base
+    gap = resting_gap(motion.distance_bound(press_points, base))
     state_bytes = state_of(tips, base)
     T = len(goals)
     key_steps, key_list = np.nonzero(goals.keys)
@@ -154,7 +158,9 @@ def annotate_song(
         if len(active) > len(state.fingers) and not best_effort:
             raise InfeasibleStepError(t, len(active), len(state.fingers))
         points = [press_points[key] for key in active]
-        solved, total, _ = solve_cost_rows(key_distances(points, tips), best_effort) if active else ((), 0.0, ())
+        solved, total = (resting_pairs(points, tips, gap) if active else ()), 0.0
+        if solved is None:
+            solved, total, _ = solve_cost_rows(key_distances(points, tips), best_effort)
         for r, c in solved:
             finger[row + active[r]] = slot_index[c]
         tips, base = motion.step(tips, base, [c for _, c in solved], [points[r] for r, _ in solved])

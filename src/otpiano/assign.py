@@ -14,7 +14,10 @@ matching along one shortest path over tight edges, without another float
 solve; one extra search node stands for every unassigned column, as in
 the square reduction of the rectangular problem.  A tie exactly one
 tolerance above the optimum is decided by float summation order and can
-keep a later column (see _lexicographic_optimum).  An exhaustive
+keep a later column (see _lexicographic_optimum).  When every key
+already has a fingertip exactly on its press point and no other
+fingertip is near one, resting_pairs reads the same answer off the
+points without a cost build or solve.  An exhaustive
 enumerator over all injective mappings serves as the independent oracle
 for small chords.
 """
@@ -328,6 +331,61 @@ def solve_cost_rows(rows: list, best_effort: bool = False) -> tuple:
     for i, j in pairs:
         total += rows[i][j]
     return pairs, total, dropped
+
+
+def resting_gap(max_cost: float) -> float:
+    """The ``gap`` resting_pairs needs on instances whose costs are at most ``max_cost``.
+
+    Twice the tie slack of such an instance, so the slack stays below the
+    gap after the rounding of a distance and of the bound itself.
+    """
+    return 2.0 * _TIE_RTOL * max(1.0, max_cost)
+
+
+def resting_pairs(points, tips, gap: float) -> "tuple | None":
+    """The pairs solve_cost_rows gives when every key already has a fingertip on it, else None.
+
+    ``points`` are the keys' press points and ``tips`` the fingertips, as
+    for key_distances; ``gap`` comes from resting_gap with a bound on every
+    distance of the instance.  The pairs are given, with total ``0.0``,
+    when the chord is not oversized, every key has a fingertip ``==`` its
+    point (so the distance is exactly ``0.0``), the keys' lowest such rows
+    differ, and every other fingertip differs from every key's point by
+    more than ``gap`` in some coordinate.  Each key then takes the lowest
+    row on its point, exactly as solve_cost_rows(key_distances(points, tips))
+    would have it:
+
+    - every cost is ``0.0`` or above the tie slack ``_TIE_RTOL * max(1, max cost)``;
+    - so the augmenting-path solve ends on a zero-cost matching with every
+      dual ``0.0``, the optimum is ``0.0``, and its ties are exactly the
+      zero-cost matchings;
+    - a key's zero-cost fingers are those on its point, which no other key
+      shares, so the lexicographic optimum gives each key its lowest row.
+      This covers co-located fingertips, such as a free finger that rests
+      on the key another finger of its hand presses.
+
+    An empty chord gives ``()``.
+    """
+    if len(points) > len(tips):
+        return None
+    pairs = []
+    for i, (px, py, pz) in enumerate(points):
+        on = -1
+        for j, (x, y, z) in enumerate(tips):
+            dx = x - px
+            if dx > gap or dx < -gap:
+                continue  # the common case: far off in x
+            if x == px and y == py and z == pz:
+                if on < 0:
+                    on = j
+            elif not (abs(y - py) > gap or abs(z - pz) > gap):
+                return None  # near the point but not on it (or NaN): leave it to the solve
+        if on < 0:
+            return None
+        pairs.append((i, on))
+    if len({j for _, j in pairs}) < len(pairs):
+        return None
+    return tuple(pairs)
 
 
 def solve_assignment(cost: CostMatrix, best_effort: bool = False) -> Assignment:

@@ -220,6 +220,20 @@ class HandMotion:
         self.base_reach = config.base_v_max * dt
         self.radius = config.span_max / 2.0
 
+    def distance_bound(self, points: list, base: tuple) -> float:
+        """Bound on the distance from any fingertip to any of ``points`` in a rollout from rest at ``base``.
+
+        ``step`` moves a fingertip only toward its goal, one of ``points``
+        or its rest offset around its base, and the span projection only
+        toward its hand's centroid; a base only moves toward a mean of
+        the points' x.  So every fingertip stays in the box around the
+        points and the rest pose at the two extreme bases, and no
+        distance exceeds that box's diagonal.
+        """
+        xs = [x for x, _, _ in points] + list(base)
+        corners = list(points) + [(b + dx, y, z) for b in (min(xs), max(xs)) for dx, y, z in self.rest]
+        return math.sqrt(sum((max(c) - min(c)) ** 2 for c in zip(*corners)))
+
     def step(self, tips: list, base: tuple, rows: list, targets: list) -> tuple:
         """Advance one control step; returns the new ``(fingertips, (left_x, right_x))``.
 

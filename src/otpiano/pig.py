@@ -3,8 +3,8 @@
 Field order: note id, onset, offset, spelled pitch, onset velocity,
 offset velocity, channel (0 = right hand, 1 = left hand), finger.
 Finger labels are signed digits 1..5 (negative = left hand); a
-substitution like ``1_2`` is kept verbatim.  Lines starting with ``//``
-are headers and are skipped on parse.
+substitution like ``1_2`` is kept verbatim; no other field holds ``_``.
+Lines starting with ``//`` are headers and are skipped on parse.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class PigRecord:
     """One PIG note record; ``finger`` keeps the file token verbatim.
 
     Construction checks the record: onset and offset are finite with the
-    offset not before the onset, the finger label is one or two signed
-    digits 1..5 joined by ``_``, and the spelled pitch parses.  A bad
-    field raises ValueError.
+    offset not before the onset, the channel is 0 or 1, the finger label is
+    one or two signed digits 1..5 joined by ``_``, and the spelled pitch
+    parses to a MIDI pitch 0..127.  A bad field raises ValueError.
     """
 
     note_id: int
@@ -86,8 +86,11 @@ class PigRecord:
             raise ValueError(f"onset and offset must be finite, got {self.onset!r} and {self.offset!r}")
         if self.offset < self.onset:
             raise ValueError("offset before onset")
+        if self.channel not in (0, 1):
+            raise ValueError(f"channel must be 0 (right hand) or 1 (left hand), got {self.channel!r}")
         _check_finger(self.finger)
-        spelled_to_midi(self.spelled_pitch)  # validates spelling
+        if not 0 <= spelled_to_midi(self.spelled_pitch) <= 127:
+            raise ValueError(f"spelled pitch {self.spelled_pitch!r} outside MIDI 0..127")
 
     @property
     def pitch(self) -> int:
@@ -110,10 +113,13 @@ def parse_pig(text: str) -> list[PigRecord]:
 
     Each line holds 8 tab-separated fields; the numeric ones are read with
     ``int()`` and ``float()``, so surrounding spaces, a leading ``+`` and
-    exponents such as ``1e0`` are accepted.  A line with the wrong number of
-    fields, a field that does not convert, or a record that ``PigRecord``
-    rejects (including a NaN or infinite time) raises MalformedPigLineError
-    with its 1-based line number.
+    exponents such as ``1e0`` are accepted, but not the digit-group
+    underscores of Python literals (``1_0``): only the finger field may hold
+    ``_``.  A line with the wrong number of fields, an underscore before the
+    finger field, a field that does not convert, or a record that
+    ``PigRecord`` rejects (a NaN or infinite time, a channel other than 0 or
+    1, a pitch outside MIDI 0..127) raises MalformedPigLineError with its
+    1-based line number.
     """
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -123,6 +129,10 @@ def parse_pig(text: str) -> list[PigRecord]:
         fields = stripped.split("\t")
         if len(fields) != 8:
             raise MalformedPigLineError(lineno, f"expected 8 tab-separated fields, got {len(fields)}")
+        # only the finger field may hold "_", and most lines hold none at all
+        if "_" in stripped and "_" in stripped.rpartition("\t")[0]:
+            bad = next(f for f in fields if "_" in f)
+            raise MalformedPigLineError(lineno, f"underscore outside the finger field: {bad!r}")
         note_id, onset, offset, pitch, onset_velocity, offset_velocity, channel, finger = fields
         try:  # fields convert left to right, so the first bad one names the error
             records.append(

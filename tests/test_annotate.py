@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy_reference as reference
+import otpiano.annotate as annotate_module
 from conftest import key_rows
 from reward_reference import collision_reward, press_reward, sustain_reward
 from otpiano.annotate import (
@@ -28,11 +29,12 @@ from otpiano.hand import (
     RIGHT,
     FingerId,
     HandConfig,
+    HandMotion,
     bases_collide,
     init_hands,
     step_hand,
 )
-from otpiano.keyboard import KeyboardGeometry, KeyState, OutOfRangeError, key_press_point
+from otpiano.keyboard import KeyboardGeometry, KeyState, OutOfRangeError, key_press_point, press_point_table
 from otpiano.metrics import f1
 from otpiano.midi import GoalSequence, NoteEvent, goal_from_text
 from otpiano.reward import DEFAULT_PARAMS, RewardParams, ot_reward, total_reward
@@ -224,6 +226,58 @@ def test_repeated_keys_with_moving_hands_are_stepped(active_sets):
     assert _steps(annotation) == steps
     assert trace.tobytes() == reference_trace.tobytes()
     assert np.array_equal(annotation.pressed, pressed)
+
+
+@pytest.mark.parametrize("chord", [{3}, {10, 14}], ids=["far-key", "far-chord"])
+def test_held_chord_is_solved_only_until_its_fingers_land(monkeypatch, chord):
+    calls = []
+    solve = annotate_module.solve_cost_rows
+    monkeypatch.setattr(annotate_module, "solve_cost_rows", lambda *args: calls.append(args) or solve(*args))
+    goals = _sequence([chord] * 30)
+    annotation = annotate_song(goals, HANDS, GEOM)
+    trace, press = annotation.fingertip_trace, press_point_table(GEOM)
+    keys = sorted(chord)
+    on_keys = [bool((trace[t, annotation.finger[t, keys]] == press[keys]).all()) for t in range(len(goals))]
+    landed = on_keys.index(True)
+    assert all(on_keys[landed:]) and 0 < landed < 10
+    # the free fingers still follow the travelling base, so the step after landing is no fixed point
+    assert trace[landed].tobytes() != trace[landed + 1].tobytes()
+    assert len(calls) == landed + 1
+    assert annotation.distance[landed + 1 :].tolist() == [0.0] * (len(goals) - landed - 1)
+
+
+# chords of two clusters, one a hand, held long enough for the fingers to land
+_CLUSTER = st.builds(
+    lambda center, offsets: {min(87, max(0, center + o)) for o in offsets},
+    st.integers(0, 87),
+    st.lists(st.integers(-6, 6), max_size=6),
+)
+_HELD_GRID = st.lists(st.tuples(st.builds(set.union, _CLUSTER, _CLUSTER), st.integers(1, 8)), min_size=1, max_size=10)
+
+
+@pytest.mark.parametrize(
+    "hands, best_effort", [(HANDS, False), (HandConfig.four_finger(), True)], ids=["ten-strict", "four-best-effort"]
+)
+@settings(max_examples=40, deadline=None)
+@given(grid=_HELD_GRID)
+def test_resting_pairs_leave_every_output_unchanged(hands, best_effort, grid):
+    active_sets = [keys for keys, hold in grid for _ in range(hold)]
+    if not best_effort:
+        active_sets = [set(sorted(keys)[: len(hands.enabled_fingers)]) for keys in active_sets]
+    goals = _sequence(active_sets)
+    certified = annotate_song(goals, hands, GEOM, best_effort=best_effort)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annotate_module, "resting_pairs", lambda points, tips, gap: None)
+        solved = annotate_song(goals, hands, GEOM, best_effort=best_effort)
+    for name in ("finger", "distance", "collision", "fingertip_trace", "pressed"):
+        assert getattr(certified, name).tobytes() == getattr(solved, name).tobytes(), name
+    # the gap rests on this bound: no fingertip of the rollout is farther from any press point
+    state = init_hands(hands, GEOM)
+    press = press_point_table(GEOM)
+    bound = HandMotion(hands, GEOM, goals.dt).distance_bound(press.tolist(), state.base)
+    slots = [ALL_FINGERS.index(f) for f in hands.enabled_fingers]
+    tips = certified.fingertip_trace[:, slots].reshape(-1, 1, 3)
+    assert (np.sqrt(np.sum((tips - press) ** 2, axis=-1)) <= bound).all()
 
 
 # ---------------------------------------------------------------------------

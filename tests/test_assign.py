@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy_reference as reference
@@ -16,10 +18,13 @@ from otpiano.assign import (
     build_cost_matrix,
     format_debug_table,
     key_distances,
+    resting_gap,
+    resting_pairs,
     solve_assignment,
+    solve_cost_rows,
 )
-from otpiano.hand import HandConfig, init_hands
-from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point
+from otpiano.hand import HandConfig, HandMotion, init_hands
+from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point, press_point_table
 
 GEOM = KeyboardGeometry()
 FINGERS = HandConfig.default().enabled_fingers
@@ -358,6 +363,129 @@ def test_tie_break_covers_an_uncovered_column_at_its_dual(base, steps, expected)
     # expected pairs checked by exact integer enumeration (costs in 0.1-tolerance units)
     costs = np.array(base, dtype=float) + np.array(steps) * 0.3 * assign_module._TIE_RTOL
     assert solve_assignment(_matrix(costs), best_effort=True).pairs == expected == _reference_pairs(costs)
+
+
+# ---------------------------------------------------------------------------
+# resting certificate
+# ---------------------------------------------------------------------------
+
+
+def _solved(points, tips):
+    return solve_cost_rows(key_distances(points, tips), best_effort=True)
+
+
+def _gap(geom):
+    """resting_gap from the bound annotate_song uses: a ten-finger rollout on the whole keyboard."""
+    hands = HandConfig.default()
+    points = press_point_table(geom).tolist()
+    return resting_gap(HandMotion(hands, geom, 0.05).distance_bound(points, init_hands(hands, geom).base))
+
+
+_NUDGES = {
+    "ulp": lambda c, gap: math.nextafter(c, math.inf),
+    "1e-15": lambda c, gap: c + 1e-15,
+    "half-gap": lambda c, gap: c + gap / 2,
+    "twice-gap": lambda c, gap: c + 2 * gap,
+}
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+@pytest.mark.parametrize("nudge", list(_NUDGES))
+def test_resting_pairs_needs_other_fingertips_beyond_the_gap(nudge, axis):
+    # rows 2 and 3 rest on keys 39 (white) and 40 (black); row 1 sits on key 39 but for one nudged coordinate
+    points = [key_press_point(39, GEOM), key_press_point(40, GEOM)]
+    gap = _gap(GEOM)
+    near = list(points[0])
+    near[axis] = _NUDGES[nudge](near[axis], gap)
+    tips = [(0.3, 0.05, 0.0), tuple(near), points[0], points[1]]
+    pairs = resting_pairs(points, tips, gap)
+    if nudge == "twice-gap":
+        assert pairs == ((0, 2), (1, 3))
+    else:
+        assert pairs is None
+    solved = _solved(points, tips)
+    if pairs is not None:
+        assert solved == (pairs, 0.0, ())
+    elif nudge != "half-gap":
+        assert solved[0] == ((0, 1), (1, 3))  # a near tie: the solve takes the lower, nudged row
+
+
+def test_resting_pairs_give_a_shared_point_to_the_lowest_row():
+    # co-located fingertips: rows 1 and 3 both on key 39's point, rows 0 and 2 both on key 52's
+    points = [key_press_point(39, GEOM), key_press_point(52, GEOM)]
+    tips = [points[1], points[0], points[1], points[0], (0.3, 0.05, 0.0)]
+    pairs = resting_pairs(points, tips, _gap(GEOM))
+    assert pairs == ((0, 1), (1, 0))
+    assert _solved(points, tips) == (pairs, 0.0, ())
+
+
+def test_resting_pairs_take_negative_zero_as_on_the_point():
+    points = [key_press_point(39, GEOM)]  # a white key: y == z == 0.0
+    x, _, _ = points[0]
+    tips = [(0.3, 0.05, 0.0), (x, -0.0, -0.0)]
+    pairs = resting_pairs(points, tips, _gap(GEOM))
+    assert pairs == ((0, 1),)
+    assert _solved(points, tips) == (pairs, 0.0, ())
+
+
+def test_resting_pairs_refuse_oversized_chords_and_shared_rows():
+    points = [key_press_point(k, GEOM) for k in (30, 32, 34)]
+    gap = _gap(GEOM)
+    assert resting_pairs(points, points[:2], gap) is None
+    assert resting_pairs([points[0], points[0]], [points[0], points[0]], gap) is None  # one point, two keys
+    assert resting_pairs([], points, gap) == ()
+    assert resting_pairs(points, points, gap) == ((0, 0), (1, 1), (2, 2))
+
+
+def test_resting_gap_scales_with_the_geometry():
+    # on a keyboard 1000 m per white key the tie slack is about 5e-8 m, so a
+    # fingertip 1e-8 m off the point ties with the one on it; a bare 1e-9 gap
+    # would certify the wrong row, the derived gap leaves it to the solve
+    geom = KeyboardGeometry(white_key_width=1000.0)
+    points = [key_press_point(39, geom)]
+    x, y, z = points[0]
+    tips = [key_press_point(87, geom), (x + 1e-8, y, z), points[0]]
+    assert _solved(points, tips)[0] == ((0, 1),)
+    assert resting_pairs(points, tips, 1e-9) == ((0, 2),)
+    assert _gap(geom) > 1e-7
+    assert resting_pairs(points, tips, _gap(geom)) is None
+
+
+@st.composite
+def _resting_instances(draw):
+    """Press points of distinct keys with none, one or two fingertips on or near each, and some far off."""
+    geom = draw(st.sampled_from([GEOM, KeyboardGeometry(white_key_width=1000.0)]))
+    keys = draw(st.lists(st.integers(0, 87), max_size=8, unique=True))
+    points = [key_press_point(k, geom) for k in keys]
+    flip = draw(st.booleans())  # zeros become -0.0 in the points
+    points = [tuple(-c if flip and c == 0.0 else c for c in p) for p in points]
+    gap = _gap(geom)
+    tips = []
+    for point in points:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+            tip = list(point)
+            nudge = draw(st.sampled_from([None] * 12 + ["negate-zeros", *_NUDGES]))
+            if nudge == "negate-zeros":
+                tip = [-c if c == 0.0 else c for c in tip]
+            elif nudge is not None:
+                axis = draw(st.integers(0, 2))
+                tip[axis] = _NUDGES[nudge](tip[axis], gap)
+            tips.append(tuple(tip))
+    low, high = key_press_point(0, geom)[0], key_press_point(87, geom)[0]
+    for _ in range(draw(st.integers(0 if tips else 1, 3))):
+        tips.append((draw(st.floats(low, high)), draw(st.floats(0.0, geom.black_key_setback)), 0.0))
+    return points, draw(st.permutations(tips)), gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resting_instances())
+def test_resting_pairs_match_the_solve_whenever_given(instance):
+    points, tips, gap = instance
+    pairs = resting_pairs(points, tips, gap)
+    if not points:
+        assert pairs == ()
+    elif pairs is not None:
+        assert _solved(points, tips) == (pairs, 0.0, ())
 
 
 # ---------------------------------------------------------------------------

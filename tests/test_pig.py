@@ -79,6 +79,31 @@ def test_non_finite_times_rejected(field, value):
     assert err.value.lineno == 7
 
 
+@pytest.mark.parametrize("field", [0, 1, 2, 4, 5, 6], ids=["id", "onset", "offset", "on-vel", "off-vel", "channel"])
+def test_digit_group_underscores_rejected(field):
+    # int() and float() read "0_80" as 80; PIG numbers are plain decimals
+    fields = "0\t0.0\t0.5\tC4\t80\t80\t0\t1_2".split("\t")
+    fields[field] = "0_" + fields[field]
+    with pytest.raises(MalformedPigLineError, match="underscore") as err:
+        parse_pig(GOLDEN + "\t".join(fields) + "\n")
+    assert err.value.lineno == 7
+
+
+@pytest.mark.parametrize("channel", ["2", "7", "-1"])
+def test_channel_other_than_the_two_hands_rejected(channel):
+    with pytest.raises(MalformedPigLineError, match="channel") as err:
+        parse_pig(GOLDEN + f"5\t0.0\t0.5\tC4\t80\t80\t{channel}\t1\n")
+    assert err.value.lineno == 7
+
+
+@pytest.mark.parametrize("pitch", ["C9999", "Cb-1", "G#9"])
+def test_spelled_pitch_outside_midi_rejected(pitch):
+    with pytest.raises(MalformedPigLineError, match="outside MIDI") as err:
+        parse_pig(GOLDEN + f"5\t0.0\t0.5\t{pitch}\t80\t80\t0\t1\n")
+    assert err.value.lineno == 7
+    assert parse_pig(f"0\t0.0\t0.5\tC-1\t80\t80\t0\t1\n0\t0.0\t0.5\tG9\t80\t80\t1\t-1\n")  # MIDI 0 and 127
+
+
 @pytest.mark.parametrize(
     "line", ["0\t0.0\t0.5\tH4\t80\t80\t0\t1", "0\t0.0\t0.5\tC4\t80\t80\t0\t1_9"], ids=["pitch", "finger"]
 )
