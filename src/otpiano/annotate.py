@@ -44,7 +44,9 @@ from .midi import (
     GoalSequence,
     goal_windows,
     note_step_span,
+    numbered_lines,
     observation_dim,
+    step_runs,
     trim_shift,
     write_observations,
 )
@@ -69,6 +71,7 @@ NO_FINGER = -1  # ``FingeringAnnotation.finger`` cell of a key without a finger
 DROPPED = -2  # cell of an active key that best-effort mode left out
 _LABELS = {DROPPED: "-", **{slot: finger.label() for slot, finger in enumerate(ALL_FINGERS)}}
 _SLOTS = {label: slot for slot, label in _LABELS.items()}
+_CELLS = {slot: [f"{key}:{label}" for key in range(KEY_COUNT)] for slot, label in _LABELS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,21 +368,25 @@ def write_annotation_text(annotation: FingeringAnnotation, snapshot: dict) -> st
 
     Fingered keys come first, then the keys best-effort mode dropped
     (``key:-``), each in key order; the header embeds the config
-    ``snapshot``.
+    ``snapshot``.  Each run of equal steps is formatted once.
     """
     lines = [ANNOTATION_HEADER, f"# embodiment = {annotation.embodiment}"]
     for key in sorted(snapshot):
         lines.append(f"# {key} = {snapshot[key]}")
-    steps, keys = np.nonzero(annotation.finger != NO_FINGER)
-    slots = annotation.finger[steps, keys]
-    order = np.lexsort((keys, slots == DROPPED, steps))
-    cells = [f"{key}:{_LABELS[slot]}" for key, slot in zip(keys[order].tolist(), slots[order].tolist())]
-    ends = np.cumsum(np.bincount(steps, minlength=len(annotation))).tolist()
+    starts, run = step_runs(annotation.finger, annotation.distance)
+    finger = annotation.finger[starts]
+    steps, keys = np.nonzero(finger != NO_FINGER)
+    slots = finger[steps, keys]
+    # nonzero lists cells by step, then key: a stable sort moves each step's dropped keys last
+    order = np.argsort(2 * steps + (slots == DROPPED), kind="stable")
+    cells = [_CELLS[slot][key] for key, slot in zip(keys[order].tolist(), slots[order].tolist())]
+    ends = np.cumsum(np.bincount(steps, minlength=len(starts))).tolist()
+    bodies = []
     start = 0
-    for t, (distance, end) in enumerate(zip(annotation.distance.tolist(), ends)):
-        lines.append(f"{t}\t{distance!r}\t{';'.join(cells[start:end])}")
+    for distance, end in zip(annotation.distance[starts].tolist(), ends):
+        bodies.append(f"{distance!r}\t{';'.join(cells[start:end])}")
         start = end
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + numbered_lines(bodies, run, "\t")
 
 
 def parse_annotation_text(text: str) -> tuple:

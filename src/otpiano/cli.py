@@ -96,6 +96,14 @@ def _midi_paths(root: Path) -> list:
     return [root]
 
 
+def _file_size(path: str) -> int:
+    """Bytes in the file, or 0 if it cannot be read (its song then fails on its own)."""
+    try:
+        return Path(path).stat().st_size
+    except OSError:
+        return 0
+
+
 def _snapshot_comments(snapshot: dict) -> list:
     return [f"{key} = {snapshot[key]}" for key in sorted(snapshot)]
 
@@ -223,6 +231,8 @@ def cmd_annotate(args) -> int:
         for p in paths
     ]
     if args.jobs > 1 and len(tasks) > 1:
+        # largest file first, so that no worker starts the longest song after the others are done
+        tasks.sort(key=lambda task: _file_size(task["path"]), reverse=True)
         # under fork every worker starts at the first submit: start no more than there are songs
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_process_song, tasks))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -65,6 +67,20 @@ def config_number(key: str, value, error: type = ConfigError) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise error(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def require_finite(settings, error: type = ConfigError) -> None:
+    """Raise ``error`` unless every number a settings dataclass holds is finite.
+
+    A field's numbers are its value, the items of a sequence such as a
+    tuple, or the items of a dict's values; text is not a number.
+    """
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        for part in value.values() if isinstance(value, dict) else (value,):
+            for x in part if isinstance(part, Iterable) and not isinstance(part, str) else (part,):
+                if isinstance(x, numbers.Real) and not math.isfinite(x):
+                    raise error(f"{f.name} must be finite, got {x!r}")
 
 
 def config_numbers(key: str, value, count: int, error: type = ConfigError) -> tuple:

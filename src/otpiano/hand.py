@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .config import ConfigError, config_number, config_numbers
+from .config import ConfigError, config_number, config_numbers, require_finite
 from .keyboard import KeyboardGeometry
 
 LEFT = "left"
@@ -92,6 +92,7 @@ class HandConfig:
     rest_offsets: dict = field(default_factory=_default_rest_offsets)
 
     def __post_init__(self) -> None:
+        require_finite(self, InvalidConfigError)
         if any(isinstance(d, bool) or d not in DIGITS for d in self.disabled):
             raise InvalidConfigError(f"disabled must list digits 1..5, got {self.disabled!r}")
         object.__setattr__(self, "disabled", tuple(sorted({int(d) for d in self.disabled})))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, settings_from_mapping, settings_snapshot
+from .config import ConfigError, require_finite, settings_from_mapping, settings_snapshot
 
 KEY_COUNT = 88
 MIN_PITCH = 21
@@ -65,6 +65,7 @@ class KeyboardGeometry:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for f in fields(self):  # every length but the origin point
             if not isinstance(f.default, tuple) and getattr(self, f.name) <= 0.0:
                 raise ConfigError(f"{f.name} must be > 0")

@@ -538,20 +538,57 @@ def assemble_observation(goal: np.ndarray, keys: KeyState, fingertips, hand_stat
 # ---------------------------------------------------------------------------
 
 
+_KEY_NAMES = np.array([str(key) for key in range(KEY_COUNT)], dtype=object)
+
+
+def row_bits(column: np.ndarray) -> np.ndarray:
+    """Row t of a ``(T,)`` or ``(T, n)`` array as one value made of its bytes.
+
+    Two rows are equal when their bytes are, so floats that print
+    differently, such as -0.0 and 0.0, stay apart.
+    """
+    column = np.ascontiguousarray(column)
+    return column.view(np.dtype((np.void, column.itemsize * math.prod(column.shape[1:])))).reshape(len(column))
+
+
+def step_runs(*columns) -> tuple:
+    """The first step of each run of equal steps, and the run of every step.
+
+    Row t of each column is step t's entry in it, and two steps are equal
+    when all their entries' ``row_bits`` are.  Returns ``(starts, run)``:
+    the steps that begin a run, and for every step the index of its run in
+    ``starts``.
+    """
+    changed = np.zeros(len(columns[0]), dtype=bool)
+    changed[:1] = True
+    for column in columns:
+        bits = row_bits(column)
+        changed[1:] |= bits[1:] != bits[:-1]
+    return np.flatnonzero(changed), np.cumsum(changed) - 1
+
+
+def numbered_lines(bodies: list, run: np.ndarray, sep: str) -> str:
+    """One line per step, ``<step><sep><body of its run>``, each ending in a line break."""
+    return "".join([f"{t}{sep}{bodies[r]}\n" for t, r in enumerate(run.tolist())])
+
+
 def goal_to_text(seq: GoalSequence) -> str:
     """Render a GoalSequence as text: one step per line.
 
     Line format: ``<step>\\t<sustain>\\t<key,key,...>`` with keys ascending;
-    a ``# dt = ...`` header keeps the grid period.
+    a ``# dt = ...`` header keeps the grid period.  Each run of equal steps
+    is formatted once.
     """
-    keys = [str(k) for k in np.nonzero(seq.keys)[1].tolist()]
-    ends = np.cumsum(seq.keys.sum(axis=1)).tolist()
-    lines = [f"# dt = {seq.dt!r}"]
+    starts, run = step_runs(seq.keys, seq.sustain)
+    keys = seq.keys[starts]
+    names = _KEY_NAMES[np.nonzero(keys)[1]].tolist()
+    ends = np.cumsum(keys.sum(axis=1)).tolist()
+    bodies = []
     start = 0
-    for t, (sustain, end) in enumerate(zip(seq.sustain.tolist(), ends)):
-        lines.append(f"{t}\t{sustain}\t{','.join(keys[start:end])}")
+    for sustain, end in zip(seq.sustain[starts].tolist(), ends):
+        bodies.append(f"{sustain}\t{','.join(names[start:end])}")
         start = end
-    return "\n".join(lines) + "\n"
+    return f"# dt = {seq.dt!r}\n" + numbered_lines(bodies, run, "\t")
 
 
 # One goal-text line: a step, a '# dt = <seconds>' header, another comment, or

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import settings_from_mapping, settings_snapshot
+from .config import require_finite, settings_from_mapping, settings_snapshot
 from .midi import DimensionMismatchError
 
 
@@ -65,6 +65,7 @@ class RewardParams:
     value_at_margin: float = 0.1
 
     def __post_init__(self) -> None:
+        require_finite(self, InvalidParamsError)
         if self.threshold <= 0.0:
             raise InvalidParamsError("threshold must be > 0")
         if self.scale >= 0.0:

@@ -21,7 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .keyboard import KEY_COUNT
-from .midi import ACTION_DIM, GOAL_STEP_DIM, OBSERVATION_DIM, observation_dim, observation_layout
+from .midi import (
+    ACTION_DIM,
+    GOAL_STEP_DIM,
+    OBSERVATION_DIM,
+    numbered_lines,
+    observation_dim,
+    observation_layout,
+    row_bits,
+    step_runs,
+)
 
 MAGIC = b"RP1T"
 FORMAT_VERSION = 1
@@ -259,12 +268,18 @@ def score_csv(breakdown) -> str:
     """Per-step reward-component export (columns: step, ot, press, ...).
 
     ``breakdown`` holds one step's floats or per-step arrays, as
-    ``score_annotation`` returns them.
+    ``score_annotation`` returns them.  Each run of equal rows is joined
+    once, from cells that each column formats once per distinct bit
+    pattern.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    for t, row in enumerate(np.column_stack(breakdown.as_row()).tolist()):
-        lines.append(f"{t},{','.join(map(repr, row))}")
-    return "\n".join(lines) + "\n"
+    table = np.column_stack(breakdown.as_row())
+    starts, run = step_runs(table)
+    columns = []
+    for column in table[starts].T:
+        _, first, inverse = np.unique(row_bits(column), return_index=True, return_inverse=True)
+        columns.append(np.array([repr(value) for value in column[first].tolist()], dtype=object)[inverse].tolist())
+    bodies = [",".join(cells) for cells in zip(*columns)]
+    return ",".join(CSV_COLUMNS) + "\n" + numbered_lines(bodies, run, ",")
 
 
 def episode_bytes(rec: EpisodeRecord) -> bytes:

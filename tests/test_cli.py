@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,42 @@ def test_parallel_run_is_content_identical(song_dir, tmp_path):
     assert _annotate(song_dir, parallel, "--jobs", "2") == 0
     for path in sorted(serial.iterdir()):
         assert (parallel / path.name).read_bytes() == path.read_bytes()
+
+
+def test_parallel_run_starts_the_largest_file_first_and_prints_as_one_job(song_dir, tmp_path, capsys, monkeypatch):
+    # a long song whose name sorts between the two short ones
+    long_notes = [(60 + i % 12, 240 * i, 240 * i + 480) for i in range(40)]
+    (song_dir / "dance.mid").write_bytes(simple_song(long_notes))
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert _annotate(song_dir, serial, "--pig-out") == 0
+    printed = capsys.readouterr()
+    assert _annotate(song_dir, parallel, "--pig-out", "--jobs", "2") == 0
+    assert capsys.readouterr() == printed
+    assert sorted(p.name for p in parallel.iterdir()) == sorted(p.name for p in serial.iterdir())
+    for path in serial.iterdir():
+        assert (parallel / path.name).read_bytes() == path.read_bytes()
+
+    submitted = []
+
+    class RecordingPool:  # maps in this process, so no worker starts
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            submitted.extend(Path(task["path"]).stem for task in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert _annotate(song_dir, tmp_path / "recorded", "--jobs", "2") == 0
+    sizes = {p.stem: p.stat().st_size for p in song_dir.iterdir()}
+    assert submitted[0] == "dance"
+    assert [sizes[stem] for stem in submitted] == sorted(sizes.values(), reverse=True)
 
 
 def test_annotate_starts_no_more_workers_than_songs(song_dir, tmp_path, monkeypatch):

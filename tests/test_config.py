@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -76,3 +77,29 @@ def test_from_mapping_raises_only_value_errors(cls, data):
     for value in built.snapshot().values():
         if not isinstance(value, str):
             assert all(math.isfinite(x) for x in (value if isinstance(value, tuple) else (value,)))
+
+
+
+def _non_finite_settings():
+    """One number of one field made NaN, inf or -inf, for every number of every settings class."""
+    for cls in (KeyboardGeometry, HandConfig, RewardParams):
+        for f in dataclasses.fields(cls):
+            default = getattr(cls(), f.name)
+            for bad in (math.nan, math.inf, -math.inf):
+                if isinstance(default, float):
+                    yield pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}={bad}")
+                elif isinstance(default, tuple) and default:
+                    for i in range(len(default)):
+                        value = (*default[:i], bad, *default[i + 1:])
+                        yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}[{i}]={bad}")
+                elif isinstance(default, dict):  # rest offsets: each coordinate of each finger
+                    for finger, offset in default.items():
+                        for i in range(len(offset)):
+                            value = {**default, finger: (*offset[:i], bad, *offset[i + 1:])}
+                            yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}.{finger.label()}[{i}]={bad}")
+
+
+@pytest.mark.parametrize("cls, field, value", _non_finite_settings())
+def test_constructors_reject_non_finite_numbers(cls, field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        cls(**{field: value})
