@@ -348,9 +348,11 @@ def cmd_stats(args) -> int:
                 chunks.setdefault(song, []).append(rec.chunk_goal_keys())
             if args.f1_meta and "f1" in rec.meta:
                 f1_value = rec.meta["f1"]
-                if not isinstance(f1_value, (int, float, str)):
-                    raise ValueError(f"f1 metadata must be a number, got {f1_value!r}")
-                f1_scores.append(float(f1_value))
+                score = float(f1_value) if isinstance(f1_value, str) else f1_value
+                # type(), not isinstance: a JSON true is no score; nan fails the range too
+                if type(score) not in (int, float) or not 0 <= score <= 1:
+                    raise ValueError(f"f1 metadata must be a number in [0, 1], got {f1_value!r}")
+                f1_scores.append(float(score))
         # a song is one piece: its episodes joined in chunk order, so a key
         # held across a chunk boundary is one onset
         for song in sorted(chunks):

@@ -15,6 +15,7 @@ import io
 import json
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -233,9 +234,25 @@ def load_episode(path) -> EpisodeRecord:
 
 
 def iter_episodes(directory):
-    """Yield the records of a directory's container files, sorted by name."""
-    for path in sorted(Path(directory).glob(f"*{EPISODE_SUFFIX}")):
-        yield load_episode(path)
+    """Yield the records of a directory's container files, sorted by name.
+
+    One worker thread reads and checks the next container while the caller
+    works on the current record, so exactly one read is in flight.  A
+    container that fails to load raises at its own place in the order, after
+    every record before it.  Closing the generator waits for the read in
+    progress, and leaves no thread behind; a directory without containers
+    starts none.
+    """
+    paths = sorted(Path(directory).glob(f"*{EPISODE_SUFFIX}"))
+    if not paths:
+        return
+    with ThreadPoolExecutor(max_workers=1) as reader:
+        ahead = reader.submit(load_episode, paths[0])
+        for path in paths[1:]:
+            record = ahead.result()
+            ahead = reader.submit(load_episode, path)
+            yield record
+        yield ahead.result()
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +267,27 @@ def csv_cell(text: str) -> str:
     return text
 
 
+def _distinct_cells(column: np.ndarray, format_values) -> list:
+    """The text of every entry of a 1D array, formatting each distinct bit pattern once.
+
+    ``format_values`` takes the array of the distinct entries and returns a
+    list of one string for each.  Entries that differ in their bytes, such
+    as -0.0 and 0.0 or two NaN payloads, are formatted apart.
+    """
+    _, first, inverse = np.unique(row_bits(column), return_index=True, return_inverse=True)
+    return np.array(format_values(column[first]), dtype=object)[inverse].tolist()
+
+
 def reward_rows(rec: EpisodeRecord) -> list:
-    """One record's lines of the per-step reward export: song, chunk, step, reward, f1."""
+    """One record's lines of the per-step reward export: song, chunk, step, reward, f1.
+
+    Each distinct reward is formatted once, with the F1 cell after it.
+    """
     song, chunk, f1_value = (csv_cell(str(rec.meta.get(name, ""))) for name in ("song", "chunk", "f1"))
-    return [f"{song},{chunk},{t},{reward!r},{f1_value}" for t, reward in enumerate(rec.rewards)]
+    prefix = f"{song},{chunk},"
+    # numpy scalars, not tolist(): the cells keep their np.float32(...) text
+    tails = _distinct_cells(rec.rewards, lambda rewards: [f"{reward!r},{f1_value}" for reward in rewards])
+    return [f"{prefix}{t},{tail}" for t, tail in enumerate(tails)]
 
 
 def rewards_csv(rows) -> str:
@@ -276,8 +310,7 @@ def score_csv(breakdown) -> str:
     starts, run = step_runs(table)
     columns = []
     for column in table[starts].T:
-        _, first, inverse = np.unique(row_bits(column), return_index=True, return_inverse=True)
-        columns.append(np.array([repr(value) for value in column[first].tolist()], dtype=object)[inverse].tolist())
+        columns.append(_distinct_cells(column, lambda values: [repr(value) for value in values.tolist()]))
     bodies = [",".join(cells) for cells in zip(*columns)]
     return ",".join(CSV_COLUMNS) + "\n" + numbered_lines(bodies, run, ",")
 

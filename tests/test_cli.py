@@ -515,7 +515,11 @@ def _rewrite_meta(path, **changes):
     save_episode(EpisodeRecord(rec.observations, rec.actions, rec.rewards, meta={**rec.meta, **changes}), path)
 
 
-@pytest.mark.parametrize("value", [None, [0.5], {"f1": 0.5}], ids=["null", "list", "object"])
+@pytest.mark.parametrize(
+    "value",
+    [None, [0.5], {"f1": 0.5}, True, float("nan"), float("inf"), -float("inf"), "nan", "inf", 7.5, -3.0, 10**400],
+    ids=["null", "list", "object", "bool", "nan", "inf", "-inf", "nan-text", "inf-text", "above-1", "below-0", "huge-int"],
+)
 def test_stats_non_numeric_f1_metadata_exits_2(song_dir, tmp_path, capsys, value):
     out = tmp_path / "out"
     assert _annotate(song_dir, out) == 0
@@ -525,6 +529,19 @@ def test_stats_non_numeric_f1_metadata_exits_2(song_dir, tmp_path, capsys, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cannot read inputs")
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_stats_accepts_f1_metadata_at_the_range_ends(song_dir, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    for path in out.glob("*.rp1t"):
+        _rewrite_meta(path, f1=value)
+    capsys.readouterr()
+    assert main(["stats", "--in", str(out), "--f1-meta"]) == 0
+    captured = capsys.readouterr().out
+    assert f"fraction f1 >= 0.5: {value:.6f}" in captured
+    assert f"fraction f1 >= 0.75: {value:.6f}" in captured
 
 
 @pytest.mark.parametrize("command", ["eval", "stats"])

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import episode_with_raw_meta, mutated_bytes
+from otpiano import store
 from otpiano.midi import ACTION_DIM, OBSERVATION_DIM
 from otpiano.store import (
     CANONICAL_T,
@@ -238,6 +241,55 @@ def test_native_importer_reads_directory(tmp_path):
         save_episode(_random_record(rng, meta={"song": "s", "chunk": i}), tmp_path / f"s.ep{i:03d}{EPISODE_SUFFIX}")
     records = list(iter_episodes(tmp_path))
     assert [r.meta["chunk"] for r in records] == [0, 1, 2]
+
+
+def _save_songs(directory, names, rng):
+    for name in names:
+        save_episode(_random_record(rng, meta={"song": name}), directory / f"{name}{EPISODE_SUFFIX}")
+
+
+def test_iter_episodes_yields_in_name_order_with_one_read_ahead(tmp_path, monkeypatch):
+    _save_songs(tmp_path, ["c", "e", "a", "d", "b"], np.random.default_rng(13))
+    started = []
+    load = store.load_episode
+    monkeypatch.setattr(store, "load_episode", lambda path: started.append(path) or load(path))
+    songs = []
+    for rec in iter_episodes(tmp_path):
+        songs.append(rec.meta["song"])
+        time.sleep(0.01)  # time for a reader that runs further ahead to show it
+        # the record in hand and at most the next one have been read
+        assert len(started) <= len(songs) + 1
+    assert songs == ["a", "b", "c", "d", "e"]
+
+
+def test_iter_episodes_raises_at_the_corrupt_record(tmp_path):
+    names = ["s0", "s1", "s2", "s3", "s4"]
+    _save_songs(tmp_path, names, np.random.default_rng(14))
+    path = tmp_path / f"s2{EPISODE_SUFFIX}"
+    data = bytearray(path.read_bytes())
+    data[30] ^= 0xFF  # a payload byte
+    path.write_bytes(bytes(data))
+    episodes = iter_episodes(tmp_path)
+    assert [next(episodes).meta["song"] for _ in range(2)] == ["s0", "s1"]
+    with pytest.raises(ChecksumMismatchError):
+        next(episodes)
+
+
+def test_iter_episodes_closed_early_leaves_no_thread(tmp_path):
+    _save_songs(tmp_path, ["a", "b", "c"], np.random.default_rng(15))
+    baseline = threading.active_count()
+    episodes = iter_episodes(tmp_path)
+    assert next(episodes).meta["song"] == "a"
+    episodes.close()
+    assert threading.active_count() == baseline
+
+
+def test_iter_episodes_on_an_empty_directory_starts_no_thread(tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert list(iter_episodes(tmp_path)) == []
 
 
 def test_goal_decoding_hooks():

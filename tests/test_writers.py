@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import writer_reference as reference
@@ -12,7 +12,7 @@ from otpiano.annotate import DROPPED, NO_FINGER, FingeringAnnotation, write_anno
 from otpiano.hand import ALL_FINGERS
 from otpiano.midi import GoalSequence, goal_to_text, step_runs
 from otpiano.reward import RewardBreakdown
-from otpiano.store import score_csv
+from otpiano.store import EpisodeRecord, reward_rows, score_csv
 
 # a few distinct rows repeated in runs, so that runs and repeats far apart both occur
 _RUNS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), max_size=12)
@@ -79,6 +79,28 @@ def test_score_csv_matches_reference_on_any_column_dtype(palette, runs, dtypes):
 def test_score_csv_matches_reference_on_one_step(row):
     breakdown = RewardBreakdown(*row)
     assert score_csv(breakdown) == reference.score_csv(breakdown)
+
+
+# float32 bit patterns: ±0, ±inf, NaNs with payloads and either sign, subnormals, and any other
+_REWARD_BITS = st.sampled_from(
+    [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0x7FC00001, 0xFFC00000, 0x7F800001, 0x00000001, 0x807FFFFF]
+) | st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    palette=st.lists(_REWARD_BITS, min_size=1, max_size=4),
+    runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 200)), min_size=1, max_size=8),
+    song=st.text(st.sampled_from('ab ,"\r\n'), max_size=6),
+    chunk=st.integers(0, 20),
+    f1=st.floats(0.0, 1.0),
+)
+@example(palette=[0x00000000, 0x80000000], runs=[(0, 2), (1, 2)], song="a,b", chunk=0, f1=0.5)
+def test_reward_rows_match_reference(palette, runs, song, chunk, f1):
+    rewards = np.array(_expand(palette, runs), dtype=np.uint32).view(np.float32)
+    T = len(rewards)
+    rec = EpisodeRecord(np.zeros((T, 1)), np.zeros((T, 1)), rewards, meta={"song": song, "chunk": chunk, "f1": f1})
+    assert reward_rows(rec) == reference.reward_rows(rec)
 
 
 def test_step_runs_compare_bits():

@@ -2,9 +2,9 @@
 
 ``otpiano.midi.goal_to_text``, ``otpiano.annotate.write_annotation_text``
 and ``otpiano.store.score_csv`` format each distinct step row once and
-join every step's index to its row's text; these are the loops they
-replaced, which format every step.  Both must return equal text on every
-input.
+join every step's index to its row's text, and ``otpiano.store.reward_rows``
+formats each distinct reward once; these are the loops they replaced,
+which format every step.  Both must return equal text on every input.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from otpiano.annotate import _LABELS, ANNOTATION_HEADER, DROPPED, NO_FINGER, FingeringAnnotation
 from otpiano.midi import GoalSequence
-from otpiano.store import CSV_COLUMNS
+from otpiano.store import CSV_COLUMNS, EpisodeRecord, csv_cell
 
 
 def goal_to_text(seq: GoalSequence) -> str:
@@ -48,3 +48,8 @@ def score_csv(breakdown) -> str:
     for t, row in enumerate(np.column_stack(breakdown.as_row()).tolist()):
         lines.append(f"{t},{','.join(map(repr, row))}")
     return "\n".join(lines) + "\n"
+
+
+def reward_rows(rec: EpisodeRecord) -> list:
+    song, chunk, f1_value = (csv_cell(str(rec.meta.get(name, ""))) for name in ("song", "chunk", "f1"))
+    return [f"{song},{chunk},{t},{reward!r},{f1_value}" for t, reward in enumerate(rec.rewards)]
