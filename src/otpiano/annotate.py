@@ -8,7 +8,8 @@ record their new state.  Fingering therefore adapts to wherever the hands
 actually are.  Dropped keys, the fingertip trace, collisions and reached
 keys are read off those records after the rollout.  Songs are scored
 once and chunked into fixed-length episodes afterwards; each episode's
-trajectory record is sliced from the song's arrays.
+trajectory record is sliced from the song's arrays.  ``run_song`` is the
+batch pipeline of one MIDI file, from parsing to its written files.
 
 The rollout runs on Python floats (``key_distances`` and
 ``HandMotion.step``), which match their numpy forms bit for bit.  A step
@@ -23,11 +24,15 @@ at distance 0.0 without a cost build or solve; only the hand step runs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import shutil
 import struct
 from array import array
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +47,10 @@ from .midi import (
     DEFAULT_STRETCH,
     HAND_STATE_DIM,
     GoalSequence,
+    discretize,
+    goal_to_text,
     goal_windows,
+    load_midi,
     note_step_span,
     numbered_lines,
     observation_dim,
@@ -50,9 +58,9 @@ from .midi import (
     trim_shift,
     write_observations,
 )
-from .pig import PigRecord, midi_to_spelled
+from .pig import PigRecord, midi_to_spelled, save_pig
 from .reward import DEFAULT_PARAMS, RewardBreakdown, RewardParams, score_steps
-from .store import EpisodeRecord
+from .store import EPISODE_SUFFIX, EpisodeRecord, save_episode, score_csv
 
 DEFAULT_EPISODE_LEN = 550
 
@@ -363,6 +371,11 @@ def score_annotation(goals: GoalSequence, annotation: FingeringAnnotation, param
 ANNOTATION_HEADER = "# otpiano annotation v1"
 
 
+def config_lines(snapshot: dict) -> list:
+    """``key = value`` for each setting of a config snapshot, by key: the header of every text output."""
+    return [f"{key} = {snapshot[key]}" for key in sorted(snapshot)]
+
+
 def write_annotation_text(annotation: FingeringAnnotation, snapshot: dict) -> str:
     """One line per step: ``step<TAB>ot_distance<TAB>key:finger;...``.
 
@@ -370,9 +383,7 @@ def write_annotation_text(annotation: FingeringAnnotation, snapshot: dict) -> st
     (``key:-``), each in key order; the header embeds the config
     ``snapshot``.  Each run of equal steps is formatted once.
     """
-    lines = [ANNOTATION_HEADER, f"# embodiment = {annotation.embodiment}"]
-    for key in sorted(snapshot):
-        lines.append(f"# {key} = {snapshot[key]}")
+    lines = [ANNOTATION_HEADER, f"# embodiment = {annotation.embodiment}", *(f"# {c}" for c in config_lines(snapshot))]
     starts, run = step_runs(annotation.finger, annotation.distance)
     finger = annotation.finger[starts]
     steps, keys = np.nonzero(finger != NO_FINGER)
@@ -418,3 +429,96 @@ def parse_annotation_text(text: str) -> tuple:
         distances.append(distance)
         rows.append(row)
     return np.array(distances, dtype=np.float64), np.array(rows, dtype=np.int8).reshape(len(rows), KEY_COUNT)
+
+
+# ---------------------------------------------------------------------------
+# One song, from its MIDI file to its written outputs
+# ---------------------------------------------------------------------------
+
+
+_SONG_SUFFIXES = (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt")  # besides the .epNNN containers
+
+
+@dataclass(frozen=True)
+class SongSettings:
+    """The settings of a batch, shared by every song of it."""
+
+    out: Path
+    geom: KeyboardGeometry
+    hands: HandConfig
+    params: RewardParams
+    dt: float
+    stretch: float
+    trim_silence: bool
+    best_effort: bool
+    episode_len: int
+    lookahead: int
+    pig_out: bool
+
+
+@dataclass(frozen=True)
+class SongResult:
+    """One song's summary, or the ``error`` that failed it."""
+
+    song: str
+    error: "str | None" = None
+    steps: int = 0
+    mean_d_ot: float = 0.0
+    dropped_steps: int = 0
+    episodes: int = 0
+    problems: tuple = ()
+
+
+def remove_song_files(out: Path, stem: str) -> None:
+    """Delete, found by name, every file a run wrote or started to write in ``out`` for song ``stem``."""
+    shutil.rmtree(out / f".{stem}.partial", ignore_errors=True)
+    for suffix in _SONG_SUFFIXES:
+        (out / f"{stem}{suffix}").unlink(missing_ok=True)
+    index = 0
+    while (stale := out / f"{stem}.ep{index:03d}{EPISODE_SUFFIX}").exists():
+        stale.unlink()
+        index += 1
+
+
+def run_song(path, settings: SongSettings) -> SongResult:
+    """Annotate one MIDI file and replace its outputs in ``settings.out`` with this run's, as a set.
+
+    The files are written into ``.<stem>.partial`` and moved into place after the last one.  A failure
+    becomes the result's ``error`` and leaves none of the song's files.
+    """
+    out, stem = settings.out, Path(path).stem
+    staging = out / f".{stem}.partial"
+    try:
+        remove_song_files(out, stem)
+        staging.mkdir()
+        song = load_midi(path)
+        stretch, trim_silence = settings.stretch, settings.trim_silence
+        goals = discretize(song.notes, dt=settings.dt, stretch=stretch, trim_silence=trim_silence, pedal=song.pedal)
+        annotation = annotate_song(goals, settings.hands, settings.geom, settings.params, settings.best_effort)
+        snapshot = {**annotation.snapshot, "midi.stretch": stretch, "midi.trim_silence": trim_silence}
+        for name in ("lookahead", "episode_len", "best_effort"):
+            snapshot[f"run.{name}"] = getattr(settings, name)
+        comments = config_lines(snapshot)
+        header = "".join(f"# {c}\n" for c in comments)
+        (staging / f"{stem}.goals.txt").write_text(header + goal_to_text(goals), encoding="utf-8")
+        (staging / f"{stem}.annotation.txt").write_text(write_annotation_text(annotation, snapshot), encoding="utf-8")
+        scores = score_annotation(goals, annotation, settings.params)
+        (staging / f"{stem}.rewards.csv").write_text(header + score_csv(scores), encoding="utf-8")
+        if settings.pig_out:
+            records = annotation_to_pig(annotation, song.notes, stretch=stretch, trim_silence=trim_silence)
+            save_pig(records, staging / f"{stem}.pig.txt", header_comments=comments)
+        episodes = chunk_episodes(goals, annotation, settings.episode_len)
+        for episode in episodes:
+            record = build_episode_record(
+                episode, goals, annotation, scores.total, settings.params, stem, snapshot, settings.lookahead
+            )
+            save_episode(record, staging / f"{stem}.ep{episode.index:03d}{EPISODE_SUFFIX}")
+        for written in sorted(staging.iterdir()):
+            os.replace(written, out / written.name)
+        staging.rmdir()
+    except Exception as exc:
+        with contextlib.suppress(OSError):
+            remove_song_files(out, stem)
+        return SongResult(stem, error=f"{type(exc).__name__}: {exc}")
+    summary = dict(steps=len(goals), mean_d_ot=annotation.mean_distance, dropped_steps=annotation.dropped_step_count)
+    return SongResult(stem, episodes=len(episodes), problems=tuple(song.problems), **summary)

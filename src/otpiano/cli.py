@@ -1,11 +1,12 @@
 """Batch command-line frontend: annotate songs, evaluate rollouts, corpus stats.
 
-Subcommands write files and text/CSV reports for downstream programs; there
-is no interactive mode.  ``annotate`` replaces each song's files in ``--out``
-as a set and prints the song's MIDI problems, off-keyboard notes included, as
-``note:`` lines; ``eval`` and ``stats`` check their report paths before they
-read any input.  Exit codes: 0 success, 1 failed songs (each reported,
-leaving no files) or an infeasible debug-assign chord, 2 an unusable input or output path.
+Subcommands write files and text/CSV reports; this module checks arguments
+and prints.  ``annotate`` runs ``annotate.run_song`` per song, in-process or
+in ``--jobs`` workers (a dead worker fails only the songs in flight), and
+prints each song's MIDI problems as ``note:`` lines.  ``eval`` and ``stats``
+check their report paths before they read any input.  Exit codes: 0 success,
+1 failed songs (each reported, leaving no files) or an infeasible debug-assign
+chord, 2 an unusable input or output path.
 """
 
 from __future__ import annotations
@@ -14,43 +15,27 @@ import argparse
 import contextlib
 import math
 import sys
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .annotate import (
-    DEFAULT_EPISODE_LEN,
-    annotate_song,
-    annotation_to_pig,
-    build_episode_record,
-    chunk_episodes,
-    score_annotation,
-    write_annotation_text,
-)
+from .annotate import DEFAULT_EPISODE_LEN, SongResult, SongSettings, remove_song_files, run_song
 from .assign import InfeasibleError, build_cost_matrix, format_debug_table, solve_assignment
 from .config import load_config
 from .hand import HandConfig, init_hands
 from .keyboard import KeyboardGeometry, is_black, key_for_pitch, pitch_for_key
-from .metrics import DEFAULT_PRESS_THRESHOLD, F1_THRESHOLDS, dataset_stats, f1, fingering_agreement, precision_recall
-from .midi import (
-    DEFAULT_DT,
-    DEFAULT_LOOKAHEAD,
-    DEFAULT_STRETCH,
-    GoalSequence,
-    discretize,
-    goal_from_text,
-    goal_to_text,
-    load_midi,
-)
-from .pig import load_pig, save_pig
+from .metrics import DEFAULT_PRESS_THRESHOLD, F1_THRESHOLDS, dataset_stats, f1, fingering_agreement
+from .metrics import counts_precision_recall, key_counts
+from .midi import DEFAULT_DT, DEFAULT_LOOKAHEAD, DEFAULT_STRETCH, GoalSequence, goal_from_text
+from .pig import load_pig
 from .reward import RewardParams
-from .store import EPISODE_SUFFIX, csv_cell, iter_episodes, reward_rows, rewards_csv, save_episode, score_csv
+from .store import csv_cell, iter_episodes, reward_rows, rewards_csv
 
 _MIDI_SUFFIXES = (".mid", ".midi")
-_SONG_SUFFIXES = (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt")  # besides .epNNN containers
 
 
 class UsageError(Exception):
@@ -104,88 +89,41 @@ def _file_size(path: str) -> int:
         return 0
 
 
-def _snapshot_comments(snapshot: dict) -> list:
-    return [f"{key} = {snapshot[key]}" for key in sorted(snapshot)]
-
-
 # ---------------------------------------------------------------------------
 # annotate
 # ---------------------------------------------------------------------------
 
 
-def _process_song(task: dict) -> dict:
-    """Annotate one MIDI file and write all outputs; returns a summary dict.
+def _run_pool(paths: list, settings: SongSettings, jobs: int):
+    """Yield ``run_song`` of each path from worker processes, largest file first, at most ``jobs`` songs in flight.
 
-    The files an earlier run wrote for the song's stem are deleted first, so
-    afterwards the song's files in the output directory are exactly this
-    run's.  Any failure becomes an ``error`` entry and removes the files the
-    song had already started to write.  ``problems`` lists the song's
-    ``MidiSong.problems``, off-keyboard notes included.
+    A dead worker fails every song in flight, whose files are then removed, and a new pool runs the rest.
+    Songs that ran beside it are not retried: a song that always kills its worker would loop forever.
     """
-    path = Path(task["path"])
-    out_dir = Path(task["out"])
-    geom = task["geom"]
-    hands = task["hands"]
-    params = task["params"]
-    stem = path.stem
-    written = []
-
-    def output(suffix: str) -> Path:
-        written.append(out_dir / f"{stem}{suffix}")
-        return written[-1]
-
-    try:
-        # a re-run replaces the song's files as a set: delete what an earlier run wrote, found by name
-        for suffix in _SONG_SUFFIXES:
-            (out_dir / f"{stem}{suffix}").unlink(missing_ok=True)
-        index = 0
-        while (stale := out_dir / f"{stem}.ep{index:03d}{EPISODE_SUFFIX}").exists():
-            stale.unlink()
-            index += 1
-        song = load_midi(path)
-        goals = discretize(
-            song.notes,
-            dt=task["dt"],
-            stretch=task["stretch"],
-            trim_silence=task["trim_silence"],
-            pedal=song.pedal,
-        )
-        annotation = annotate_song(goals, hands, geom, params, best_effort=task["best_effort"])
-        snapshot = {
-            **annotation.snapshot,
-            "midi.stretch": task["stretch"],
-            "midi.trim_silence": task["trim_silence"],
-            "run.lookahead": task["lookahead"],
-            "run.episode_len": task["episode_len"],
-            "run.best_effort": task["best_effort"],
-        }
-        comments = _snapshot_comments(snapshot)
-        output(".goals.txt").write_text("".join(f"# {c}\n" for c in comments) + goal_to_text(goals), encoding="utf-8")
-        output(".annotation.txt").write_text(write_annotation_text(annotation, snapshot), encoding="utf-8")
-        scores = score_annotation(goals, annotation, params)
-        output(".rewards.csv").write_text("".join(f"# {c}\n" for c in comments) + score_csv(scores), encoding="utf-8")
-        if task["pig_out"]:
-            records = annotation_to_pig(annotation, song.notes, stretch=task["stretch"], trim_silence=task["trim_silence"])
-            save_pig(records, output(".pig.txt"), header_comments=comments)
-        episodes = chunk_episodes(goals, annotation, task["episode_len"])
-        for episode in episodes:
-            record = build_episode_record(
-                episode, goals, annotation, scores.total, params, stem, snapshot, task["lookahead"]
-            )
-            save_episode(record, output(f".ep{episode.index:03d}{EPISODE_SUFFIX}"))
-    except Exception as exc:
-        for written_path in written:
-            with contextlib.suppress(OSError):
-                written_path.unlink()
-        return {"song": stem, "error": f"{type(exc).__name__}: {exc}"}
-    return {
-        "song": stem,
-        "steps": len(goals),
-        "mean_d_ot": annotation.mean_distance,
-        "dropped_steps": annotation.dropped_step_count,
-        "episodes": len(episodes),
-        "problems": list(song.problems),
-    }
+    queue = deque(sorted(paths, key=_file_size, reverse=True))
+    while queue:
+        finished, broken = [], False
+        # under fork every worker starts at the first submit: start no more than there are songs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(queue))) as pool:
+            running = {}
+            while not broken and (queue or running):
+                try:
+                    while queue and len(running) < jobs:
+                        running[pool.submit(run_song, queue[0], settings)] = queue[0]
+                        queue.popleft()
+                except BrokenProcessPool:  # the pool broke between two songs: this one waits for the next pool
+                    broken = True
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                finished += [(future, running.pop(future)) for future in done]
+                broken = broken or any(isinstance(future.exception(), BrokenProcessPool) for future in done)
+        # the pool has shut down: every future is done and no worker is left to write
+        for future, path in finished + list(running.items()):
+            try:
+                yield future.result()
+            except Exception as exc:
+                with contextlib.suppress(OSError):
+                    remove_song_files(settings.out, Path(path).stem)
+                yield SongResult(Path(path).stem, error=f"{type(exc).__name__}: {exc}")
 
 
 def cmd_annotate(args) -> int:
@@ -213,46 +151,29 @@ def cmd_annotate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out_dir}: {exc}") from exc
-    tasks = [
-        {
-            "path": str(p),
-            "out": str(out_dir),
-            "geom": geom,
-            "hands": hands,
-            "params": params,
-            "dt": args.dt,
-            "stretch": args.stretch,
-            "trim_silence": not args.no_trim_silence,
-            "best_effort": args.best_effort,
-            "episode_len": args.episode_len,
-            "lookahead": args.lookahead,
-            "pig_out": args.pig_out,
-        }
-        for p in paths
-    ]
-    if args.jobs > 1 and len(tasks) > 1:
-        # largest file first, so that no worker starts the longest song after the others are done
-        tasks.sort(key=lambda task: _file_size(task["path"]), reverse=True)
-        # under fork every worker starts at the first submit: start no more than there are songs
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = list(pool.map(_process_song, tasks))
+    settings = SongSettings(
+        out_dir, geom, hands, params, dt=args.dt, stretch=args.stretch, trim_silence=not args.no_trim_silence,
+        best_effort=args.best_effort, episode_len=args.episode_len, lookahead=args.lookahead, pig_out=args.pig_out,
+    )
+    if args.jobs > 1 and len(paths) > 1:
+        results = list(_run_pool(paths, settings, args.jobs))
     else:
-        results = [_process_song(t) for t in tasks]
+        results = [run_song(path, settings) for path in paths]
 
-    failures = []
-    for res in sorted(results, key=lambda r: r["song"]):
-        if "error" in res:
-            failures.append(res)
-            print(f"FAIL {res['song']}: {res['error']}", file=sys.stderr)
+    failures = 0
+    for res in sorted(results, key=lambda r: r.song):
+        if res.error is not None:
+            failures += 1
+            print(f"FAIL {res.song}: {res.error}", file=sys.stderr)
             continue
         print(
-            f"{res['song']}\tsteps={res['steps']}\tmean_d_ot={res['mean_d_ot']:.6f}"
-            f"\tdropped_steps={res['dropped_steps']}\tepisodes={res['episodes']}"
+            f"{res.song}\tsteps={res.steps}\tmean_d_ot={res.mean_d_ot:.6f}"
+            f"\tdropped_steps={res.dropped_steps}\tepisodes={res.episodes}"
         )
-        for problem in res["problems"]:
+        for problem in res.problems:
             print(f"  note: {problem}", file=sys.stderr)
     if failures:
-        print(f"{len(failures)} of {len(results)} songs failed", file=sys.stderr)
+        print(f"{failures} of {len(results)} songs failed", file=sys.stderr)
         return 1
     return 0
 
@@ -273,24 +194,23 @@ def cmd_eval(args) -> int:
         directory = Path(args.episodes)
         if not directory.is_dir():
             raise UsageError(f"not a directory: {directory}")
-        # read each container once and keep only its key rows and reward lines
-        by_song: dict = {}
+        # read each container once and keep only its key-step counts and reward lines
+        counts: dict = {}  # song -> summed (hits, n_pressed, n_active) of its containers
         reward_lines = []
         try:
             for rec in iter_episodes(directory):
-                keys = (rec.pressed_key_steps(args.press_threshold), rec.active_key_steps())
-                by_song.setdefault(str(rec.meta.get("song", "?")), []).append(keys)
+                song = str(rec.meta.get("song", "?"))
+                found = key_counts(rec.pressed_key_steps(args.press_threshold), rec.active_key_steps())
+                counts[song] = [a + b for a, b in zip(counts.get(song, (0, 0, 0)), found)]
                 if args.rewards_csv:
                     reward_lines += reward_rows(rec)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read episodes: {exc}") from exc
-        if not by_song:
+        if not counts:
             raise UsageError(f"no episode files under {directory}")
-        rows, traces = [], []
-        for song in sorted(by_song):
-            traces.append(tuple(np.concatenate(part) for part in zip(*by_song[song])))
-            rows.append((song, *precision_recall(*traces[-1])))
-        rows.append(("OVERALL", *precision_recall(*(np.concatenate(part) for part in zip(*traces)))))
+        rows = [(song, *counts[song]) for song in sorted(counts)]
+        rows.append(("OVERALL", *map(sum, zip(*counts.values()))))
+        rows = [(song, *counts_precision_recall(*found)) for song, *found in rows]
         rows = [(song, precision, recall, f1(precision, recall)) for song, precision, recall in rows]
         print("song\tprecision\trecall\tf1")
         for song, precision, recall, score in rows:

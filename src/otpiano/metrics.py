@@ -25,25 +25,25 @@ class NoOverlapError(ValueError):
     """Two fingering files share no matching notes."""
 
 
-def precision_recall(pressed, active) -> tuple:
-    """Micro-averaged precision and recall over all steps.
-
-    ``pressed`` and ``active`` are (T, 88) bool arrays of a rollout's keys
-    pressed and goal keys.  With nothing pressed precision is 1 (no wrong
-    press committed); with nothing active recall is 1 (nothing was missed).
-    """
+def key_counts(pressed, active) -> tuple:
+    """``(hits, n_pressed, n_active)`` key-steps of (T, 88) pressed and goal keys; split traces' counts sum to these."""
     pressed = np.asarray(pressed, dtype=bool)
     active = np.asarray(active, dtype=bool)
     if pressed.shape != active.shape or pressed.ndim != 2 or pressed.shape[1] != KEY_COUNT:
         raise ValueError(f"pressed {pressed.shape} and active {active.shape} must both be (T, {KEY_COUNT})")
     if len(pressed) == 0:
         raise ValueError("trace must contain at least one step")
-    hits = int(np.count_nonzero(pressed & active))
-    n_pressed = int(np.count_nonzero(pressed))
-    n_active = int(np.count_nonzero(active))
-    precision = hits / n_pressed if n_pressed else 1.0
-    recall = hits / n_active if n_active else 1.0
-    return precision, recall
+    return int(np.count_nonzero(pressed & active)), int(np.count_nonzero(pressed)), int(np.count_nonzero(active))
+
+
+def precision_recall(pressed, active) -> tuple:
+    """Micro-averaged precision and recall over all steps of a trace; see ``counts_precision_recall``."""
+    return counts_precision_recall(*key_counts(pressed, active))
+
+
+def counts_precision_recall(hits: int, n_pressed: int, n_active: int) -> tuple:
+    """Precision and recall from ``key_counts``: 1 with nothing pressed, and 1 with nothing active, respectively."""
+    return (hits / n_pressed if n_pressed else 1.0), (hits / n_active if n_active else 1.0)
 
 
 def f1(precision: float, recall: float) -> float:

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eval_reference
 from conftest import episode_with_raw_meta, golden_songs, midi_bytes, note_off, note_on, set_tempo, simple_song
-from otpiano import cli
+from otpiano import annotate, cli
 from otpiano.cli import main
 from otpiano.pig import load_pig
-from otpiano.store import EpisodeRecord, load_episode, save_episode
+from otpiano.store import EpisodeRecord, csv_cell, load_episode, save_episode
 
 
 @pytest.fixture
@@ -26,6 +29,12 @@ def song_dir(tmp_path):
         simple_song([(60, 480, 1440), (64, 480, 1440), (67, 480, 1440)], pedal=[(480, 100)])
     )
     return midi_dir
+
+
+def _done_future(result) -> Future:
+    future = Future()
+    future.set_result(result)
+    return future
 
 
 def _annotate(song_dir, out_dir, *extra):
@@ -97,7 +106,7 @@ def test_parallel_run_starts_the_largest_file_first_and_prints_as_one_job(song_d
 
     submitted = []
 
-    class RecordingPool:  # maps in this process, so no worker starts
+    class RecordingPool:  # runs each song in this process, so no worker starts
         def __init__(self, max_workers):
             pass
 
@@ -107,9 +116,9 @@ def test_parallel_run_starts_the_largest_file_first_and_prints_as_one_job(song_d
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            submitted.extend(Path(task["path"]).stem for task in tasks)
-            return map(fn, tasks)
+        def submit(self, fn, path, *args):
+            submitted.append(Path(path).stem)
+            return _done_future(fn(path, *args))
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert _annotate(song_dir, tmp_path / "recorded", "--jobs", "2") == 0
@@ -132,8 +141,8 @@ def test_annotate_starts_no_more_workers_than_songs(song_dir, tmp_path, monkeypa
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            return _done_future(fn(*args))
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert _annotate(song_dir, tmp_path / "out", "--jobs", "64") == 0
@@ -171,23 +180,23 @@ def test_annotate_reports_off_keyboard_notes_per_song(tmp_path, capsys, extra):
 def _fail_one_song(monkeypatch, where):
     """Make ``chord`` (the only song with a three-key step) fail in annotate_song, or ``line`` at its third container."""
     if where == "annotate_song":
-        annotate_song = cli.annotate_song
+        annotate_song = annotate.annotate_song
 
         def failing(goals, *args, **kwargs):
             if goals.keys.sum(axis=1).max() >= 3:
                 raise RuntimeError("injected failure")
             return annotate_song(goals, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "annotate_song", failing)
+        monkeypatch.setattr(annotate, "annotate_song", failing)
         return "chord"
-    save_episode = cli.save_episode
+    save_episode = annotate.save_episode
 
     def failing(record, path):
         if path.name == "line.ep002.rp1t":
             raise OSError("injected failure")
         return save_episode(record, path)
 
-    monkeypatch.setattr(cli, "save_episode", failing)
+    monkeypatch.setattr(annotate, "save_episode", failing)
     return "line"
 
 
@@ -231,6 +240,68 @@ def test_annotate_failing_rerun_leaves_none_of_the_songs_files(song_dir, tmp_pat
     assert _annotate(song_dir, out, "--episode-len", "16") == 1
     assert f"FAIL {bad}: " in capsys.readouterr().err
     assert not list(out.glob(f"{bad}.*"))
+
+
+def _assert_same_files(out, clean, except_songs=()):
+    """``out`` holds exactly ``clean``'s files, byte for byte, bar those of ``except_songs``."""
+    names = sorted(path.name for path in clean.iterdir() if path.name.split(".")[0] not in except_songs)
+    assert sorted(path.name for path in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+def test_annotate_survives_a_killed_worker(song_dir, tmp_path, capsys, monkeypatch):
+    long_notes = [(60 + i % 12, 240 * i, 240 * i + 480) for i in range(40)]
+    (song_dir / "dance.mid").write_bytes(simple_song(long_notes))
+    clean = tmp_path / "clean"
+    assert _annotate(song_dir, clean, "--pig-out", "--episode-len", "16") == 0
+    parent, save_episode = os.getpid(), annotate.save_episode
+
+    def killing(record, path):
+        if path.name.startswith("chord.") and os.getpid() != parent:
+            os._exit(137)  # as a SIGKILL or an out-of-memory kill would end the worker
+        return save_episode(record, path)
+
+    monkeypatch.setattr(annotate, "save_episode", killing)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _annotate(song_dir, out, "--pig-out", "--episode-len", "16", "--jobs", "2") == 1
+    err = capsys.readouterr().err
+    failed = [line[len("FAIL ") :].split(":")[0] for line in err.splitlines() if line.startswith("FAIL ")]
+    assert "FAIL chord: BrokenProcessPool: " in err
+    # only the songs in flight beside the dead worker fail with it; a new pool runs the rest
+    assert "chord" in failed and len(failed) <= 2
+    assert f"{len(failed)} of 3 songs failed" in err
+    _assert_same_files(out, clean, except_songs=failed)
+
+
+def test_annotate_removes_a_stale_staging_directory(song_dir, tmp_path):
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert _annotate(song_dir, clean) == 0
+    staging = out / ".line.partial"
+    (staging / "nested").mkdir(parents=True)
+    (staging / "line.ep007.rp1t").write_bytes(b"junk")
+    (staging / "nested" / "junk.txt").write_text("junk")
+    assert _annotate(song_dir, out) == 0
+    _assert_same_files(out, clean)
+
+
+def test_annotate_failure_while_moving_files_into_place_leaves_none(song_dir, tmp_path, capsys, monkeypatch):
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert _annotate(song_dir, clean) == 0
+    replace, moved = os.replace, []
+
+    def failing(source, target):  # line's third file fails, after two are in place
+        if Path(target).name.startswith("line."):
+            if len(moved) == 2:
+                raise OSError("injected failure")
+            moved.append(target)
+        return replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing)
+    assert _annotate(song_dir, out) == 1
+    assert "FAIL line: OSError: injected failure" in capsys.readouterr().err
+    _assert_same_files(out, clean, except_songs=["line"])
 
 
 def test_annotate_rerun_leaves_a_dotted_stems_files_alone(song_dir, tmp_path):
@@ -416,6 +487,21 @@ def test_eval_episodes(song_dir, tmp_path, capsys):
     assert lines[0] == "song,precision,recall,f1"
     assert len(lines) == 4  # two songs plus the corpus-level row
     assert lines[-1].startswith("OVERALL,")
+
+
+@pytest.mark.parametrize("threshold", ["0.5", "1e-3", "1"])
+def test_eval_counts_equal_the_joined_traces(tmp_path, threshold):
+    # four-finger best-effort drops keys, so precision and recall differ from 1 and from song to song
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    for name, data in golden_songs().items():
+        (midi_dir / f"{name}.mid").write_bytes(data)
+    out, csv_path = tmp_path / "out", tmp_path / "eval.csv"
+    assert _annotate(midi_dir, out, "--embodiment", "four-finger", "--best-effort", "--episode-len", "24") == 0
+    assert main(["eval", "--episodes", str(out), "--press-threshold", threshold, "--csv", str(csv_path)]) == 0
+    lines = [f"{csv_cell(s)},{p!r},{r!r},{v!r}" for s, p, r, v in eval_reference.eval_rows(out, float(threshold))]
+    assert csv_path.read_text().splitlines()[3:] == lines
+    assert len({line.split(",", 1)[1] for line in lines}) > 2
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])

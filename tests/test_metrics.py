@@ -13,9 +13,11 @@ from otpiano.metrics import (
     AgreementResult,
     DatasetStats,
     NoOverlapError,
+    counts_precision_recall,
     dataset_stats,
     f1,
     fingering_agreement,
+    key_counts,
     precision_recall,
 )
 from otpiano.midi import GoalSequence
@@ -72,6 +74,24 @@ def test_micro_averaging_pools_counts():
     precision, recall = precision_recall(*trace)
     assert precision == pytest.approx(3 / 4)
     assert recall == pytest.approx(3 / 6)
+
+
+_key_sets = st.sets(st.integers(0, 87), max_size=6)
+
+
+@given(st.lists(st.tuples(_key_sets, _key_sets), min_size=2, max_size=12), st.integers(1, 11))
+def test_key_counts_of_split_traces_sum_to_the_counts_of_the_joined_trace(steps, cut):
+    pressed, active = _trace(steps)
+    cut = cut % (len(steps) - 1) + 1
+    parts = key_counts(pressed[:cut], active[:cut]), key_counts(pressed[cut:], active[cut:])
+    summed = tuple(map(sum, zip(*parts)))
+    assert summed == key_counts(pressed, active)
+    assert counts_precision_recall(*summed) == precision_recall(pressed, active)
+
+
+def test_key_counts_are_hits_pressed_and_active():
+    assert key_counts(*_trace([({1, 2}, {1, 2, 3}), ({3, 9}, {4, 5, 3})])) == (3, 4, 6)
+    assert counts_precision_recall(0, 0, 0) == (1.0, 1.0)
 
 
 def test_f1_identities():
