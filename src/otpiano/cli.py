@@ -33,7 +33,7 @@ from .metrics import counts_precision_recall, key_counts
 from .midi import DEFAULT_DT, DEFAULT_LOOKAHEAD, DEFAULT_STRETCH, GoalSequence, goal_from_text
 from .pig import load_pig
 from .reward import RewardParams
-from .store import csv_cell, iter_episodes, reward_rows, rewards_csv
+from .store import csv_cell, iter_episodes, replacing, reward_rows, rewards_csv
 
 _MIDI_SUFFIXES = (".mid", ".midi")
 
@@ -183,6 +183,20 @@ def cmd_annotate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _episode_counts(directory: Path, press_threshold: float, with_rewards: bool):
+    """Yield ``(song, key counts, reward lines)`` for each container, read once; a bad one raises UsageError.
+
+    The reward lines are ``reward_rows`` with ``with_rewards``, else empty.
+    Errors the caller raises while it handles a record do not pass through here.
+    """
+    try:
+        for rec in iter_episodes(directory):
+            found = key_counts(rec.pressed_key_steps(press_threshold), rec.active_key_steps())
+            yield str(rec.meta.get("song", "?")), found, reward_rows(rec) if with_rewards else ()
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read episodes: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     if args.episodes is None and not (args.pig_ours and args.pig_human):
         raise UsageError("eval needs --episodes or both --pig-ours and --pig-human")
@@ -194,20 +208,23 @@ def cmd_eval(args) -> int:
         directory = Path(args.episodes)
         if not directory.is_dir():
             raise UsageError(f"not a directory: {directory}")
-        # read each container once and keep only its key-step counts and reward lines
+        # a fixed importer line keeps the header that existing result files carry
+        eval_snapshot = f"# press_threshold = {args.press_threshold}\n# importer = native\n"
         counts: dict = {}  # song -> summed (hits, n_pressed, n_active) of its containers
-        reward_lines = []
+        # reward lines go to a temporary file beside the report as each container is read
+        report = replacing(args.rewards_csv, encoding="utf-8") if args.rewards_csv else contextlib.nullcontext()
         try:
-            for rec in iter_episodes(directory):
-                song = str(rec.meta.get("song", "?"))
-                found = key_counts(rec.pressed_key_steps(args.press_threshold), rec.active_key_steps())
-                counts[song] = [a + b for a, b in zip(counts.get(song, (0, 0, 0)), found)]
-                if args.rewards_csv:
-                    reward_lines += reward_rows(rec)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read episodes: {exc}") from exc
-        if not counts:
-            raise UsageError(f"no episode files under {directory}")
+            with report as rewards:
+                if rewards:
+                    rewards.write(eval_snapshot + rewards_csv(()))  # the header line
+                for song, found, lines in _episode_counts(directory, args.press_threshold, bool(rewards)):
+                    counts[song] = [a + b for a, b in zip(counts.get(song, (0, 0, 0)), found)]
+                    if rewards:
+                        rewards.writelines(f"{line}\n" for line in lines)
+                if not counts:
+                    raise UsageError(f"no episode files under {directory}")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.rewards_csv}: {exc}") from exc
         rows = [(song, *counts[song]) for song in sorted(counts)]
         rows.append(("OVERALL", *map(sum, zip(*counts.values()))))
         rows = [(song, *counts_precision_recall(*found)) for song, *found in rows]
@@ -215,14 +232,10 @@ def cmd_eval(args) -> int:
         print("song\tprecision\trecall\tf1")
         for song, precision, recall, score in rows:
             print(f"{song}\t{precision:.6f}\t{recall:.6f}\t{score:.6f}")
-        # a fixed importer line keeps the header that existing result files carry
-        eval_snapshot = f"# press_threshold = {args.press_threshold}\n# importer = native\n"
         if args.csv:
             lines = ["song,precision,recall,f1"]
             lines += [f"{csv_cell(s)},{p!r},{r!r},{v!r}" for s, p, r, v in rows]
             _write_report(args.csv, eval_snapshot + "\n".join(lines) + "\n")
-        if args.rewards_csv:
-            _write_report(args.rewards_csv, eval_snapshot + rewards_csv(reward_lines))
         return 0
 
     if not 0.0 <= args.onset_tolerance < math.inf:  # nan fails this too

@@ -4,18 +4,23 @@ Layout: magic ``RP1T``, then version/T/obs_dim/act_dim as little-endian
 u32, then observations, actions and rewards as contiguous little-endian
 float32 arrays (row-major), a CRC32 over that payload, and finally a
 length-prefixed UTF-8 JSON metadata block.  Identical records serialize
-to identical bytes.  A record read back holds read-only views of the
-bytes read from the file, taken once the CRC32 has checked them: reading
-copies no payload.
+to identical bytes.  A record loaded from a file holds read-only views of
+the file mapped into memory, taken once the CRC32 has checked the whole
+payload: loading copies no payload into the heap.  ``save_episode`` never
+writes into an existing file, so a record still mapped from the old bytes
+keeps them.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import mmap
+import os
 import struct
+import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,16 +180,11 @@ def write_episode(rec: EpisodeRecord, sink) -> int:
     return sum(memoryview(part).nbytes for part in parts)
 
 
-def read_episode(source) -> EpisodeRecord:
-    """Deserialize a record from a binary file object, verifying the CRC.
+def _parse_episode(data) -> EpisodeRecord:
+    """The record held in ``data`` (bytes or a mapping), its arrays read-only views of ``data``.
 
-    The CRC32 covers the whole payload before any array is built; the
-    arrays are then read-only views of the bytes read from ``source``, so
-    the payload is never copied.  Every malformed source raises a
-    ValueError: one of this module's errors, or a JSON or UTF-8 decoding
-    error from the metadata block.
+    The CRC32 covers the whole payload before any array is built.
     """
-    data = source.read()
     if len(data) < _HEADER.size:
         raise BadMagicError("source shorter than the container header")
     magic, version, T, obs_dim, act_dim = _HEADER.unpack_from(data, 0)
@@ -223,36 +223,80 @@ def read_episode(source) -> EpisodeRecord:
     return EpisodeRecord(observations=observations, actions=actions, rewards=rewards, meta=meta)
 
 
+def read_episode(source) -> EpisodeRecord:
+    """Deserialize a record from a binary file object, verifying the CRC.
+
+    The record's arrays are read-only views of the bytes read from
+    ``source``.  Malformed bytes raise the ValueErrors ``load_episode``
+    lists.
+    """
+    return _parse_episode(source.read())
+
+
+@contextmanager
+def replacing(path, encoding=None):
+    """A new file that replaces ``path`` when the block succeeds: binary, or text in ``encoding``.
+
+    The file is created under a sibling temporary name (``.<name>.<hex>.tmp``,
+    never a container name) and moved over ``path`` with ``os.replace``; if
+    the block or the move fails, it is removed and ``path`` is left as it
+    was.  Nothing is written into ``path``'s own inode, so a record mapped
+    from the old file keeps its bytes; a symlink at ``path`` is replaced,
+    not written through.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(temporary, "xb" if encoding is None else "x", encoding=encoding) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_episode(rec: EpisodeRecord, path) -> int:
-    with open(path, "wb") as fh:
+    """Write a record to ``path`` through ``replacing``; returns bytes written.
+
+    A record loaded from the file that was at ``path`` stays valid.
+    """
+    with replacing(path) as fh:
         return write_episode(rec, fh)
 
 
+# the mapping holds no descriptor where Python can leave it out (3.13+)
+_MAP_OPTIONS = {"trackfd": False} if sys.version_info >= (3, 13) else {}
+
+
 def load_episode(path) -> EpisodeRecord:
+    """Load the record at ``path``: its arrays are read-only views of the file, mapped read-only.
+
+    The CRC32 covers the whole payload before any array is built, so
+    loading copies no payload.  The mapping lives as long as the record's
+    arrays do; before Python 3.13 it also holds an open descriptor.  Every
+    malformed file raises a ValueError: one of this module's errors (a file
+    too short for the header, an empty one included, raises BadMagicError),
+    or a JSON or UTF-8 decoding error from the metadata block.  The file
+    must not be truncated in place while a record of it is alive: reading
+    the lost pages kills the process with SIGBUS.  ``save_episode``
+    replaces files instead, so it is safe.
+    """
     with open(path, "rb") as fh:
-        return read_episode(fh)
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses empty files
+            return _parse_episode(b"")
+        return _parse_episode(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ, **_MAP_OPTIONS))
 
 
 def iter_episodes(directory):
     """Yield the records of a directory's container files, sorted by name.
 
-    One worker thread reads and checks the next container while the caller
-    works on the current record, so exactly one read is in flight.  A
-    container that fails to load raises at its own place in the order, after
-    every record before it.  Closing the generator waits for the read in
-    progress, and leaves no thread behind; a directory without containers
-    starts none.
+    Each container is loaded when the caller asks for it, so a caller that
+    drops each record before taking the next keeps one mapping alive.  A
+    container that fails to load raises at its own place in the order,
+    after every record before it.
     """
-    paths = sorted(Path(directory).glob(f"*{EPISODE_SUFFIX}"))
-    if not paths:
-        return
-    with ThreadPoolExecutor(max_workers=1) as reader:
-        ahead = reader.submit(load_episode, paths[0])
-        for path in paths[1:]:
-            record = ahead.result()
-            ahead = reader.submit(load_episode, path)
-            yield record
-        yield ahead.result()
+    for path in sorted(Path(directory).glob(f"*{EPISODE_SUFFIX}")):
+        yield load_episode(path)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import episode_with_raw_meta, golden_songs, midi_bytes, note_off, 
 from otpiano import annotate, cli
 from otpiano.cli import main
 from otpiano.pig import load_pig
-from otpiano.store import EpisodeRecord, csv_cell, load_episode, save_episode
+from otpiano.store import EpisodeRecord, csv_cell, iter_episodes, load_episode, reward_rows, rewards_csv, save_episode
 
 
 @pytest.fixture
@@ -530,6 +530,30 @@ def test_eval_rewards_csv(song_dir, tmp_path):
     lines = [l for l in rewards_path.read_text().strip().splitlines() if not l.startswith("#")]
     assert lines[0] == "song,chunk,step,reward,f1"
     assert len(lines) > 32  # one row per step per episode
+    # the streamed file holds the bytes of the whole export written at once
+    rows = [line for rec in iter_episodes(out) for line in reward_rows(rec)]
+    assert rewards_path.read_text() == "# press_threshold = 0.5\n# importer = native\n" + rewards_csv(rows)
+    assert sorted(os.listdir(tmp_path)) == ["midi", "out", "rewards.csv"]
+
+
+@pytest.mark.parametrize("case", ["corrupt-last-container", "no-containers"])
+def test_eval_rewards_csv_failure_leaves_no_file(song_dir, tmp_path, capsys, case):
+    out, reports = tmp_path / "out", tmp_path / "reports"
+    reports.mkdir()
+    if case == "no-containers":
+        out.mkdir()
+    else:
+        assert _annotate(song_dir, out) == 0
+        last = sorted(out.glob("*.rp1t"))[-1]
+        data = bytearray(last.read_bytes())
+        data[30] ^= 0xFF  # a payload byte, after the lines of the earlier containers went out
+        last.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["eval", "--episodes", str(out), "--rewards-csv", str(reports / "rewards.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("no episode files" if case == "no-containers" else "cannot read episodes")
+    assert not captured.out
+    assert os.listdir(reports) == []
 
 
 def test_annotate_rejects_bad_flags(song_dir, tmp_path):
