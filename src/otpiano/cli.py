@@ -4,7 +4,8 @@ Subcommands write files and text/CSV reports; this module checks arguments
 and prints.  ``annotate`` runs ``annotate.run_song`` per song, in-process or
 in ``--jobs`` workers (a dead worker fails only the songs in flight), and
 prints each song's MIDI problems as ``note:`` lines.  ``eval`` and ``stats``
-check their report paths before they read any input.  Exit codes: 0 success,
+check their report paths, and ``eval`` refuses one mode's flags in the
+other, before they read any input.  Exit codes: 0 success,
 1 failed songs (each reported, leaving no files) or an infeasible debug-assign
 chord, 2 an unusable input or output path.
 """
@@ -198,8 +199,12 @@ def _episode_counts(directory: Path, press_threshold: float, with_rewards: bool)
 
 
 def cmd_eval(args) -> int:
+    if args.episodes is not None and (args.pig_ours is not None or args.pig_human is not None):
+        raise UsageError("eval takes --episodes or --pig-ours/--pig-human, not both")
     if args.episodes is None and not (args.pig_ours and args.pig_human):
         raise UsageError("eval needs --episodes or both --pig-ours and --pig-human")
+    if args.episodes is None and (args.csv is not None or args.rewards_csv is not None):
+        raise UsageError("--csv and --rewards-csv need --episodes; PIG agreement writes no report")
 
     if args.episodes is not None:
         if not 0.0 < args.press_threshold <= 1.0:  # key depths lie in [0, 1]; nan fails this too
@@ -392,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pig-ours", default=None, help="our PIG fingering file")
     p.add_argument("--pig-human", default=None, help="reference PIG fingering file")
     p.add_argument("--onset-tolerance", type=float, default=0.05, help="note matching tolerance in seconds (finite, >= 0)")
-    p.add_argument("--csv", default=None, help="write per-piece results as CSV")
-    p.add_argument("--rewards-csv", default=None, help="write per-step rewards with F1 metadata as CSV")
+    p.add_argument("--csv", default=None, help="write per-piece results as CSV (with --episodes)")
+    p.add_argument("--rewards-csv", default=None, help="write per-step rewards with F1 metadata as CSV (with --episodes)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("stats", help="corpus statistics over goal files and episodes")

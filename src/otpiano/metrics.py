@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .keyboard import KEY_COUNT, is_black
 from .midi import onset_mask
+from .pig import spelled_to_midi
 
 DEFAULT_PRESS_THRESHOLD = 0.5
 F1_THRESHOLDS = (0.5, 0.75)
@@ -71,6 +73,9 @@ class AgreementResult:
     unmatched_reference: int
 
 
+_onset = attrgetter("onset")
+
+
 def fingering_agreement(ours, reference, onset_tolerance: float = 0.05) -> AgreementResult:
     """Compare two PIG record lists note by note.
 
@@ -83,15 +88,15 @@ def fingering_agreement(ours, reference, onset_tolerance: float = 0.05) -> Agree
     included).  Raises NoOverlapError when no note matches.
     """
     remaining = {}  # pitch -> (onsets, records) of the unmatched reference notes, in onset order
-    for rec in sorted(reference, key=lambda r: r.onset):
-        onsets, records = remaining.setdefault(rec.pitch, ([], []))
+    for rec in sorted(reference, key=_onset):
+        onsets, records = remaining.setdefault(spelled_to_midi(rec.spelled_pitch), ([], []))
         onsets.append(rec.onset)
         records.append(rec)
     matched = 0
     agreeing = 0
     unmatched_ours = 0
-    for rec in sorted(ours, key=lambda r: r.onset):
-        onsets, records = remaining.get(rec.pitch, ((), ()))
+    for rec in sorted(ours, key=_onset):
+        onsets, records = remaining.get(spelled_to_midi(rec.spelled_pitch), ((), ()))
         if not onsets:
             unmatched_ours += 1
             continue

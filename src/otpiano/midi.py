@@ -48,9 +48,9 @@ class DimensionMismatchError(ValueError):
     """Vector component has the wrong shape."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoteEvent:
-    """One matched note: pitch with onset/offset in seconds."""
+    """One matched note: pitch with onset/offset in seconds; an offset not after the onset raises ValueError."""
 
     pitch: int
     onset: float
@@ -58,9 +58,11 @@ class NoteEvent:
     velocity: int
     channel: int
 
-    def __post_init__(self) -> None:
-        if self.offset <= self.onset:
-            raise ValueError(f"offset {self.offset} must exceed onset {self.onset}")
+    def __init__(self, pitch: int, onset: float, offset: float, velocity: int, channel: int) -> None:
+        if offset <= onset:
+            raise ValueError(f"offset {offset} must exceed onset {onset}")
+        # the frozen __setattr__ refuses assignment, so the checked fields go into the instance dict at once
+        self.__dict__.update(pitch=pitch, onset=onset, offset=offset, velocity=velocity, channel=channel)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ offset velocity, channel (0 = right hand, 1 = left hand), finger.
 Finger labels are signed digits 1..5 (negative = left hand); a
 substitution like ``1_2`` is kept verbatim; no other field holds ``_``.
 Lines starting with ``//`` are headers and are skipped on parse.
+
+``PigRecord`` is a frozen dataclass with one hand-written constructor that
+checks every field and then stores them all in one dict update; the parser
+builds one per note line.  ``load_pig`` skips a leading UTF-8 byte-order
+mark.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def _check_finger(token: str) -> None:
         raise ValueError(f"bad finger label {token!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PigRecord:
     """One PIG note record; ``finger`` keeps the file token verbatim.
 
@@ -81,16 +86,37 @@ class PigRecord:
     channel: int
     finger: str
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.onset) and math.isfinite(self.offset)):
-            raise ValueError(f"onset and offset must be finite, got {self.onset!r} and {self.offset!r}")
-        if self.offset < self.onset:
+    def __init__(
+        self,
+        note_id: int,
+        onset: float,
+        offset: float,
+        spelled_pitch: str,
+        onset_velocity: int,
+        offset_velocity: int,
+        channel: int,
+        finger: str,
+    ) -> None:
+        if not (math.isfinite(onset) and math.isfinite(offset)):
+            raise ValueError(f"onset and offset must be finite, got {onset!r} and {offset!r}")
+        if offset < onset:
             raise ValueError("offset before onset")
-        if self.channel not in (0, 1):
-            raise ValueError(f"channel must be 0 (right hand) or 1 (left hand), got {self.channel!r}")
-        _check_finger(self.finger)
-        if not 0 <= spelled_to_midi(self.spelled_pitch) <= 127:
-            raise ValueError(f"spelled pitch {self.spelled_pitch!r} outside MIDI 0..127")
+        if channel not in (0, 1):
+            raise ValueError(f"channel must be 0 (right hand) or 1 (left hand), got {channel!r}")
+        _check_finger(finger)
+        if not 0 <= spelled_to_midi(spelled_pitch) <= 127:
+            raise ValueError(f"spelled pitch {spelled_pitch!r} outside MIDI 0..127")
+        # the frozen __setattr__ refuses assignment, so the checked fields go into the instance dict at once
+        self.__dict__.update(
+            note_id=note_id,
+            onset=onset,
+            offset=offset,
+            spelled_pitch=spelled_pitch,
+            onset_velocity=onset_velocity,
+            offset_velocity=offset_velocity,
+            channel=channel,
+            finger=finger,
+        )
 
     @property
     def pitch(self) -> int:
@@ -122,9 +148,10 @@ def parse_pig(text: str) -> list[PigRecord]:
     1-based line number.
     """
     records = []
+    append = records.append
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("//"):
+        if not stripped or stripped[:2] == "//":
             continue
         fields = stripped.split("\t")
         if len(fields) != 8:
@@ -135,7 +162,7 @@ def parse_pig(text: str) -> list[PigRecord]:
             raise MalformedPigLineError(lineno, f"underscore outside the finger field: {bad!r}")
         note_id, onset, offset, pitch, onset_velocity, offset_velocity, channel, finger = fields
         try:  # fields convert left to right, so the first bad one names the error
-            records.append(
+            append(
                 PigRecord(
                     int(note_id),
                     float(onset),
@@ -180,7 +207,8 @@ def write_pig(records, header_comments=()) -> str:
 
 
 def load_pig(path) -> list[PigRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a PIG file; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_pig(fh.read())
 
 

@@ -590,6 +590,45 @@ def test_eval_pig_agreement(song_dir, tmp_path, capsys):
     assert "agreement=1.000000\tmatched=3\tunmatched_ours=0" in capsys.readouterr().out
 
 
+def test_eval_pig_agreement_reads_a_file_with_a_byte_order_mark(song_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    _annotate(song_dir, out, "--pig-out")
+    pig = out / "line.pig.txt"
+    bom = tmp_path / "bom.pig.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + pig.read_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--pig-ours", str(pig), "--pig-human", str(bom)]) == 0
+    assert "agreement=1.000000\tmatched=3\tunmatched_ours=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--episodes", "{out}", "--pig-ours", "{pig}", "--pig-human", "{pig}"],
+        ["--episodes", "{out}", "--pig-ours", "{pig}"],
+        ["--episodes", "{out}", "--pig-human", "{pig}"],
+        ["--pig-ours", "{pig}", "--pig-human", "{pig}", "--csv", "{tmp}/scores.csv"],
+        ["--pig-ours", "{pig}", "--pig-human", "{pig}", "--rewards-csv", "{tmp}/rewards.csv"],
+    ],
+    ids=["episodes-and-both-pig", "episodes-and-pig-ours", "episodes-and-pig-human", "pig-and-csv", "pig-and-rewards-csv"],
+)
+def test_eval_refuses_the_other_modes_flags_before_reading(song_dir, tmp_path, capsys, monkeypatch, extra):
+    out = tmp_path / "out"
+    _annotate(song_dir, out, "--pig-out")
+    capsys.readouterr()
+
+    def unread(*args, **kwargs):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "iter_episodes", unread)
+    monkeypatch.setattr(cli, "load_pig", unread)
+    argv = [arg.format(out=out, pig=out / "line.pig.txt", tmp=tmp_path) for arg in extra]
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and ("not both" in captured.err or "need --episodes" in captured.err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_eval_exit_codes(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import control_change, key_rows, midi_bytes, mutated_bytes, note_off, note_on, set_tempo, simple_song
 import goal_text_reference as reference
+import pig_reference
 from numpy_reference import key_onsets
 from otpiano.keyboard import KeyState, OutOfRangeError
 from otpiano.midi import (
@@ -271,6 +275,28 @@ def test_random_songs_match_reference_tempo_math():
 
 def _note(pitch, onset, offset, velocity=80, channel=0):
     return NoteEvent(pitch=pitch, onset=onset, offset=offset, velocity=velocity, channel=channel)
+
+
+def test_note_event_matches_the_dataclass_reference():
+    note, ref = NoteEvent(60, 0.25, 0.5, 80, 1), pig_reference.NoteEvent(60, 0.25, 0.5, 80, 1)
+    assert (repr(note), hash(note), dataclasses.astuple(note)) == (repr(ref), hash(ref), dataclasses.astuple(ref))
+    assert note == _note(60, 0.25, 0.5, 80, 1) and note != _note(61, 0.25, 0.5, 80, 1)
+    for name in ("pitch", "onset", "offset", "velocity", "channel"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(note, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(note, name)
+    with pytest.raises(ValueError, match="must exceed"):
+        dataclasses.replace(note, offset=0.25)  # replace builds through the checking constructor
+
+
+@pytest.mark.parametrize("onset,offset", [(0.5, 0.5), (0.5, 0.25), (0.0, -0.0), (1.0, -math.inf)])
+def test_note_event_rejects_an_offset_not_after_the_onset_like_the_reference(onset, offset):
+    with pytest.raises(ValueError) as err:
+        NoteEvent(60, onset, offset, 80, 0)
+    with pytest.raises(ValueError) as ref_err:
+        pig_reference.NoteEvent(60, onset, offset, 80, 0)
+    assert str(err.value) == str(ref_err.value) == f"offset {offset} must exceed onset {onset}"
 
 
 def _active(seq, t):

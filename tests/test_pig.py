@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pig_reference
 from conftest import mutated_bytes
 from otpiano.pig import (
     MalformedPigLineError,
     PigRecord,
+    load_pig,
     midi_to_spelled,
     parse_pig,
     spelled_to_midi,
@@ -146,10 +151,9 @@ def test_float_fields_round_trip_exactly():
 
 
 def _parse_or_malformed(text):
-    try:
-        parse_pig(text)
-    except MalformedPigLineError:
-        pass
+    """Parse like the dataclass reference does (see below), raising nothing but MalformedPigLineError."""
+    outcome = _assert_parses_like_reference(text)
+    assert isinstance(outcome, list) or outcome[0] is MalformedPigLineError
 
 
 @given(st.text() | st.binary().map(lambda data: data.decode("utf-8", "replace")))
@@ -161,3 +165,131 @@ def test_parse_pig_raises_only_malformed_lines_on_arbitrary_text(text):
 @given(mutated_bytes(GOLDEN.encode()))
 def test_parse_pig_raises_only_malformed_lines_on_mutated_files(data):
     _parse_or_malformed(data.decode("utf-8", "replace"))
+
+
+def test_load_pig_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.pig.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + GOLDEN.encode())
+    assert load_pig(path) == parse_pig(GOLDEN)
+    # only a leading mark is skipped: one after it is part of the first line's text
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + GOLDEN.encode())
+    with pytest.raises(MalformedPigLineError) as err:
+        load_pig(path)
+    assert err.value.lineno == 1
+
+
+# ---------------------------------------------------------------------------
+# the record constructor and the parse loop against the dataclass reference
+# ---------------------------------------------------------------------------
+
+_GOOD = (3, 0.5, 1.0, "C4", 80, 0, 0, "1")
+_NAMES = [f.name for f in dataclasses.fields(PigRecord)]
+
+
+def _outcome(build, *args, **kwargs):
+    """Records as (class name, fields, repr, hash), comparable across the two classes; an error as (type, message, line)."""
+    try:
+        result = build(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+    records = result if isinstance(result, list) else [result]
+    return [(type(r).__name__, dataclasses.astuple(r), repr(r), hash(r)) for r in records]
+
+
+def _assert_parses_like_reference(text):
+    ours = _outcome(parse_pig, text)
+    assert ours == _outcome(pig_reference.parse_pig, text)
+    if isinstance(ours, list):
+        assert all(type(rec) is PigRecord for rec in parse_pig(text))
+    return ours
+
+
+def test_record_matches_the_dataclass_reference():
+    rec = PigRecord(*_GOOD)
+    ref = pig_reference.PigRecord(*_GOOD)
+    assert (repr(rec), hash(rec), dataclasses.astuple(rec)) == (repr(ref), hash(ref), dataclasses.astuple(ref))
+    assert rec == PigRecord(**dict(zip(_NAMES, _GOOD))) and hash(rec) == hash(PigRecord(*_GOOD))
+    assert rec != PigRecord(4, *_GOOD[1:]) and rec != ref  # dataclass equality needs the same class
+    assert (rec.pitch, rec.primary_finger, rec.substitution) == (60, 1, None)
+    assert dataclasses.replace(rec, channel=1).channel == 1
+    with pytest.raises(ValueError, match="channel"):
+        dataclasses.replace(rec, channel=2)  # replace builds through the checking constructor
+
+
+def test_record_is_immutable():
+    rec = PigRecord(*_GOOD)
+    for name in _NAMES:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.extra = 1
+    assert rec == PigRecord(*_GOOD)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("onset", math.nan, "finite"),
+        ("onset", -math.inf, "finite"),
+        ("offset", math.nan, "finite"),
+        ("offset", math.inf, "finite"),
+        ("offset", 0.25, "offset before onset"),
+        ("channel", 2, "channel must be"),
+        ("channel", -1, "channel must be"),
+        ("finger", "6", "bad finger label"),
+        ("finger", "1_2_3", "bad finger label"),
+        ("finger", "", "bad finger label"),
+        ("spelled_pitch", "H4", "bad spelled pitch"),
+        ("spelled_pitch", "C9999", "outside MIDI"),
+        ("spelled_pitch", "Cb-1", "outside MIDI"),
+    ],
+)
+def test_record_rejects_each_bad_field_like_the_reference(field, value, message):
+    args = dict(zip(_NAMES, _GOOD), **{field: value})
+    with pytest.raises(ValueError, match=message) as err:
+        PigRecord(**args)
+    with pytest.raises(ValueError) as ref_err:
+        pig_reference.PigRecord(**args)
+    assert (type(err.value), str(err.value)) == (type(ref_err.value), str(ref_err.value))
+
+
+_FLOATS = [0.0, -0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(
+        st.sampled_from([0, 7]),
+        st.sampled_from(_FLOATS),
+        st.sampled_from(_FLOATS),
+        st.sampled_from(["C4", "Bb3", "G9", "C-1", "H4", "C9999", "Cb-1"]),
+        st.sampled_from([80, 0]),
+        st.sampled_from([0, 64]),
+        st.sampled_from([0, 1, 2, -1]),
+        st.sampled_from(["1", "-5", "1_2", "6", "1_2_3", ""]),
+    )
+)
+def test_record_constructor_matches_the_reference(args):
+    # several fields may be bad at once, so the order of the checks shows too
+    expected = _outcome(pig_reference.PigRecord, *args)
+    assert _outcome(PigRecord, *args) == expected
+    assert _outcome(PigRecord, **dict(zip(_NAMES, args))) == expected
+
+
+def _pig_line():
+    ids = ["0", "12", "-3", "+4", " 5", "1.5", "x"]
+    times = ["0.0", "0.5", "1.0", "2", "1e0", "-0.0", "nan", "inf", "-inf", "x", "0_5"]
+    pitches = ["C4", "Bb3", "F#4", "G9", "C-1", "H4", "C9999", "Cb-1", "c4", ""]
+    velocities = ["80", "0", "-1", "x", "1_0"]
+    channels = ["0", "1", "2", "-1", " 1", "x"]
+    fingers = ["1", "-5", "1_2", "-1_-2", "6", "1_2_3", "0", "", "x"]
+    fields = [ids, times, times, pitches, velocities, velocities, channels, fingers]
+    return st.tuples(*map(st.sampled_from, fields)).map("\t".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pig_line() | st.sampled_from(["", "//header", "  ", "0\t1"]), max_size=6).map("\n".join))
+def test_parse_pig_matches_the_reference_on_near_valid_lines(text):
+    _parse_or_malformed(text)
