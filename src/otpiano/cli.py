@@ -5,7 +5,8 @@ and prints.  ``annotate`` runs ``annotate.run_song`` per song, in-process or
 in ``--jobs`` workers (a dead worker fails only the songs in flight), and
 prints each song's MIDI problems as ``note:`` lines.  ``eval`` and ``stats``
 check their report paths, and ``eval`` refuses one mode's flags in the
-other, before they read any input.  Exit codes: 0 success,
+other, before they read any input.  ``main`` builds its parser once per
+process.  Exit codes: 0 success,
 1 failed songs (each reported, leaving no files) or an infeasible debug-assign
 chord, 2 an unusable input or output path.
 """
@@ -198,13 +199,25 @@ def _episode_counts(directory: Path, press_threshold: float, with_rewards: bool)
         raise UsageError(f"cannot read episodes: {exc}") from exc
 
 
-def cmd_eval(args) -> int:
-    if args.episodes is not None and (args.pig_ours is not None or args.pig_human is not None):
-        raise UsageError("eval takes --episodes or --pig-ours/--pig-human, not both")
+def _check_eval_mode(args) -> None:
+    """Refuse a mix of both modes' flags, or neither mode; then fill in the defaults of the mode given."""
+    given = {}
+    for flag, mode, _, _ in _EVAL_FLAGS:
+        if getattr(args, _dest(flag)) is not None:
+            given.setdefault(mode, []).append(flag)
+    if len(given) > 1:
+        mix = " with ".join(f"{', '.join(flags)} ({mode})" for mode, flags in given.items())
+        raise UsageError(f"eval takes the flags of one mode, not both: {mix}")
     if args.episodes is None and not (args.pig_ours and args.pig_human):
         raise UsageError("eval needs --episodes or both --pig-ours and --pig-human")
-    if args.episodes is None and (args.csv is not None or args.rewards_csv is not None):
-        raise UsageError("--csv and --rewards-csv need --episodes; PIG agreement writes no report")
+    mode = _EPISODES if args.episodes is not None else _PIG
+    for flag, flag_mode, default, _ in _EVAL_FLAGS:
+        if flag_mode == mode and getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), default)
+
+
+def cmd_eval(args) -> int:
+    _check_eval_mode(args)
 
     if args.episodes is not None:
         if not 0.0 < args.press_threshold <= 1.0:  # key depths lie in [0, 1]; nan fails this too
@@ -365,6 +378,27 @@ output formats:
 """
 
 
+_EPISODES, _PIG = "episode scoring", "PIG agreement"
+
+# Each eval flag with the one mode it belongs to and its default.  The parser
+# declares every one with default None, so that _check_eval_mode sees which were
+# given, refuses the other mode's, and only then fills in the defaults.
+_EVAL_FLAGS = (
+    ("--episodes", _EPISODES, None, {"help": "directory of episode containers"}),
+    ("--press-threshold", _EPISODES, DEFAULT_PRESS_THRESHOLD, {"type": float, "help": "key depth counted as pressed"}),
+    ("--csv", _EPISODES, None, {"help": "write per-piece results as CSV"}),
+    ("--rewards-csv", _EPISODES, None, {"help": "write per-step rewards with F1 metadata as CSV"}),
+    ("--pig-ours", _PIG, None, {"help": "our PIG fingering file"}),
+    ("--pig-human", _PIG, None, {"help": "reference PIG fingering file"}),
+    ("--onset-tolerance", _PIG, 0.05, {"type": float, "help": "note matching tolerance in seconds (finite, >= 0)"}),
+)
+
+
+def _dest(flag: str) -> str:
+    """The ``Namespace`` attribute argparse stores ``flag`` under."""
+    return flag[2:].replace("-", "_")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otpiano",
@@ -392,13 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("eval", help="score rollouts (F1) or compare fingering files")
-    p.add_argument("--episodes", default=None, help="directory of episode containers")
-    p.add_argument("--press-threshold", type=float, default=DEFAULT_PRESS_THRESHOLD, help="key depth counted as pressed")
-    p.add_argument("--pig-ours", default=None, help="our PIG fingering file")
-    p.add_argument("--pig-human", default=None, help="reference PIG fingering file")
-    p.add_argument("--onset-tolerance", type=float, default=0.05, help="note matching tolerance in seconds (finite, >= 0)")
-    p.add_argument("--csv", default=None, help="write per-piece results as CSV (with --episodes)")
-    p.add_argument("--rewards-csv", default=None, help="write per-step rewards with F1 metadata as CSV (with --episodes)")
+    groups = {mode: p.add_argument_group(mode) for mode in (_EPISODES, _PIG)}
+    for flag, mode, _, options in _EVAL_FLAGS:
+        groups[mode].add_argument(flag, default=None, **options)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("stats", help="corpus statistics over goal files and episodes")
@@ -417,8 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built on the first call of main, then kept for the life of the process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

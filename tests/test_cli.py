@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import os
 from concurrent.futures import Future
 from pathlib import Path
@@ -12,7 +14,8 @@ import eval_reference
 from conftest import episode_with_raw_meta, golden_songs, midi_bytes, note_off, note_on, set_tempo, simple_song
 from otpiano import annotate, cli
 from otpiano.cli import main
-from otpiano.pig import load_pig
+from otpiano.midi import observation_layout
+from otpiano.pig import load_pig, save_pig
 from otpiano.store import EpisodeRecord, csv_cell, iter_episodes, load_episode, reward_rows, rewards_csv, save_episode
 
 
@@ -627,6 +630,101 @@ def test_eval_refuses_the_other_modes_flags_before_reading(song_dir, tmp_path, c
     captured = capsys.readouterr()
     assert not captured.out and ("not both" in captured.err or "need --episodes" in captured.err)
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _eval_flags(parser) -> list:
+    """The option strings of the parser's ``eval`` flags, ``--help`` aside."""
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return [action.option_strings[0] for action in sub.choices["eval"]._actions if action.dest != "help"]
+
+
+def _shifted_pig_copy(pig, path, shift, every=1):
+    """``pig`` with every ``every``-th note moved later by ``shift`` seconds, saved at ``path``."""
+    records = load_pig(pig)
+    moved = [
+        dataclasses.replace(rec, onset=rec.onset + shift, offset=rec.offset + shift) if n % every == 0 else rec
+        for n, rec in enumerate(records)
+    ]
+    save_pig(moved, path)
+    return path
+
+
+def test_every_eval_flag_changes_the_output_or_exits_2(song_dir, tmp_path, capsys):
+    out, reports = tmp_path / "out", tmp_path / "reports"
+    reports.mkdir()
+    assert _annotate(song_dir, out, "--pig-out") == 0
+    # key joints at depth 0.6 in one container, so the press threshold decides which keys count as pressed
+    path = out / "line.ep000.rp1t"
+    rec = load_episode(path)
+    start, stop = observation_layout()["key_joints"]
+    observations = np.array(rec.observations)
+    observations[:, start:stop] *= 0.6
+    save_episode(EpisodeRecord(observations, np.array(rec.actions), np.array(rec.rewards), meta=rec.meta), path)
+    # one of the three notes 0.1 s late: the default tolerance misses it, a wider one matches it
+    human = _shifted_pig_copy(out / "line.pig.txt", tmp_path / "human.pig.txt", 0.1, every=2)
+    values = {
+        "--episodes": out, "--press-threshold": "0.9", "--csv": reports / "scores.csv",
+        "--rewards-csv": reports / "rewards.csv", "--pig-ours": out / "line.pig.txt", "--pig-human": human,
+        "--onset-tolerance": "0.2",
+    }
+    # a flag added to eval must be given a value here, and so falls under this test
+    assert sorted(_eval_flags(cli.build_parser())) == sorted(values)
+
+    def run(flags):
+        for report in reports.iterdir():
+            report.unlink()
+        code = main(["eval", *(str(arg) for flag in flags for arg in (flag, values[flag]))])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, {report.name: report.read_text() for report in reports.iterdir()}
+
+    capsys.readouterr()
+    for base in (["--episodes"], ["--pig-ours", "--pig-human"]):
+        expected = run(base)
+        assert expected[0] == 0 and expected[1]
+        for flag in values:
+            toggled = [f for f in base if f != flag] if flag in base else [*base, flag]
+            code, stdout, stderr, written = run(toggled)
+            if code == 2:
+                assert not stdout and not written, (base, flag)
+            else:
+                assert code == 0 and (code, stdout, stderr, written) != expected, (base, flag)
+
+
+def test_main_keeps_one_parser_per_process(song_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out, "--pig-out") == 0
+    pig = out / "line.pig.txt"
+    # every note 0.02 s late: matched at the 0.05 s default, unmatched at a zero tolerance
+    late = _shifted_pig_copy(pig, tmp_path / "late.pig.txt", 0.02)
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    agree = ["eval", "--pig-ours", str(pig), "--pig-human", str(late)]
+    capsys.readouterr()
+    assert main([*agree, "--onset-tolerance", "0"]) == 2  # nothing matched: agreement undefined
+    assert capsys.readouterr().err.startswith("agreement undefined")
+    assert main(agree) == 0
+    assert "agreement=1.000000\tmatched=3\tunmatched_ours=0" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as usage:
+        main([*agree, "--no-such-flag"])
+    assert usage.value.code == 2
+    assert main(["eval", "--episodes", str(out), "--onset-tolerance", "0.2"]) == 2
+    assert main(agree) == 0
+    assert "matched=3" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    assert capsys.readouterr().out.startswith("otpiano ")
+    assert len(builds) == 1
+    # the kept parser parses as a new one does
+    for argv in (agree, ["eval", "--episodes", str(out)], ["stats", "--in", str(out)], ["annotate", "--midi", "m", "--out", "o"]):
+        assert cli._PARSER.parse_args(argv) == build().parse_args(argv)
 
 
 def test_eval_exit_codes(tmp_path):
