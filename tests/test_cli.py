@@ -791,16 +791,20 @@ def test_stats_accepts_f1_metadata_at_the_range_ends(song_dir, tmp_path, capsys,
     assert f"fraction f1 >= 0.75: {value:.6f}" in captured
 
 
-@pytest.mark.parametrize("command", ["eval", "stats"])
-def test_bad_observation_width_exits_2(tmp_path, capsys, command):
-    # a well-formed container whose 5-wide observations fit no observation layout
-    record = EpisodeRecord(np.zeros((3, 5)), np.zeros((3, 1)), np.zeros(3), meta={"song": "narrow"})
+@pytest.mark.parametrize(
+    "argv,width",
+    [(["eval", "--episodes"], 5), (["stats", "--f1-meta", "--in"], 5), (["eval", "--episodes"], 100), (["stats", "--f1-meta", "--in"], 100)],
+    ids=["eval", "stats", "eval-width-100", "stats-width-100"],
+)
+def test_bad_observation_width_exits_2(tmp_path, capsys, argv, width):
+    # a well-formed container whose observations fit no observation layout; 100 columns hold 88 goal keys
+    record = EpisodeRecord(np.zeros((3, width)), np.zeros((3, 1)), np.zeros(3), meta={"song": "narrow", "f1": 0.5})
     save_episode(record, tmp_path / "narrow.ep000.rp1t")
-    flag = "--episodes" if command == "eval" else "--in"
-    assert main([command, flag, str(tmp_path)]) == 2
+    assert main([*argv, str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cannot read")
+    assert f"obs_dim {width} does not match the observation layout" in captured.err
 
 
 def test_eval_csv_exports_quote_song_names(tmp_path):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ctypes
 import io
 import itertools
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import episode_with_raw_meta, mutated_bytes
 from otpiano import store
-from otpiano.midi import ACTION_DIM, OBSERVATION_DIM
+from otpiano.midi import ACTION_DIM, OBSERVATION_DIM, observation_dim
 from otpiano.store import (
     CANONICAL_T,
     BadMagicError,
@@ -187,6 +190,82 @@ def test_load_episode_raises_only_value_errors_on_any_file(tmp_path_factory, dat
     assert isinstance(rec.meta, dict)
 
 
+def _libdeflate_loads() -> bool:
+    try:
+        ctypes.CDLL("libdeflate.so.0").libdeflate_crc32
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _libdeflate_loads(), reason="libdeflate.so.0 is not installed")
+def test_crc32_is_libdeflates_where_the_library_loads():
+    assert store.crc32 is not zlib.crc32
+    assert store.crc32(b"123456789") == 0xCBF43926  # the CRC-32 check value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=3000), st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 7))
+def test_crc32_equals_zlibs(data, start, head, tail):
+    # memoryview slices at odd offsets, chained from any start value; an empty one gives the start value
+    view = memoryview(data)[head : len(data) - tail]
+    assert store.crc32(view, start) == zlib.crc32(view, start)
+    assert store.crc32(data) == zlib.crc32(data)
+    assert store.crc32(data[:0], start) == start
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(min_size=1, max_size=3000), st.integers(0, 2**32 - 1), st.integers(0, 7))
+def test_crc32_equals_zlibs_on_a_read_only_mapping(tmp_path_factory, data, start, head):
+    path = tmp_path_factory.getbasetemp() / f"crc{next(_FILE_NAMES)}.bin"
+    path.write_bytes(data)
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
+        view = memoryview(mapping)[head:]
+        try:
+            assert store.crc32(view, start) == zlib.crc32(view, start)
+        finally:
+            view.release()  # the mapping closes only once no view of it is left
+
+
+@pytest.mark.parametrize("library", [None, object()], ids=["library-missing", "symbol-missing"])
+def test_crc32_falls_back_to_zlib_with_the_same_bytes_and_checks(tmp_path, monkeypatch, library):
+    def cdll(name):
+        if library is None:
+            raise OSError(f"{name}: cannot open shared object file")
+        return library
+
+    selected = store.crc32
+    with monkeypatch.context() as patch:
+        patch.setattr(ctypes, "CDLL", cdll)
+        fallback = store._select_crc32()
+    assert fallback is zlib.crc32
+    rec = _random_record(np.random.default_rng(17), T=9, obs_dim=13, act_dim=5)
+    written = []
+    for name, function in (("selected", selected), ("fallback", fallback)):
+        monkeypatch.setattr(store, "crc32", function)
+        written.append(episode_bytes(rec))
+        path = tmp_path / f"{name}{EPISODE_SUFFIX}"
+        save_episode(rec, path)
+        assert np.array_equal(load_episode(path).observations, rec.observations)
+        flipped = bytearray(written[-1])
+        flipped[20 + 4 * 13 * 9 + 3] ^= 0x10  # an action byte
+        with pytest.raises(ChecksumMismatchError):
+            read_episode(io.BytesIO(bytes(flipped)))
+        (tmp_path / f"{name}-flipped{EPISODE_SUFFIX}").write_bytes(flipped)
+        with pytest.raises(ChecksumMismatchError):
+            load_episode(tmp_path / f"{name}-flipped{EPISODE_SUFFIX}")
+    assert written[0] == written[1]
+
+
+def test_writing_and_checking_both_call_the_selected_crc32(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(store, "crc32", lambda data, value=0: sizes.append(memoryview(data).nbytes) or zlib.crc32(data, value))
+    data = episode_bytes(_random_record(np.random.default_rng(18), T=2, obs_dim=3, act_dim=2))
+    assert sizes == [24, 16, 8]  # observations, actions, rewards, chained
+    read_episode(io.BytesIO(data))
+    assert sizes[3:] == [48]  # the whole payload
+
+
 _JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -293,12 +372,20 @@ def test_load_episode_reads_without_copying(tmp_path):
 
 
 def test_chunk_goal_keys_drops_the_padding():
-    rec = _random_record(np.random.default_rng(10), obs_dim=100, meta={"song": "s", "chunk": 3, "n_real": 2})
+    rec = _random_record(np.random.default_rng(10), obs_dim=observation_dim(1), meta={"song": "s", "chunk": 3, "n_real": 2})
     chunk, keys = rec.chunk_goal_keys()
     assert chunk == 3
     assert np.array_equal(keys, rec.active_key_steps()[:2])
-    chunk, keys = _random_record(np.random.default_rng(11), obs_dim=100, meta={"song": "s"}).chunk_goal_keys()
+    chunk, keys = _random_record(np.random.default_rng(11), obs_dim=observation_dim(1), meta={"song": "s"}).chunk_goal_keys()
     assert chunk == 0 and keys.shape == (5, 88)
+
+
+def test_goal_key_hooks_reject_a_width_off_the_observation_layout():
+    # 100 columns hold 88 goal keys, but no observation layout is 100 wide
+    rec = _random_record(np.random.default_rng(19), obs_dim=100)
+    for hook in (rec.active_key_steps, rec.chunk_goal_keys, rec.pressed_key_steps):
+        with pytest.raises(InvalidRecordError, match="obs_dim 100 does not match the observation layout"):
+            hook()
 
 
 @pytest.mark.parametrize(
@@ -307,7 +394,7 @@ def test_chunk_goal_keys_drops_the_padding():
     ids=["chunk-text", "chunk-negative", "chunk-bool", "n_real-too-long", "n_real-float", "n_real-null"],
 )
 def test_chunk_goal_keys_rejects_bad_metadata(meta):
-    rec = _random_record(np.random.default_rng(12), obs_dim=100, meta=meta)
+    rec = _random_record(np.random.default_rng(12), obs_dim=observation_dim(1), meta=meta)
     with pytest.raises(InvalidRecordError):
         rec.chunk_goal_keys()
 
