@@ -293,6 +293,7 @@ def cmd_stats(args) -> int:
             sources.append(goal_from_text(path.read_text(encoding="utf-8")))
             goal_songs.add(path.name[: -len(".goals.txt")])
         for rec in iter_episodes(directory):
+            rec.lookahead_window()  # every container must fit the observation layout, as in eval
             # goal files already cover this song; episodes only add F1 metadata
             song = str(rec.meta.get("song", ""))
             if song not in goal_songs:

@@ -124,7 +124,7 @@ class HandConfig:
     def from_mapping(cls, values: dict) -> "HandConfig":
         """Build from a parsed config dict; unknown keys are rejected.
 
-        Recognized keys: name, span_max, v_max, base_v_max, min_base_gap,
+        Recognized keys: name (text), span_max, v_max, base_v_max, min_base_gap,
         disabled (list of digit numbers 1..5, applied to both hands), and
         rest_offset.<L|R><digit> = x y z overrides.  Numbers must be finite.
         """
@@ -132,7 +132,9 @@ class HandConfig:
         kwargs: dict = {}
         for key, val in values.items():
             if key == "name":
-                kwargs[key] = str(val)
+                if not isinstance(val, str):
+                    raise InvalidConfigError(f"name must be text, got {val!r}")
+                kwargs[key] = val
             elif key == "disabled":
                 vals = val if isinstance(val, tuple) else (val,)
                 kwargs[key] = tuple(config_number(key, v, InvalidConfigError) for v in vals)

@@ -1,10 +1,12 @@
 """Standard MIDI file parsing and time discretization into per-step goals.
 
-Reads SMF format 0/1 byte-exactly (no external MIDI dependency), converts
-ticks to seconds through the tempo map, and discretizes note intervals onto
-a fixed control grid: a (T, 88) bool array of keys that must be down plus a
-(T,) binary sustain-pedal target.  Lookahead windows of that grid are sliced
-into goal vectors and observation blocks.
+Reads SMF format 0/1 byte-exactly (no external MIDI dependency), one pass
+over each track that matches its notes as it goes, converts ticks to seconds
+through the tempo map, and discretizes note intervals onto a fixed control
+grid: a (T, 88) bool array of keys that must be down plus a (T,) binary
+sustain-pedal target.  Lookahead windows of that grid are sliced into goal
+vectors and observation blocks, and the grid is written to and read back
+from a line-per-step text format in one pass each way.
 """
 
 from __future__ import annotations
@@ -92,44 +94,78 @@ class MidiSong:
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    """Byte cursor with bounds checking."""
+def _varlen(track: bytes, pos: int) -> tuple[int, int]:
+    """The variable-length quantity at ``pos`` in a track, and the position after it."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        byte = track[pos]
+        value = (value << 7) | (byte & 0x7F)
+        if byte < 0x80:
+            return value, pos + 1
+    raise MalformedMidiError("variable-length quantity longer than 4 bytes")
 
-    def __init__(self, data: bytes, start: int, end: int):
-        self.data = data
-        self.pos = start
-        self.end = end
 
-    def remaining(self) -> int:
-        return self.end - self.pos
+def _read_track(track: bytes, track_no: int, tempo: list, pedal: list) -> list:
+    """Read one ``MTrk`` body, matching its notes while it reads.
 
-    def u8(self) -> int:
-        if self.pos >= self.end:
-            raise MalformedMidiError("unexpected end of track data")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def peek(self) -> int:
-        if self.pos >= self.end:
-            raise MalformedMidiError("unexpected end of track data")
-        return self.data[self.pos]
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
-            raise MalformedMidiError("unexpected end of track data")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def varlen(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.u8()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MalformedMidiError("variable-length quantity longer than 4 bytes")
+    Set-tempo and sustain-pedal events go to ``tempo`` and ``pedal`` as
+    ``(tick, value)``.  A note-off, or a note-on with velocity 0, closes the
+    earliest open note-on of its (channel, pitch).  Returns one
+    ``(on_tick, off_tick, pitch, velocity, channel)`` per note-off, in
+    order, with ``on_tick`` and ``velocity`` None where it closes nothing;
+    then one per note-on left open, with ``off_tick`` None, by (channel,
+    pitch).  A read past the track's end raises IndexError.
+    """
+    notes = []
+    open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    end = len(track)
+    tick = pos = 0
+    running_status = None
+    while pos < end:
+        delta, pos = _varlen(track, pos)
+        tick += delta
+        status = track[pos]
+        if status >= 0x80:
+            pos += 1
+            if status < 0xF0:
+                running_status = status
+        elif running_status is None:
+            raise MalformedMidiError(f"track {track_no}: data byte {status:#x} without running status")
+        else:
+            status = running_status
+        if status >= 0xF0:  # meta (0xFF <type>) or sysex (0xF0, 0xF7), then <length> <payload>
+            if status == 0xFF:
+                meta_type, pos = track[pos], pos + 1
+            elif status == 0xF0 or status == 0xF7:
+                meta_type = None
+            else:
+                raise MalformedMidiError(f"track {track_no}: bad status byte {status:#x}")
+            length, start = _varlen(track, pos)
+            pos = start + length
+            if pos > end:
+                raise MalformedMidiError("unexpected end of track data")
+            if meta_type == 0x51:
+                if length != 3:
+                    raise MalformedMidiError("set-tempo event with bad length")
+                tempo.append((tick, int.from_bytes(track[start:pos], "big")))
+            continue
+        kind, channel, d1 = status & 0xF0, status & 0x0F, track[pos]
+        if kind == 0xC0 or kind == 0xD0:  # program change, channel pressure: one data byte
+            pos += 1
+            continue
+        d2 = track[pos + 1]
+        pos += 2
+        if kind == 0x90 and d2:
+            open_notes.setdefault((channel, d1), []).append((tick, d2))
+        elif kind == 0x80 or kind == 0x90:
+            queue = open_notes.get((channel, d1))
+            on_tick, velocity = queue.pop(0) if queue else (None, None)
+            notes.append((on_tick, tick, d1, velocity, channel))
+        elif kind == 0xB0 and d1 == _SUSTAIN_CONTROLLER:
+            pedal.append((tick, d2))
+    for (channel, pitch), queue in sorted(open_notes.items()):
+        notes.extend((on_tick, None, pitch, velocity, channel) for on_tick, velocity in queue)
+    return notes
 
 
 def _seconds_at(tick: int, segments: list[tuple[int, float, float]]) -> float:
@@ -146,13 +182,15 @@ def _seconds_at(tick: int, segments: list[tuple[int, float, float]]) -> float:
 def parse_midi(data: bytes) -> MidiSong:
     """Parse SMF format 0/1 bytes into note and pedal events.
 
-    Note on/off pairs are matched per (track, channel, pitch) first-in
-    first-out; a note-on with velocity 0 counts as a note-off.  The tempo
-    map is merged across tracks and applied to convert ticks to seconds.
-    Unmatched note-offs, dangling note-ons and zero-length notes are skipped
-    and reported in ``MidiSong.problems``; a matched note outside the 88-key
-    range is kept and reported there too.  Structurally invalid data raises
-    MalformedMidiError.
+    Each track is read once, and its note on/off pairs are matched while it
+    is read, per (channel, pitch) first-in first-out; a note-on with
+    velocity 0 counts as a note-off.  The tempo map is merged across tracks
+    and then converts the matched ticks to seconds.  Unmatched note-offs,
+    dangling note-ons and zero-length notes are skipped and reported in
+    ``MidiSong.problems``, track by track: each note-off's problem in
+    order, then the note-ons left open by (channel, pitch).  A matched note
+    outside the 88-key range is kept and reported there too.  Structurally
+    invalid data raises MalformedMidiError.
     """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedMidiError("missing MThd header")
@@ -171,12 +209,12 @@ def parse_midi(data: bytes) -> MidiSong:
         ticks_per_frame = division & 0xFF
         if fps <= 0 or ticks_per_frame == 0:
             raise MalformedMidiError("invalid SMPTE division")
-        fixed_sec_per_tick = 1.0 / (fps * ticks_per_frame)
+        segments = [(0, 0.0, 1.0 / (fps * ticks_per_frame))]  # (start tick, start seconds, seconds per tick)
     elif division == 0:
         raise MalformedMidiError("zero ticks per quarter note")
 
-    # chunk scan: collect MTrk spans, skip unknown chunk types
-    tracks: list[tuple[int, int]] = []
+    # chunk scan: collect MTrk bodies, skip unknown chunk types
+    tracks: list[bytes] = []
     pos = 8 + header_len
     while pos < len(data):
         if pos + 8 > len(data):
@@ -186,108 +224,46 @@ def parse_midi(data: bytes) -> MidiSong:
         if pos + 8 + length > len(data):
             raise MalformedMidiError(f"truncated {kind!r} chunk")
         if kind == b"MTrk":
-            tracks.append((pos + 8, pos + 8 + length))
+            tracks.append(data[pos + 8 : pos + 8 + length])
         pos += 8 + length
     if len(tracks) < ntracks:
         raise MalformedMidiError(f"header declares {ntracks} tracks, found {len(tracks)}")
 
-    # pass 1: raw events with absolute ticks
     tempo_events: list[tuple[int, int]] = []  # (tick, us_per_beat)
-    raw_notes: list[list[tuple]] = []
     raw_pedal: list[tuple[int, int]] = []
-    problems: list[str] = []
+    try:
+        matched = [_read_track(track, n, tempo_events, raw_pedal) for n, track in enumerate(tracks)]
+    except IndexError:
+        raise MalformedMidiError("unexpected end of track data") from None
 
-    for track_no, (start, end) in enumerate(tracks):
-        reader = _Reader(data, start, end)
-        tick = 0
-        running_status = None
-        events: list[tuple] = []
-        while reader.remaining() > 0:
-            tick += reader.varlen()
-            status = reader.peek()
-            if status >= 0x80:
-                reader.u8()
-                if status < 0xF0:
-                    running_status = status
-            else:
-                if running_status is None:
-                    raise MalformedMidiError(f"track {track_no}: data byte {status:#x} without running status")
-                status = running_status
-            if status == 0xFF:  # meta
-                meta_type = reader.u8()
-                length = reader.varlen()
-                payload = reader.take(length)
-                if meta_type == 0x51:
-                    if length != 3:
-                        raise MalformedMidiError("set-tempo event with bad length")
-                    tempo_events.append((tick, int.from_bytes(payload, "big")))
-            elif status in (0xF0, 0xF7):  # sysex
-                reader.take(reader.varlen())
-            else:
-                kind = status & 0xF0
-                channel = status & 0x0F
-                if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                    d1 = reader.u8()
-                    d2 = reader.u8()
-                    if kind == 0x90 and d2 > 0:
-                        events.append(("on", tick, channel, d1, d2))
-                    elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                        events.append(("off", tick, channel, d1))
-                    elif kind == 0xB0 and d1 == _SUSTAIN_CONTROLLER:
-                        raw_pedal.append((tick, d2))
-                elif kind in (0xC0, 0xD0):
-                    reader.u8()
-                else:
-                    raise MalformedMidiError(f"track {track_no}: bad status byte {status:#x}")
-        raw_notes.append(events)
-
-    # tempo map -> tick->seconds segments
-    if smpte:
-        segments = [(0, 0.0, fixed_sec_per_tick)]
-    else:
-        tempo_events.sort(key=lambda pair: pair[0])
-        cur_tick, cur_sec = 0, 0.0
-        cur_us = _DEFAULT_US_PER_BEAT
+    if not smpte:  # the tempo map, merged across tracks, as tick->seconds segments
+        cur_tick, cur_sec, cur_us = 0, 0.0, _DEFAULT_US_PER_BEAT
         segments = [(0, 0.0, cur_us / (division * 1e6))]
-        for t_tick, us in tempo_events:
+        for t_tick, us in sorted(tempo_events, key=itemgetter(0)):
             cur_sec += (t_tick - cur_tick) * cur_us / (division * 1e6)
-            cur_tick = t_tick
-            cur_us = us
+            cur_tick, cur_us = t_tick, us
             segments.append((cur_tick, cur_sec, cur_us / (division * 1e6)))
 
-    # pass 2: FIFO matching per (channel, pitch) within each track
     notes: list[NoteEvent] = []
-    for track_no, events in enumerate(raw_notes):
-        open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for ev in events:
-            if ev[0] == "on":
-                _, tick, channel, pitch, velocity = ev
-                open_notes.setdefault((channel, pitch), []).append((tick, velocity))
+    problems: list[str] = []
+    for track_no, track_notes in enumerate(matched):
+        for on_tick, off_tick, pitch, velocity, channel in track_notes:
+            if on_tick is None:
+                problem = f"note-off without note-on (pitch {pitch}, tick {off_tick})"
+            elif off_tick is None:
+                problem = f"note-on without note-off (pitch {pitch}, tick {on_tick})"
+            elif (offset := _seconds_at(off_tick, segments)) <= (onset := _seconds_at(on_tick, segments)):
+                problem = f"zero-length note skipped (pitch {pitch}, tick {on_tick})"
             else:
-                _, tick, channel, pitch = ev
-                queue = open_notes.get((channel, pitch))
-                if not queue:
-                    problems.append(f"track {track_no}: note-off without note-on (pitch {pitch}, tick {tick})")
-                    continue
-                on_tick, velocity = queue.pop(0)
-                onset = _seconds_at(on_tick, segments)
-                offset = _seconds_at(tick, segments)
-                if offset <= onset:
-                    problems.append(f"track {track_no}: zero-length note skipped (pitch {pitch}, tick {on_tick})")
-                    continue
-                if not MIN_PITCH <= pitch <= MAX_PITCH:
-                    problems.append(
-                        f"track {track_no}: note outside the 88-key range left out (pitch {pitch}, tick {on_tick})"
-                    )
                 notes.append(NoteEvent(pitch, onset, offset, velocity, channel))
-        for (channel, pitch), queue in sorted(open_notes.items()):
-            for on_tick, _velocity in queue:
-                problems.append(f"track {track_no}: note-on without note-off (pitch {pitch}, tick {on_tick})")
+                if MIN_PITCH <= pitch <= MAX_PITCH:
+                    continue
+                problem = f"note outside the 88-key range left out (pitch {pitch}, tick {on_tick})"
+            problems.append(f"track {track_no}: {problem}")
 
     notes.sort(key=lambda n: (n.onset, n.pitch, n.channel))
     pedal = tuple(
-        PedalEvent(_seconds_at(tick, segments), value)
-        for tick, value in sorted(raw_pedal, key=lambda pair: pair[0])
+        PedalEvent(_seconds_at(tick, segments), value) for tick, value in sorted(raw_pedal, key=itemgetter(0))
     )
     return MidiSong(notes=tuple(notes), pedal=pedal, problems=tuple(problems))
 
@@ -593,9 +569,10 @@ def goal_to_text(seq: GoalSequence) -> str:
     return f"# dt = {seq.dt!r}\n" + numbered_lines(bodies, run, "\t")
 
 
-# One goal-text line: a step, a '# dt = <seconds>' header, another comment, or
-# a blank line.  A blank is any whitespace but the line break, as str.strip has
-# it.  A comment's text after its '#' run and blanks starts with neither a
+# One goal-text line: a step, a '# dt = <seconds>' header, another comment, a
+# blank line, or, caught by the last group, any other line.  So every line
+# matches, once.  A blank is any whitespace but the line break, as str.strip
+# has it.  A comment's text after its '#' run and blanks starts with neither a
 # blank nor '#' (so the runs cannot be cut short) nor 'dt'.
 _GOAL_LINE = re.compile(
     r"""^(?:
@@ -605,6 +582,7 @@ _GOAL_LINE = re.compile(
           | (?:[^\s\#d]|d(?!t)).*                                  # or any other comment text
           |                                                     # or nothing
         ))?                                                     # (or a blank line)
+      | (.+)                                                    # any other line, a syntax error
     )$""",
     re.MULTILINE | re.VERBOSE,
 )
@@ -629,20 +607,23 @@ def goal_from_text(text: str) -> GoalSequence:
     * a blank line.
 
     Comment, blank and header lines may appear anywhere, and the last
-    ``# dt`` header sets the period.  The first offending line, counted
-    from 1, is named in the error: ValueError for a line outside this
-    language, a ``# dt`` value that is not positive and finite, or a step
-    index out of order, and OutOfRangeError (a ValueError) for a key
-    outside 0..87.  Of two errors on one line, the step index is reported.
+    ``# dt`` header sets the period.  The text is matched once, one match
+    per line, and the first offending line, counted from 1, is named in the
+    error: ValueError for a line outside this language, a ``# dt`` value
+    that is not positive and finite, or a step index out of order, and
+    OutOfRangeError (a ValueError) for a key outside 0..87.  Of two errors
+    on one line, the step index is reported.
     """
     lines = _GOAL_LINE.findall(text)
-    if len(lines) <= text.count("\n"):
-        _raise_at_first_bad_line(text)
     is_step = np.fromiter(map(bool, map(itemgetter(0), lines)), bool, len(lines))
     errors = []  # (line number, error); the first line's error is raised
     dt = DEFAULT_DT
     for n in np.flatnonzero(~is_step).tolist():
-        header = lines[n][3]
+        _, _, _, header, other = lines[n]
+        if other:
+            expected = "'<step>\\t<sustain 0|1>\\t<key>,<key>,...', a '#' comment or a blank line"
+            errors.append((n + 1, ValueError(f"line {n + 1}: expected {expected}")))
+            break
         if not header:
             continue
         try:
@@ -679,12 +660,3 @@ def goal_from_text(text: str) -> GoalSequence:
     table[chord_of_key, keys.astype(np.intp)] = True
     return GoalSequence(table[chord_of_row], sustain=np.fromiter(map("1".__eq__, sustain), bool, len(sustain)), dt=dt)
 
-
-def _raise_at_first_bad_line(text: str) -> None:
-    """Raise the error of the first line ``goal_from_text`` cannot accept."""
-    lines = text.split("\n")
-    bad = next(n for n, line in enumerate(lines) if not _GOAL_LINE.fullmatch(line))
-    goal_from_text("\n".join(lines[:bad]))  # an error on an earlier line comes first
-    raise ValueError(
-        f"line {bad + 1}: expected '<step>\\t<sustain 0|1>\\t<key>,<key>,...', a '#' comment or a blank line"
-    )

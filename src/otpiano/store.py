@@ -153,7 +153,8 @@ class EpisodeRecord:
     def is_canonical(self) -> bool:
         return (self.length, self.obs_dim, self.act_dim) == (CANONICAL_T, OBSERVATION_DIM, ACTION_DIM)
 
-    def _lookahead_window(self) -> int:
+    def lookahead_window(self) -> int:
+        """The goal window length L that ``obs_dim`` implies; InvalidRecordError if none fits the layout."""
         window, rem = divmod(self.obs_dim - _OBS_EXTRA, GOAL_STEP_DIM)
         if rem != 0 or window < 1:
             raise InvalidRecordError(f"obs_dim {self.obs_dim} does not match the observation layout")
@@ -165,7 +166,7 @@ class EpisodeRecord:
         A record whose ``obs_dim`` does not fit the observation layout
         raises InvalidRecordError, as ``pressed_key_steps`` does.
         """
-        self._lookahead_window()
+        self.lookahead_window()
         return self.observations[:, :KEY_COUNT] > 0.5
 
     def chunk_goal_keys(self) -> tuple:
@@ -187,7 +188,7 @@ class EpisodeRecord:
 
     def pressed_key_steps(self, threshold: float = 0.5) -> np.ndarray:
         """(T, 88) bool pressed keys decoded from the key-joint block."""
-        start, stop = observation_layout(self._lookahead_window())["key_joints"]
+        start, stop = observation_layout(self.lookahead_window())["key_joints"]
         return self.observations[:, start:stop] >= threshold
 
 

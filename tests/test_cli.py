@@ -346,6 +346,8 @@ _BAD_CONFIGS = [
     ("--embodiment", "disabled = 2.5"),
     ("--embodiment", "disabled = true"),
     ("--embodiment", "disabled = 1 2 3 4 5"),
+    ("--embodiment", "name = 7"),
+    ("--embodiment", "name = true"),
 ]
 
 
@@ -792,14 +794,23 @@ def test_stats_accepts_f1_metadata_at_the_range_ends(song_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "argv,width",
-    [(["eval", "--episodes"], 5), (["stats", "--f1-meta", "--in"], 5), (["eval", "--episodes"], 100), (["stats", "--f1-meta", "--in"], 100)],
-    ids=["eval", "stats", "eval-width-100", "stats-width-100"],
+    "argv,width,goals",
+    [
+        (["eval", "--episodes"], 5, False),
+        (["stats", "--f1-meta", "--in"], 5, False),
+        (["eval", "--episodes"], 100, False),
+        (["stats", "--f1-meta", "--in"], 100, False),
+        (["stats", "--f1-meta", "--in"], 100, True),
+    ],
+    ids=["eval", "stats", "eval-width-100", "stats-width-100", "stats-width-100-beside-goals"],
 )
-def test_bad_observation_width_exits_2(tmp_path, capsys, argv, width):
-    # a well-formed container whose observations fit no observation layout; 100 columns hold 88 goal keys
+def test_bad_observation_width_exits_2(tmp_path, capsys, argv, width, goals):
+    # a well-formed container whose observations fit no observation layout; 100 columns hold 88 goal keys.
+    # Beside the song's goal file, stats reads the container only for its F1 metadata, and must still check it
     record = EpisodeRecord(np.zeros((3, width)), np.zeros((3, 1)), np.zeros(3), meta={"song": "narrow", "f1": 0.5})
     save_episode(record, tmp_path / "narrow.ep000.rp1t")
+    if goals:
+        (tmp_path / "narrow.goals.txt").write_text("# dt = 0.05\n0\t0\t39\n")
     assert main([*argv, str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -226,6 +226,13 @@ def test_config_from_text():
         HandConfig.from_mapping({"wingspan": 1.0})
 
 
+@pytest.mark.parametrize("value", ["7", "true", "1 2"])
+def test_config_name_must_be_text(value):
+    # the parser reads these as a number, a bool and a tuple; none may become a name such as "7.0"
+    with pytest.raises(InvalidConfigError, match="^name must be text, got "):
+        HandConfig.from_mapping(parse_config(f"name = {value}\n"))
+
+
 def test_finger_labels_round_trip():
     for finger in HandConfig.default().enabled_fingers:
         assert FingerId.from_label(finger.label()) == finger

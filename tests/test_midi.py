@@ -2,14 +2,27 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import control_change, key_rows, midi_bytes, mutated_bytes, note_off, note_on, set_tempo, simple_song
+from conftest import (
+    control_change,
+    golden_songs,
+    key_rows,
+    midi_bytes,
+    mutated_bytes,
+    note_off,
+    note_on,
+    set_tempo,
+    simple_song,
+)
 import goal_text_reference as reference
+import midi_reference
 import pig_reference
 from numpy_reference import key_onsets
 from otpiano.keyboard import KeyState, OutOfRangeError
@@ -19,6 +32,7 @@ from otpiano.midi import (
     _GOAL_LINE,
     GoalSequence,
     MalformedMidiError,
+    MidiSong,
     NoteEvent,
     assemble_observation,
     discretize,
@@ -167,22 +181,102 @@ _FUZZ_SEED = midi_bytes(
 )
 
 
-def _parse_or_malformed(data):
+def _midi_outcome(parse, data):
+    """The parsed song, or the message of the MalformedMidiError raised; any other error propagates."""
     try:
-        parse_midi(data)
-    except MalformedMidiError:
-        pass
+        return parse(data)
+    except MalformedMidiError as exc:
+        return str(exc)
+
+
+def _parse_like_the_reference(data):
+    assert _midi_outcome(parse_midi, data) == _midi_outcome(midi_reference.parse_midi, data)
 
 
 @given(st.binary(max_size=200) | st.binary(max_size=200).map(_FUZZ_SEED[:22].__add__))
 def test_parse_midi_raises_only_malformed_on_arbitrary_bytes(data):
-    _parse_or_malformed(data)
+    _parse_like_the_reference(data)
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_bytes(_FUZZ_SEED))
 def test_parse_midi_raises_only_malformed_on_mutated_files(data):
-    _parse_or_malformed(data)
+    _parse_like_the_reference(data)
+
+
+# the benchmark's song families (grid; legato with tempo changes, off-keyboard
+# notes, dangling note-ons and a stray note-off) and the golden songs
+_CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "corpus.py"))
+_CORPUS_SONGS = [
+    *(song.data for kind in ("grid", "legato") for song in _CORPUS["generate"](kind, 0, (20, 40))),
+    *golden_songs().values(),
+]
+
+
+@pytest.mark.parametrize("data", _CORPUS_SONGS, ids=["grid-20", "grid-40", "legato-20", "legato-40", *golden_songs()])
+def test_parse_midi_matches_the_reference_on_corpus_songs(data):
+    song = parse_midi(data)
+    assert song.notes and song == midi_reference.parse_midi(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_CORPUS_SONGS).flatmap(mutated_bytes))
+def test_parse_midi_matches_the_reference_on_mutated_corpus_songs(data):
+    _parse_like_the_reference(data)
+
+
+def test_problems_keep_note_off_order_then_open_note_ons():
+    # on track 1: two stray note-offs around a zero-length and an off-keyboard note;
+    # the note-ons left open follow by (channel, pitch), not in the order they opened
+    track = [
+        (0, note_on(1, 50)),
+        (0, note_off(0, 72)),
+        (0, note_on(0, 60)),
+        (0, note_off(0, 60)),
+        (240, note_on(0, 64)),
+        (0, note_on(0, 110)),
+        (240, note_off(0, 110)),
+        (0, note_off(0, 73)),
+    ]
+    song = parse_midi(midi_bytes([[(0, set_tempo(500000))], track]))
+    assert song == MidiSong(
+        notes=(NoteEvent(110, 0.25, 0.5, 80, 0),),
+        pedal=(),
+        problems=(
+            "track 1: note-off without note-on (pitch 72, tick 0)",
+            "track 1: zero-length note skipped (pitch 60, tick 0)",
+            "track 1: note outside the 88-key range left out (pitch 110, tick 240)",
+            "track 1: note-off without note-on (pitch 73, tick 480)",
+            "track 1: note-on without note-off (pitch 64, tick 240)",
+            "track 1: note-on without note-off (pitch 50, tick 0)",
+        ),
+    )
+
+
+def _one_track(body: bytes) -> bytes:
+    return b"MThd" + bytes((0, 0, 0, 6, 0, 0, 0, 1, 1, 0xE0)) + b"MTrk" + len(body).to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (bytes((0, 0xFF, 0x01, 5)) + b"abcd", "unexpected end of track data"),
+        (bytes((0, 0xF0, 3, 1)), "unexpected end of track data"),
+        (bytes((0, 0xFF, 0x51, 4, 7, 0xA1, 0x20)), "unexpected end of track data"),
+        (bytes((0, 0xFF, 0x51, 2, 7, 0xA1)), "set-tempo event with bad length"),
+        (bytes((0, 0x90, 60)), "unexpected end of track data"),
+        (bytes((0, 0xC0)), "unexpected end of track data"),
+        (bytes((0x81, 0x80)), "unexpected end of track data"),
+        (bytes((0x81, 0x80, 0x80, 0x80, 0)), "variable-length quantity longer than 4 bytes"),
+        (bytes((0, 60, 80)), "track 0: data byte 0x3c without running status"),
+        (bytes((0, 0xF2, 1, 2)), "track 0: bad status byte 0xf2"),
+    ],
+    ids=["meta-payload", "sysex-payload", "tempo-payload", "tempo-length", "note-data", "program-data",
+         "delta", "long-delta", "running-status", "system-common"],
+)
+def test_malformed_track_names_its_fault(body, message):
+    with pytest.raises(MalformedMidiError, match=f"^{message}$"):
+        parse_midi(_one_track(body))
 
 
 def test_unknown_chunks_skipped():
@@ -594,12 +688,20 @@ def _outcome(parse, text):
 
 
 def _newly_rejected(text) -> bool:
-    """Whether a line the old loop read as a step (three tab fields) falls outside the goal grammar."""
+    """Whether a line the old loop read as a step (three tab fields) falls outside the goal grammar.
+
+    Every line matches ``_GOAL_LINE``; one outside the grammar matches only its last group.
+    """
     lines = [line.rstrip("\r") for line in text.splitlines()]
     return any(
-        line.count("\t") == 2 and not line.lstrip().startswith("#") and not _GOAL_LINE.fullmatch(line)
+        line.count("\t") == 2 and not line.lstrip().startswith("#") and _GOAL_LINE.fullmatch(line)[5] is not None
         for line in lines
     )
+
+
+@given(_GOAL_TEXT | st.text())
+def test_goal_line_pattern_matches_every_line_once(text):
+    assert len(_GOAL_LINE.findall(text)) == text.count("\n") + 1
 
 
 @given(_GOAL_TEXT)
