@@ -4,7 +4,9 @@ Every active key must be claimed by exactly one fingertip and no fingertip
 may claim two keys; the chosen pairing minimizes the summed Euclidean
 moving distance.  The solver is a shortest-augmenting-path method with
 dual variables (Jonker-Volgenant family, as in Crouse's rectangular
-variant) and runs once per problem.  Ties between optima (totals within a
+variant) and runs once per problem: a row-minimum start gives each key
+its cheapest fingertip where that one is still free, and each remaining
+key then runs one shortest-path search.  Ties between optima (totals within a
 relative 1e-12) break toward the lexicographically smallest pair list,
 read off the final duals: by complementary slackness an assignment's
 excess over the optimum is the sum of its reduced costs plus the negated
@@ -140,10 +142,14 @@ def _augmenting_path_solve(cost: list) -> tuple:
     """Assign every row to a distinct column minimizing total cost.
 
     ``cost`` is a list of row lists with len(rows) <= len(cols); returns
-    ``(col4row, u, v)``.  One Dijkstra-style search per row over reduced
-    costs, with dual updates keeping reduced costs ``c - u - v``
-    non-negative; they are zero on the returned pairs, and columns left
-    unassigned keep ``v == 0``.
+    ``(col4row, u, v)``.  A row-minimum start (Jonker and Volgenant, 1987)
+    takes the rows in order and gives each its first cheapest column if
+    that column is still free, with ``u`` the row's minimum and ``v`` 0.0:
+    the duals are feasible and tight on those pairs.  Then one
+    Dijkstra-style search per remaining row, in order, over reduced costs,
+    with dual updates keeping reduced costs ``c - u - v`` non-negative;
+    they are zero on the returned pairs, and columns left unassigned keep
+    ``v == 0``.
     """
     n_rows = len(cost)
     n_cols = len(cost[0])
@@ -151,7 +157,17 @@ def _augmenting_path_solve(cost: list) -> tuple:
     v = [0.0] * n_cols
     col4row = [-1] * n_rows
     row4col = [-1] * n_cols
-    for cur_row in range(n_rows):
+    queued = []
+    for i, row in enumerate(cost):
+        low = min(row)
+        j = row.index(low)
+        if row4col[j] == -1:
+            row4col[j] = i
+            col4row[i] = j
+            u[i] = low
+        else:
+            queued.append(i)
+    for cur_row in queued:
         shortest = [_INF] * n_cols
         path = [-1] * n_cols
         scanned = [False] * n_cols
@@ -356,9 +372,10 @@ def resting_pairs(points, tips, gap: float) -> "tuple | None":
     would have it:
 
     - every cost is ``0.0`` or above the tie slack ``_TIE_RTOL * max(1, max cost)``;
-    - so the augmenting-path solve ends on a zero-cost matching with every
-      dual ``0.0``, the optimum is ``0.0``, and its ties are exactly the
-      zero-cost matchings;
+    - so the augmenting-path solve's row-minimum start gives every key its
+      lowest zero-cost finger, which no other key shares, with every dual
+      ``0.0``, and no search runs; the optimum is ``0.0``, and its ties are
+      exactly the zero-cost matchings;
     - a key's zero-cost fingers are those on its point, which no other key
       shares, so the lexicographic optimum gives each key its lowest row.
       This covers co-located fingertips, such as a free finger that rests

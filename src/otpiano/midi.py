@@ -150,10 +150,14 @@ def _read_track(track: bytes, track_no: int, tempo: list, pedal: list) -> list:
                 tempo.append((tick, int.from_bytes(track[start:pos], "big")))
             continue
         kind, channel, d1 = status & 0xF0, status & 0x0F, track[pos]
+        if d1 > 0x7F:
+            raise MalformedMidiError(f"track {track_no}: data byte {d1:#x} above 0x7f")
         if kind == 0xC0 or kind == 0xD0:  # program change, channel pressure: one data byte
             pos += 1
             continue
         d2 = track[pos + 1]
+        if d2 > 0x7F:
+            raise MalformedMidiError(f"track {track_no}: data byte {d2:#x} above 0x7f")
         pos += 2
         if kind == 0x90 and d2:
             open_notes.setdefault((channel, d1), []).append((tick, d2))
@@ -190,7 +194,8 @@ def parse_midi(data: bytes) -> MidiSong:
     ``MidiSong.problems``, track by track: each note-off's problem in
     order, then the note-ons left open by (channel, pitch).  A matched note
     outside the 88-key range is kept and reported there too.  Structurally
-    invalid data raises MalformedMidiError.
+    invalid data raises MalformedMidiError, and so does a channel event's
+    data byte above 0x7F.
     """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedMidiError("missing MThd header")

@@ -5,7 +5,9 @@ while it reads; this is the parser it replaced, which read every track
 through a bounds-checked cursor into tagged ``"on"``/``"off"`` event lists
 and matched notes by replaying them once the tempo map was known.  Both
 must return equal ``MidiSong``s (notes, pedal and problems, in order), or
-raise MalformedMidiError with the same message, on every input.
+raise MalformedMidiError with the same message, on every input.  The one
+change to the old parser: a channel event's data byte above 0x7F raises
+MalformedMidiError here too, as it does in ``parse_midi``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ class _Reader:
             if not b & 0x80:
                 return value
         raise MalformedMidiError("variable-length quantity longer than 4 bytes")
+
+
+def _data_byte(reader: _Reader, track_no: int) -> int:
+    """One channel-event data byte; SMF data bytes are below 0x80."""
+    byte = reader.u8()
+    if byte > 0x7F:
+        raise MalformedMidiError(f"track {track_no}: data byte {byte:#x} above 0x7f")
+    return byte
 
 
 def _seconds_at(tick: int, segments: list[tuple[int, float, float]]) -> float:
@@ -156,8 +166,8 @@ def parse_midi(data: bytes) -> MidiSong:
                 kind = status & 0xF0
                 channel = status & 0x0F
                 if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                    d1 = reader.u8()
-                    d2 = reader.u8()
+                    d1 = _data_byte(reader, track_no)
+                    d2 = _data_byte(reader, track_no)
                     if kind == 0x90 and d2 > 0:
                         events.append(("on", tick, channel, d1, d2))
                     elif kind == 0x80 or (kind == 0x90 and d2 == 0):
@@ -165,7 +175,7 @@ def parse_midi(data: bytes) -> MidiSong:
                     elif kind == 0xB0 and d1 == _SUSTAIN_CONTROLLER:
                         raw_pedal.append((tick, d2))
                 elif kind in (0xC0, 0xD0):
-                    reader.u8()
+                    _data_byte(reader, track_no)
                 else:
                     raise MalformedMidiError(f"track {track_no}: bad status byte {status:#x}")
         raw_notes.append(events)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import assign_reference
 import numpy_reference as reference
 import otpiano.assign as assign_module
+from otpiano.annotate import annotate_song
 from otpiano.assign import (
     Assignment,
     CostMatrix,
@@ -25,6 +29,7 @@ from otpiano.assign import (
 )
 from otpiano.hand import HandConfig, HandMotion, init_hands
 from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point, press_point_table
+from otpiano.midi import discretize, parse_midi
 
 GEOM = KeyboardGeometry()
 FINGERS = HandConfig.default().enabled_fingers
@@ -486,6 +491,132 @@ def test_resting_pairs_match_the_solve_whenever_given(instance):
         assert pairs == ()
     elif pairs is not None:
         assert _solved(points, tips) == (pairs, 0.0, ())
+
+
+# ---------------------------------------------------------------------------
+# row-minimum start, against the solve that searches for every row
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _start_instances(draw, family):
+    """``(rows, best_effort)``: rows <= columns, or an oversized best-effort chord.
+
+    Families: ``continuous`` costs with exact zeros and duplicated columns
+    (co-located fingertips), ``integer`` ties, and ``near`` ties, integers
+    plus slack in steps of 0.4 tolerance.
+    """
+    if draw(st.booleans()):
+        n_cols = draw(st.integers(1, 10))
+        n_rows = draw(st.integers(1, n_cols))
+    else:
+        n_cols = draw(st.integers(1, 8))
+        n_rows = draw(st.integers(n_cols + 1, 18))
+    cells = n_rows * n_cols
+    if family == "continuous":
+        values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=cells, max_size=cells))
+    else:
+        top = draw(st.integers(1, 4))
+        values = draw(st.lists(st.integers(0, top).map(float), min_size=cells, max_size=cells))
+        if family == "near":
+            step = 0.4 * assign_module._TIE_RTOL * max(1.0, max(values))
+            slack = draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells))
+            values = [value + k * step for value, k in zip(values, slack)]
+    rows = [values[r * n_cols : (r + 1) * n_cols] for r in range(n_rows)]
+    if family == "continuous":
+        for _ in range(draw(st.integers(0, 2))):
+            src, dst = draw(st.integers(0, n_cols - 1)), draw(st.integers(0, n_cols - 1))
+            for row in rows:
+                row[dst] = row[src]
+    return rows, n_rows > n_cols
+
+
+def _solve_with(solver, rows, best_effort):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assign_module, "_augmenting_path_solve", solver)
+        return solve_cost_rows(rows, best_effort)
+
+
+_FAMILIES = ["continuous", "integer", "near"]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_minimum_start_matches_the_searching_solve(family, data):
+    rows, best_effort = data.draw(_start_instances(family))
+    ours = solve_cost_rows(rows, best_effort)
+    assert ours == _solve_with(assign_reference._augmenting_path_solve, rows, best_effort)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_minimum_start_ends_on_a_dual_certificate(family, data):
+    rows, best_effort = data.draw(_start_instances(family))
+    cost = [list(col) for col in zip(*rows)] if best_effort else rows
+    col4row, u, v = assign_module._augmenting_path_solve(cost)
+    bound = 1e-15 * max(1.0, max(map(max, cost)))
+    assigned = set(col4row)
+    assert len(assigned) == len(col4row) and all(0 <= j < len(v) for j in col4row)
+    for j, vj in enumerate(v):
+        # not <= 0.0: a subnormal cost lost in a sum with 1.0 can leave v a subnormal above it
+        assert vj == 0.0 if j not in assigned else vj <= bound
+    for i, row in enumerate(cost):
+        reduced = [c - u[i] - vj for c, vj in zip(row, v)]
+        assert min(reduced) >= -bound
+        assert abs(reduced[col4row[i]]) <= bound
+
+
+def test_row_minimum_start_hands_a_taken_minimum_to_the_search():
+    # both rows are cheapest on column 0: the start gives it to row 0, and the
+    # search for row 1 moves row 0 to column 1
+    assert solve_cost_rows([[0.0, 1.0], [0.0, 5.0]]) == (((0, 1), (1, 0)), 1.0, ())
+
+
+def test_solves_within_the_tolerance_on_an_exact_tolerance_boundary():
+    # integer costs plus slack in steps of 0.2 tolerance (eps is 5 steps): the
+    # lexicographic optimum sums exactly one tolerance above the optimum, so
+    # float summation order decides the tie.  With their different duals the
+    # row-minimum start keeps that optimum's (3, 4), (7, 6), and the searching
+    # solve misses it and keeps (3, 6), (7, 4), 4 steps above the optimum
+    optimize = pytest.importorskip("scipy.optimize")
+    base = [[1, 0, 2, 2, 3, 3, 0, 2, 3], [1, 2, 2, 3, 1, 0, 3, 3, 3], [0, 2, 3, 2, 1, 2, 1, 1, 0],
+            [0, 3, 3, 2, 1, 3, 0, 0, 1], [0, 1, 3, 2, 3, 2, 2, 3, 1], [1, 1, 1, 1, 3, 1, 3, 0, 1],
+            [0, 1, 0, 1, 1, 3, 3, 1, 3], [1, 1, 0, 2, 1, 1, 0, 1, 2]]
+    steps = [[0, 0, 1, 0, 0, 0, 2, 2, 0], [1, 1, 1, 1, 2, 2, 1, 1, 2], [2, 0, 1, 1, 0, 0, 1, 0, 2],
+             [1, 1, 2, 0, 2, 1, 1, 2, 2], [2, 0, 1, 1, 0, 2, 0, 1, 2], [0, 1, 0, 1, 2, 2, 0, 1, 1],
+             [2, 0, 2, 0, 2, 0, 0, 1, 0], [2, 0, 0, 0, 2, 1, 2, 2, 1]]
+    costs = np.array(base, dtype=float) + np.array(steps) * 0.2 * assign_module._TIE_RTOL * 3.0
+    rows, cols = optimize.linear_sum_assignment(costs)
+    optimum = costs[rows, cols].sum()
+    eps = assign_module._TIE_RTOL * 3.0
+    for solver in (assign_module._augmenting_path_solve, assign_reference._augmenting_path_solve):
+        pairs, total, dropped = _solve_with(solver, costs.tolist(), False)
+        _check_constraints(Assignment(pairs, total, dropped), *costs.shape)
+        assert optimum - eps <= total <= optimum + eps
+
+
+# perfbench's corpus families, seed 0: grid songs with ten fingers (strict), legato songs with four (best effort)
+_CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "corpus.py"))
+_ROLLOUT_SONGS = {
+    f"{kind}-{seconds}": (song.data, hands, best_effort)
+    for kind, hands, best_effort in [("grid", HandConfig.default(), False), ("legato", HandConfig.four_finger(), True)]
+    for seconds, song in zip((20, 40), _CORPUS["generate"](kind, 0, (20, 40)))
+}
+
+
+@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
+def test_row_minimum_start_leaves_corpus_rollouts_unchanged(name):
+    data, hands, best_effort = _ROLLOUT_SONGS[name]
+    song = parse_midi(data)
+    goals = discretize(song.notes, pedal=song.pedal)
+    ours = annotate_song(goals, hands, GEOM, best_effort=best_effort)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assign_module, "_augmenting_path_solve", assign_reference._augmenting_path_solve)
+        theirs = annotate_song(goals, hands, GEOM, best_effort=best_effort)
+    for array in ("finger", "distance", "collision", "fingertip_trace", "pressed"):
+        assert getattr(ours, array).tobytes() == getattr(theirs, array).tobytes(), array
 
 
 # ---------------------------------------------------------------------------

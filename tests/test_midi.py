@@ -279,6 +279,25 @@ def test_malformed_track_names_its_fault(body, message):
         parse_midi(_one_track(body))
 
 
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        (bytes((0x90, 0xC8, 0x50)), "track 1: data byte 0xc8 above 0x7f"),
+        (bytes((0x90, 0x3C, 0xC8)), "track 1: data byte 0xc8 above 0x7f"),
+        (bytes((0x80, 0xBC, 0x00)), "track 1: data byte 0xbc above 0x7f"),
+        (bytes((0xB1, 0x40, 0xFF)), "track 1: data byte 0xff above 0x7f"),
+        (bytes((0xC0, 0x80)), "track 1: data byte 0x80 above 0x7f"),
+    ],
+    ids=["note-on-pitch", "note-on-velocity", "note-off-pitch", "controller-value", "program-change"],
+)
+def test_data_byte_above_0x7f_is_malformed(event, message):
+    # SMF data bytes are below 0x80; a note of pitch 200 or velocity 200 never reaches the song
+    data = midi_bytes([[(0, note_on(0, 60)), (480, note_off(0, 60))], [(0, note_on(0, 62)), (240, event)]])
+    for parse in (parse_midi, midi_reference.parse_midi):
+        with pytest.raises(MalformedMidiError, match=f"^{message}$"):
+            parse(data)
+
+
 def test_unknown_chunks_skipped():
     extra = b"XFIH" + (4).to_bytes(4, "big") + b"abcd"
     data = midi_bytes([[(0, note_on(0, 60)), (480, note_off(0, 60))]])
