@@ -20,6 +20,10 @@ previous step's outputs without a cost build, solve or hand step.  A
 step whose every key already has a fingertip exactly on its press point,
 with no other fingertip near one, takes its pairs from ``resting_pairs``
 at distance 0.0 without a cost build or solve; only the hand step runs.
+The hand step itself skips each hand that the step before left settled
+on the same targets with its base still (see ``HandMotion.step``); when
+it skips both, it hands back the same state objects, and the step reuses
+the last state row without packing it again.
 """
 
 from __future__ import annotations
@@ -174,11 +178,14 @@ def annotate_song(
             solved, total, _ = solve_cost_rows(key_distances(points, tips), best_effort)
         for r, c in solved:
             finger[row + active[r]] = slot_index[c]
-        tips, base = motion.step(tips, base, [c for _, c in solved], [points[r] for r, _ in solved])
+        stepped = motion.step(tips, base, [c for _, c in solved], [points[r] for r, _ in solved])
         distance.append(total)
-        next_bytes = state_of(tips, base)
-        unmoved = next_bytes == state_bytes  # bitwise: -0.0 and 0.0 stay distinct
-        state_bytes = next_bytes
+        unmoved = stepped[0] is tips and stepped[1] is base  # no hand stepped: the state row repeats
+        if not unmoved:
+            tips, base = stepped
+            next_bytes = state_of(tips, base)
+            unmoved = next_bytes == state_bytes  # bitwise: -0.0 and 0.0 stay distinct
+            state_bytes = next_bytes
         states += state_bytes
 
     # what the rollout implies, read off its cells and state rows: dropped keys, trace, reached keys
@@ -509,10 +516,13 @@ def run_song(path, settings: SongSettings) -> SongResult:
             save_pig(records, staging / f"{stem}.pig.txt", header_comments=comments)
         episodes = chunk_episodes(goals, annotation, settings.episode_len)
         for episode in episodes:
-            record = build_episode_record(
-                episode, goals, annotation, scores.total, settings.params, stem, snapshot, settings.lookahead
+            # no name holds the record, so the last one is freed before the next is built
+            save_episode(
+                build_episode_record(
+                    episode, goals, annotation, scores.total, settings.params, stem, snapshot, settings.lookahead
+                ),
+                staging / f"{stem}.ep{episode.index:03d}{EPISODE_SUFFIX}",
             )
-            save_episode(record, staging / f"{stem}.ep{episode.index:03d}{EPISODE_SUFFIX}")
         for written in sorted(staging.iterdir()):
             os.replace(written, out / written.name)
         staging.rmdir()

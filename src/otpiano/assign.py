@@ -270,8 +270,25 @@ def _reroute(cost, u, v, eps, col4row, fixed, start, current) -> "list | None":
     assigned column ``s`` at ``-v[s]`` (``s`` is left uncovered).  The
     row on ``current`` closes the path by moving to ``start``.  The
     matching is the cheapest for its fixed rows, so no cycle is negative
-    and the shortest path is the cheapest re-routing; a label-correcting
-    search finds it.  Returns the new col4row, or None when no path exists.
+    and the shortest path is the cheapest re-routing.  Returns the new
+    col4row, or None when no path exists.
+
+    The search is label-correcting, from a LIFO stack, and lowers a label
+    only by more than ``noise``.  Along every edge of its search tree, from
+    a node p to the node c it labelled, label(c) >= label(p) + step(p, c):
+    equal when set, and label(p) only falls later.  So lowering c through
+    a node p whose tree path already passes c would close the cycle
+    c -> ... -> p -> c, and that cycle is negative: the tree edges give
+    label(p) >= label(c) + cost(c -> ... -> p), and the lowering needs
+    label(p) + step(p, c) < label(c) - noise, so the cycle costs less than
+    -noise.  Only duals that are no certificate leave a negative cycle; the
+    search then raises ArithmeticError naming it.  Without one the tree
+    stays acyclic, so every label is at least the cost of a simple path,
+    and each lowering takes more than noise off it: the search ends.  With
+    a cycle cheaper than -noise per edge it cannot end, since at its end no
+    edge could lower a label by more than noise; labels being bounded below
+    while the tree is acyclic, its tree must close a cycle, and every
+    lowering is checked for one.
     """
     n_cols = len(v)
     noise = eps * 1e-3  # smaller gains are float noise: ignoring them keeps the tree acyclic
@@ -308,7 +325,16 @@ def _reroute(cost, u, v, eps, col4row, fixed, start, current) -> "list | None":
             continue
         for nxt, step in moves(col):
             d = dist[col] + step
-            if nxt not in dist or d < dist[nxt] - noise:
+            if nxt not in dist:
+                dist[nxt] = d
+                tree[nxt] = col
+                stack.append(nxt)
+            elif d < dist[nxt] - noise:
+                walk = [col]  # the tree path up from col must not hold nxt
+                while walk[-1] != -1:
+                    if walk[-1] == nxt:
+                        raise ArithmeticError(f"tie-break re-route: {_cycle_text(walk[::-1], unassigned)}")
+                    walk.append(tree[walk[-1]])
                 dist[nxt] = d
                 tree[nxt] = col
                 stack.append(nxt)
@@ -323,6 +349,12 @@ def _reroute(cost, u, v, eps, col4row, fixed, start, current) -> "list | None":
             moved[row4col[prev]] = col
         col = prev
     return moved
+
+
+def _cycle_text(cycle: list, unassigned: int) -> str:
+    """A negative cycle of _reroute's search, as the nodes it passes in order, in words."""
+    names = ["unassigned" if col == unassigned else f"column {col}" for col in cycle]
+    return "negative cycle " + " -> ".join(names + names[:1])
 
 
 def solve_cost_rows(rows: list, best_effort: bool = False) -> tuple:

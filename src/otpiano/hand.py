@@ -10,6 +10,10 @@ set of digits switched off on both hands, such as the little fingers of
 the four-finger hand, plus the motion limits.  A hand state is the
 fingertips as ``(x, y, z)`` Python floats plus the ``(left_x, right_x)``
 base pair, the values the one step kernel ``HandMotion.step`` works on.
+A ``HandMotion`` remembers the state its last step returned and which
+hands that step left settled on their goals; a later step fed that very
+state skips each settled hand whose targets and base stay the same, since
+stepping it would give the same bits (the proof is at ``HandMotion.step``).
 """
 
 from __future__ import annotations
@@ -209,19 +213,27 @@ class HandMotion:
     of operations, so its results are the same bits a numpy build of the
     step gives: norms sum as ``(dx*dx + dy*dy) + dz*dz`` and a centroid is
     a running sum from 0.0 over the rows, then a division.
+
+    It remembers three things of its last ``step`` call: the fingertip
+    list and the base tuple it returned, and per hand the ``(row, target)``
+    pairs that hand settled on, if it did.  With them ``step`` skips a hand
+    it can prove would not move (see there), so every call still returns
+    exactly what a fresh ``HandMotion`` would.
     """
 
     def __init__(self, config: HandConfig, geom: KeyboardGeometry, dt: float):
         fingers = config.enabled_fingers
-        self.is_left = tuple(finger.hand == LEFT for finger in fingers)
-        # finger rows of the left hand, then of the right hand; neither is empty, since a digit stays enabled
-        self.hand_rows = tuple(
-            tuple(i for i, finger in enumerate(fingers) if finger.hand == hand) for hand in (LEFT, RIGHT)
-        )
+        # enabled fingers keep ALL_FINGERS order, so rows [0, split) are the left hand's and the rest
+        # the right hand's; neither is empty, since a digit stays enabled on both hands
+        split = sum(finger.hand == LEFT for finger in fingers)
+        self.hand_bounds = ((0, split), (split, len(fingers)))
         self.rest = _rest_pose(config, geom)
+        self.hand_rest = (self.rest[:split], self.rest[split:])
         self.step_reach = config.v_max * dt
         self.base_reach = config.base_v_max * dt
         self.radius = config.span_max / 2.0
+        self._tips = self._base = None  # what the last call returned
+        self._settled = [None, None]  # per hand: the (row, target) pairs it settled on when last stepped, or None
 
     def distance_bound(self, points: list, base: tuple) -> float:
         """Bound on the distance from any fingertip to any of ``points`` in a rollout from rest at ``base``.
@@ -248,56 +260,105 @@ class HandMotion:
         and unassigned fingertips relax toward the rest pose around the
         updated base.  Finally each hand's fingertips are projected into
         the ball of radius span_max/2 around their centroid, which bounds
-        the pairwise spread by span_max.
+        the pairwise spread by span_max.  The returned list and tuple are
+        the new state; they must not be changed in place.
+
+        A call leaves a hand *settled* when no fingertip of it hit the
+        speed cap and the span projection moved none of them: its
+        fingertips are then exactly its goals, the very target objects of
+        its assigned rows and the rest offsets around its new base.  A call
+        skips a hand, keeping its fingertip objects and its base, when
+
+        - ``tips`` and ``base`` are the very objects the last call returned;
+        - the last call that stepped the hand left it settled;
+        - the hand's ``(row, target)`` pairs equal the ones it settled on,
+          with the same target objects (``0.0 == -0.0``, so equal floats
+          are not enough): each assigned fingertip *is* its target;
+        - the hand's base update leaves its base bitwise unchanged.
+
+        Stepping such a hand would change nothing.  Every goal is bitwise
+        the goal it settled on, and every fingertip sits on its goal, so
+        each distance is 0.0 and the fingertip "arrives exactly" at the
+        same bits.  The projection then sees the points it saw when the
+        hand settled, so it computes the same centroid and norms and again
+        moves none.  When neither hand steps, ``tips`` and ``base``
+        themselves are returned.
         """
-        hand_xs = ([], [])
-        for row, target in zip(rows, targets):
-            hand_xs[0 if self.is_left[row] else 1].append(target[0])
-        new_base = []
-        for x, xs in zip(base, hand_xs):
+        split = self.hand_bounds[1][0]
+        hand_xs, hand_pairs = ([], []), ([], [])
+        for pair in zip(rows, targets):
+            hand = pair[0] >= split
+            hand_xs[hand].append(pair[1][0])
+            hand_pairs[hand].append(pair)
+        returned = tips is self._tips and base is self._base
+        base_reach = self.base_reach
+        new_base = list(base)
+        stepped = []
+        for hand, xs in enumerate(hand_xs):
+            x = old = base[hand]
             if xs:
                 delta = sum(xs) / len(xs) - x
-                x = x + max(-self.base_reach, min(self.base_reach, delta))
-            new_base.append(x)
-        left_x, right_x = new_base
-        goals = [(dx + (left_x if left else right_x), y, z) for (dx, y, z), left in zip(self.rest, self.is_left)]
-        for row, target in zip(rows, targets):
-            goals[row] = target
+                # max(-base_reach, min(base_reach, delta)) spelled out: the same value, without two calls
+                delta = delta if delta < base_reach else base_reach
+                x = x + (delta if delta > -base_reach else -base_reach)
+            pairs = hand_pairs[hand]
+            # bitwise x == old, as 0.0 == -0.0; the pairs compare targets as floats, the loop as objects
+            if returned and x == old and (x or math.copysign(1.0, x) == math.copysign(1.0, old)):
+                if self._settled[hand] == pairs:
+                    for row, target in pairs:
+                        if tips[row] is not target:
+                            break
+                    else:
+                        continue
+            new_base[hand] = x
+            stepped.append(hand)
+        if not stepped:
+            return tips, base
 
         reach = self.step_reach
-        new_tips = []
-        for (tx, ty, tz), goal in zip(tips, goals):
-            dx = goal[0] - tx
-            dy = goal[1] - ty
-            dz = goal[2] - tz
-            dist = math.sqrt((dx * dx + dy * dy) + dz * dz)
-            if dist > reach:
-                scale = reach / dist
-                goal = (tx + dx * scale, ty + dy * scale, tz + dz * scale)
-            new_tips.append(goal)  # in-range fingertips arrive exactly
-
-        # span projection per hand: clamp into ball of radius span_max/2 around centroid
         radius = self.radius
-        for idx in self.hand_rows:
+        new_tips = list(tips)
+        for hand in stepped:
+            lo, hi = self.hand_bounds[hand]
+            x = new_base[hand]
+            goals = [(dx + x, y, z) for dx, y, z in self.hand_rest[hand]]
+            pairs = hand_pairs[hand]
+            for row, target in pairs:
+                goals[row - lo] = target
+            settled = True
             cx = cy = cz = 0.0
-            for i in idx:
-                x, y, z = new_tips[i]
-                cx += x
-                cy += y
-                cz += z
-            cx /= len(idx)
-            cy /= len(idx)
-            cz /= len(idx)
-            for i in idx:
-                x, y, z = new_tips[i]
+            for j, (tx, ty, tz) in enumerate(tips[lo:hi]):
+                goal = goals[j]
+                dx = goal[0] - tx
+                dy = goal[1] - ty
+                dz = goal[2] - tz
+                dist = math.sqrt((dx * dx + dy * dy) + dz * dz)
+                if dist > reach:
+                    scale = reach / dist
+                    goal = goals[j] = (tx + dx * scale, ty + dy * scale, tz + dz * scale)
+                    settled = False
+                # in-range fingertips arrive exactly; the centroid sums as they come
+                cx += goal[0]
+                cy += goal[1]
+                cz += goal[2]
+
+            # span projection: clamp into ball of radius span_max/2 around centroid
+            cx /= hi - lo
+            cy /= hi - lo
+            cz /= hi - lo
+            for j, (x, y, z) in enumerate(goals):
                 ox = x - cx
                 oy = y - cy
                 oz = z - cz
                 norm = math.sqrt((ox * ox + oy * oy) + oz * oz)
                 if norm > radius:
                     scale = radius / norm
-                    new_tips[i] = (cx + ox * scale, cy + oy * scale, cz + oz * scale)
-        return new_tips, (left_x, right_x)
+                    goals[j] = (cx + ox * scale, cy + oy * scale, cz + oz * scale)
+                    settled = False
+            new_tips[lo:hi] = goals
+            self._settled[hand] = pairs if settled else None
+        self._tips, self._base = new_tips, tuple(new_base)
+        return self._tips, self._base
 
 
 def step_hand(

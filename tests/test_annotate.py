@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,18 +11,20 @@ from hypothesis import strategies as st
 
 import numpy_reference as reference
 import otpiano.annotate as annotate_module
-from conftest import key_rows
+from conftest import key_rows, simple_song
 from reward_reference import collision_reward, press_reward, sustain_reward
 from otpiano.annotate import (
     DROPPED,
     NO_FINGER,
     FingeringAnnotation,
     InfeasibleStepError,
+    SongSettings,
     annotate_song,
     annotation_to_pig,
     build_episode_record,
     chunk_episodes,
     parse_annotation_text,
+    run_song,
     score_annotation,
     write_annotation_text,
 )
@@ -36,8 +42,9 @@ from otpiano.hand import (
 )
 from otpiano.keyboard import KeyboardGeometry, KeyState, OutOfRangeError, key_press_point, press_point_table
 from otpiano.metrics import f1
-from otpiano.midi import GoalSequence, NoteEvent, goal_from_text
+from otpiano.midi import GoalSequence, NoteEvent, discretize, goal_from_text, parse_midi
 from otpiano.reward import DEFAULT_PARAMS, RewardParams, ot_reward, total_reward
+from otpiano.store import EpisodeRecord
 
 GEOM = KeyboardGeometry()
 HANDS = HandConfig.default()
@@ -280,6 +287,46 @@ def test_resting_pairs_leave_every_output_unchanged(hands, best_effort, grid):
     assert (np.sqrt(np.sum((tips - press) ** 2, axis=-1)) <= bound).all()
 
 
+class _SteppingHandMotion(HandMotion):
+    """A HandMotion that steps both hands on every call: it is never handed the objects it returned."""
+
+    def step(self, tips, base, rows, targets):
+        return super().step(list(tips), base, rows, targets)
+
+
+# perfbench's corpus families, seed 0: grid songs with ten fingers (strict), legato songs with four (best effort)
+_CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "corpus.py"))
+_ROLLOUT_SONGS = {
+    f"{kind}-{seconds}": (song.data, hands, best_effort)
+    for kind, hands, best_effort in [("grid", HANDS, False), ("legato", HandConfig.four_finger(), True)]
+    for seconds, song in zip((20, 40), _CORPUS["generate"](kind, 0, (20, 40)))
+}
+
+
+@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
+def test_skipping_settled_hands_leaves_corpus_rollouts_unchanged(name):
+    data, hands, best_effort = _ROLLOUT_SONGS[name]
+    song = parse_midi(data)
+    goals = discretize(song.notes, pedal=song.pedal)
+    skipped = []
+    step = HandMotion.step
+
+    def counting(self, tips, base, rows, targets):
+        new_tips, new_base = step(self, tips, base, rows, targets)
+        skipped.append(new_tips is tips)
+        return new_tips, new_base
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HandMotion, "step", counting)
+        skipping = annotate_song(goals, hands, GEOM, best_effort=best_effort)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annotate_module, "HandMotion", _SteppingHandMotion)
+        stepping = annotate_song(goals, hands, GEOM, best_effort=best_effort)
+    assert any(skipped) and not all(skipped)  # some calls moved neither hand
+    for array in ("finger", "distance", "collision", "fingertip_trace", "pressed"):
+        assert getattr(skipping, array).tobytes() == getattr(stepping, array).tobytes(), array
+
+
 # ---------------------------------------------------------------------------
 # chunking
 # ---------------------------------------------------------------------------
@@ -324,6 +371,36 @@ def test_chunking_validation():
     with pytest.raises(ValueError):
         chunk_episodes(_sequence([{39}] * 4), annotation, 550)
     assert chunk_episodes(_sequence([]), annotate_song(_sequence([]), HANDS, GEOM), 550) == []
+
+
+def test_run_song_frees_each_episode_record_before_building_the_next(tmp_path, monkeypatch):
+    # an episode record holds an observation array of some MB: no two may be alive at once
+    path = tmp_path / "scale.mid"
+    path.write_bytes(simple_song([(60 + 2 * i, 240 * i, 240 * i + 240) for i in range(8)]))
+
+    def live_records():
+        return sum(isinstance(obj, EpisodeRecord) for obj in gc.get_objects())
+
+    baseline, alive = live_records(), []
+    build, save = annotate_module.build_episode_record, annotate_module.save_episode
+
+    def building(*args):
+        alive.append(live_records() - baseline)
+        return build(*args)
+
+    def saving(record, target):
+        alive.append(live_records() - baseline)
+        return save(record, target)
+
+    monkeypatch.setattr(annotate_module, "build_episode_record", building)
+    monkeypatch.setattr(annotate_module, "save_episode", saving)
+    settings = SongSettings(
+        tmp_path, GEOM, HANDS, DEFAULT_PARAMS, dt=0.05, stretch=1.25, trim_silence=True, best_effort=False,
+        episode_len=20, lookahead=10, pig_out=False,
+    )
+    result = run_song(path, settings)
+    assert result.error is None and result.episodes == 3
+    assert alive == [0, 1] * 3  # none while a record is built, only its own while it is saved
 
 
 # ---------------------------------------------------------------------------

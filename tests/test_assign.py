@@ -370,6 +370,16 @@ def test_tie_break_covers_an_uncovered_column_at_its_dual(base, steps, expected)
     assert solve_assignment(_matrix(costs), best_effort=True).pairs == expected == _reference_pairs(costs)
 
 
+def test_reroute_fails_at_once_on_duals_with_a_negative_cycle():
+    # rows 0 and 1 hold columns 0 and 1 against their cheaper crossing; with every dual 0.0 each move
+    # to the other column gains 1.0, a negative cycle a search without a bound would follow forever
+    cost = [[1.0, 0.0, 5.0, 5.0], [0.0, 1.0, 5.0, 5.0], [5.0, 5.0, 5.0, 0.0]]
+    col4row, u, v = [0, 1, 3], [0.0] * 3, [0.0] * 4
+    eps = assign_module._TIE_RTOL * 5.0
+    with pytest.raises(ArithmeticError, match=r"negative cycle column [01] -> column [01] -> column [01]$"):
+        assign_module._reroute(cost, u, v, eps, col4row, [False] * 4, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # resting certificate
 # ---------------------------------------------------------------------------
@@ -566,6 +576,17 @@ def test_row_minimum_start_ends_on_a_dual_certificate(family, data):
         reduced = [c - u[i] - vj for c, vj in zip(row, v)]
         assert min(reduced) >= -bound
         assert abs(reduced[col4row[i]]) <= bound
+
+
+def test_both_solves_break_a_tie_at_the_tolerance_boundary_alike():
+    # an oversized chord whose lexicographically smaller matching costs exactly one tolerance (1e-12) more;
+    # which one wins rests on the exact cost of the re-routing the tie-break finds, and a breadth-first
+    # re-route search found one 2e-25 dearer from the row-minimum start's duals, and kept the later column
+    rows = [[0.0] * 8 for _ in range(10)]
+    rows[3][3], rows[4][7], rows[6][7], rows[8][2], rows[8][3] = 1e-12, 2.063200620737964e-25, 1.0, 1.0, 1.0
+    ours = solve_cost_rows(rows, True)
+    assert ours == _solve_with(assign_reference._augmenting_path_solve, rows, True)
+    assert ours == (tuple((i, i) for i in range(8)), 1e-12, (8, 9))
 
 
 def test_row_minimum_start_hands_a_taken_minimum_to_the_search():

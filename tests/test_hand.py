@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy_reference as reference
@@ -144,6 +147,163 @@ def test_step_kernel_matches_numpy_reference_under_span_clamp(pull, steps, lift)
         tips, base = _assert_step_matches_reference(config, 0.05, tips, base, rows, targets)
         assert tuple(tips[rows[0]]) != targets[0]  # held back by the clamp
     assert reference.hand_spread(HandState(config.enabled_fingers, tuple(tips), base), RIGHT) <= config.span_max + 1e-12
+
+
+def _bits(tips, base) -> bytes:
+    return struct.pack(f"<{3 * len(tips) + 2}d", *itertools.chain.from_iterable(tips), *base)
+
+
+def _flip_zeros(point):
+    """The same point as floats, with 0.0 and -0.0 swapped: equal under ``==``, not bitwise."""
+    return tuple(-c if c == 0.0 else c for c in point)
+
+
+def _target_near(data, tip, reach):
+    """A target off a fingertip by none, part of or three times v_max*dt, or 7 cm, which clamps a thumb and
+    little finger pulled apart; y and z may be zeros of either sign."""
+    dx = data.draw(st.sampled_from([0.0, 0.3 * reach, -0.5 * reach, 3.0 * reach, -0.07, 0.07]))
+    y, z = data.draw(st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (tip[1], tip[2]), (tip[1] + 0.01, tip[2])]))
+    return (tip[0] + dx, y, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_step_sequence_matches_fresh_motions(data):
+    # one HandMotion over a sequence of calls, each fed the last call's outputs or a fresh state, must
+    # return what a fresh HandMotion returns: held targets let hands settle and be skipped, targets
+    # beyond v_max*dt hit the speed cap, targets wider than the span get clamped, a hand may have no
+    # target, bases may still be moving, and a fresh state or a target equal only as floats must step
+    config = data.draw(st.sampled_from(_CONFIGS))
+    dt = 0.05
+    reach = config.v_max * dt
+    fingers = config.enabled_fingers
+    motion = HandMotion(config, GEOM, dt)
+    state = init_hands(config, GEOM)
+    tips, base = state.fingertips, state.base
+    rows, targets = [], []
+    for call in range(data.draw(st.integers(1, 24))):
+        change = data.draw(st.sampled_from(["hold", "hold", "hold", "new", "zero signs"]), label="targets")
+        if change == "new" or call == 0:
+            hands = data.draw(st.sampled_from([(LEFT, RIGHT), (LEFT,), (RIGHT,), ()]), label="hands with targets")
+            candidates = [row for row, finger in enumerate(fingers) if finger.hand in hands]
+            rows = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4)) if candidates else []
+            targets = [_target_near(data, tips[row], reach) for row in rows]
+        elif change == "zero signs":
+            targets = [_flip_zeros(target) for target in targets]
+        fresh = data.draw(st.sampled_from([None, 0.0, 1e-9, 0.01]), label="fresh state, shifted by")
+        if fresh is not None:
+            tips = [(x + fresh, y, z) for x, y, z in tips]
+            base = (base[0] + fresh, base[1])
+        want = HandMotion(config, GEOM, dt).step(tips, base, rows, targets)
+        got = motion.step(tips, base, rows, targets)
+        assert _bits(*got) == _bits(*want), call
+        tips, base = got
+
+
+def _held(config, targets_of, calls):
+    """``calls`` steps of one HandMotion from rest, row -> target from ``targets_of(tips)``; the motion and last state."""
+    motion = HandMotion(config, GEOM, 0.05)
+    state = init_hands(config, GEOM)
+    tips, base = state.fingertips, state.base
+    for _ in range(calls):
+        chosen = targets_of(tips)
+        tips, base = motion.step(tips, base, list(chosen), list(chosen.values()))
+    return motion, tips, base
+
+
+def _step_both_ways(motion, tips, base, chosen):
+    """One step of ``motion`` and of a fresh HandMotion; asserts the same bits and returns the first."""
+    rows, targets = list(chosen), list(chosen.values())
+    got = motion.step(tips, base, rows, targets)
+    want = HandMotion(_TEN, GEOM, 0.05).step(tips, base, rows, targets)
+    assert _bits(*got) == _bits(*want)
+    return got
+
+
+_TEN = HandConfig.default()
+_LEFT_ROWS = [row for row, finger in enumerate(_TEN.enabled_fingers) if finger.hand == LEFT]
+_RIGHT_ROWS = [row for row, finger in enumerate(_TEN.enabled_fingers) if finger.hand == RIGHT]
+_L3 = _TEN.enabled_fingers.index(FingerId(LEFT, 3))
+_R3 = _TEN.enabled_fingers.index(FingerId(RIGHT, 3))
+
+
+def test_settled_hand_keeps_its_fingertip_objects():
+    # the left middle finger holds a point of its rest pose, so the left hand settles at once and its
+    # base stays; the right middle finger chases a target beyond v_max*dt, alternating sides
+    hold = init_hands(_TEN, GEOM).fingertips[_L3]
+    far = [(0.2, 0.0, 0.0), (1.2, 0.0, 0.0)]
+    motion, tips, base = _held(_TEN, lambda tips: {_L3: hold}, 2)
+    for k in range(4):
+        new_tips, new_base = _step_both_ways(motion, tips, base, {_L3: hold, _R3: far[k % 2]})
+        assert all(new_tips[row] is tips[row] for row in _LEFT_ROWS)
+        assert new_base[0] is base[0]
+        assert all(new_tips[row] is not tips[row] for row in _RIGHT_ROWS)
+        tips, base = new_tips, new_base
+
+
+def test_no_hand_steps_returns_the_state_given():
+    rest = init_hands(_TEN, GEOM).fingertips
+    chosen = {_L3: rest[_L3], _R3: rest[_R3]}
+    motion, tips, base = _held(_TEN, lambda tips: chosen, 1)
+    new_tips, new_base = _step_both_ways(motion, tips, base, chosen)
+    assert new_tips is tips and new_base is base
+    # a copy of the fingertip list is not the state the motion returned: it is stepped, to the same bits
+    copied = list(tips)
+    new_tips, new_base = _step_both_ways(motion, copied, base, chosen)
+    assert new_tips is not copied and _bits(new_tips, new_base) == _bits(tips, base)
+
+
+def _left_is_stepped(motion, tips, base, chosen):
+    new_tips, _ = _step_both_ways(motion, tips, base, chosen)
+    free = [row for row in _LEFT_ROWS if row not in chosen]
+    return any(new_tips[row] is not tips[row] for row in free)
+
+
+def test_hand_is_stepped_while_its_base_moves():
+    # in reach of the finger but beyond base_v_max*dt of the base: the hand settles while its base still travels
+    hold = init_hands(_TEN, GEOM).fingertips[_L3]
+    target = (hold[0] + 0.08, hold[1], hold[2])
+    motion, tips, base = _held(_TEN, lambda tips: {_L3: target}, 1)
+    assert tips[_L3] is target
+    assert _left_is_stepped(motion, tips, base, {_L3: target})
+
+
+@pytest.mark.parametrize("change", ["new point", "zero signs"])
+def test_hand_is_stepped_when_a_target_changes(change):
+    hold = init_hands(_TEN, GEOM).fingertips[_L3]
+    hold = (hold[0], 0.0, 0.0)  # on a white key's press point, in reach
+    motion, tips, base = _held(_TEN, lambda tips: {_L3: hold}, 3)
+    assert tips[_L3] is hold and not _left_is_stepped(motion, tips, base, {_L3: hold})
+    moved = _flip_zeros(hold) if change == "zero signs" else (hold[0] + 0.01, 0.0, 0.0)
+    new_tips, _ = _step_both_ways(motion, tips, base, {_L3: moved})
+    assert new_tips[_L3] is moved  # a target equal only as floats still gives its own bits
+
+
+def _left_keeps_moving(config, tips, calls):
+    """``calls`` steps with no target for the left hand; asserts it is stepped, to a fresh motion's bits, each time."""
+    motion = HandMotion(config, GEOM, 0.05)
+    base = init_hands(config, GEOM).base
+    right = config.enabled_fingers.index(FingerId(RIGHT, 3))
+    left_rows = [row for row, finger in enumerate(config.enabled_fingers) if finger.hand == LEFT]
+    for _ in range(calls):
+        new_tips, new_base = motion.step(tips, base, [right], [tips[right]])
+        want = HandMotion(config, GEOM, 0.05).step(tips, base, [right], [tips[right]])
+        assert _bits(new_tips, new_base) == _bits(*want)
+        assert all(new_tips[row] is not tips[row] for row in left_rows)
+        tips, base = new_tips, new_base
+
+
+def test_hand_is_stepped_after_the_speed_cap():
+    # the left fingertips start 0.3 m above their rest pose: they relax at v_max*dt, capped for three calls
+    rest = init_hands(_TEN, GEOM).fingertips
+    tips = [(x, y, z + 0.3) if row in _LEFT_ROWS else (x, y, z) for row, (x, y, z) in enumerate(rest)]
+    _left_keeps_moving(_TEN, tips, 3)
+
+
+def test_hand_is_stepped_after_the_span_projection():
+    # a rest pose wider than span_max: the projection pulls the outer free fingers in on every call
+    narrow = HandConfig(span_max=0.05)
+    _left_keeps_moving(narrow, init_hands(narrow, GEOM).fingertips, 3)
 
 
 def test_step_is_deterministic():
