@@ -9,7 +9,8 @@ actually are.  Dropped keys, the fingertip trace, collisions and reached
 keys are read off those records after the rollout.  Songs are scored
 once and chunked into fixed-length episodes afterwards; each episode's
 trajectory record is sliced from the song's arrays.  ``run_song`` is the
-batch pipeline of one MIDI file, from parsing to its written files.
+batch pipeline of one MIDI file, from parsing to its written files;
+``run_songs`` runs a batch of them, in this process or in worker processes.
 
 The rollout runs on Python floats (``key_distances`` and
 ``HandMotion.step``), which match their numpy forms bit for bit.  A step
@@ -35,6 +36,9 @@ import os
 import shutil
 import struct
 from array import array
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -476,7 +480,7 @@ class SongResult:
     problems: tuple = ()
 
 
-def remove_song_files(out: Path, stem: str) -> None:
+def _remove_song_files(out: Path, stem: str) -> None:
     """Delete, found by name, every file a run wrote or started to write in ``out`` for song ``stem``."""
     shutil.rmtree(out / f".{stem}.partial", ignore_errors=True)
     for suffix in _SONG_SUFFIXES:
@@ -485,6 +489,13 @@ def remove_song_files(out: Path, stem: str) -> None:
     while (stale := out / f"{stem}.ep{index:03d}{EPISODE_SUFFIX}").exists():
         stale.unlink()
         index += 1
+
+
+def _failed_song(out: Path, stem: str, exc: Exception) -> SongResult:
+    """The result of song ``stem`` failed by ``exc``, once its files are gone from ``out``."""
+    with contextlib.suppress(OSError):
+        _remove_song_files(out, stem)
+    return SongResult(stem, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_song(path, settings: SongSettings) -> SongResult:
@@ -496,7 +507,7 @@ def run_song(path, settings: SongSettings) -> SongResult:
     out, stem = settings.out, Path(path).stem
     staging = out / f".{stem}.partial"
     try:
-        remove_song_files(out, stem)
+        _remove_song_files(out, stem)
         staging.mkdir()
         song = load_midi(path)
         stretch, trim_silence = settings.stretch, settings.trim_silence
@@ -527,8 +538,51 @@ def run_song(path, settings: SongSettings) -> SongResult:
             os.replace(written, out / written.name)
         staging.rmdir()
     except Exception as exc:
-        with contextlib.suppress(OSError):
-            remove_song_files(out, stem)
-        return SongResult(stem, error=f"{type(exc).__name__}: {exc}")
+        return _failed_song(out, stem, exc)
     summary = dict(steps=len(goals), mean_d_ot=annotation.mean_distance, dropped_steps=annotation.dropped_step_count)
     return SongResult(stem, episodes=len(episodes), problems=tuple(song.problems), **summary)
+
+
+def _file_size(path) -> int:
+    """Bytes in the file, or 0 if it cannot be read (its song then fails on its own)."""
+    try:
+        return Path(path).stat().st_size
+    except OSError:
+        return 0
+
+
+def run_songs(paths: list, settings: SongSettings, jobs: int = 1) -> list:
+    """``run_song`` of every path, one ``SongResult`` each, by song name; a failed song is a result with its ``error``.
+
+    With ``jobs`` > 1 and more than one path, worker processes run the
+    songs, largest file first, at most ``jobs`` in flight; otherwise this
+    process runs them one after another.  A dead worker fails every song in
+    flight, whose files are then removed, and a new pool runs the rest.
+    Songs that ran beside it are not retried: a song that always kills its
+    worker would loop forever.
+    """
+    pooled = jobs > 1 and len(paths) > 1
+    results = [] if pooled else [run_song(path, settings) for path in paths]
+    queue = deque(sorted(paths, key=_file_size, reverse=True) if pooled else ())
+    while queue:
+        finished, broken = [], False
+        # under fork every worker starts at the first submit: start no more than there are songs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(queue))) as pool:
+            running = {}
+            while not broken and (queue or running):
+                try:
+                    while queue and len(running) < jobs:
+                        running[pool.submit(run_song, queue[0], settings)] = queue[0]
+                        queue.popleft()
+                except BrokenProcessPool:  # the pool broke between two songs: this one waits for the next pool
+                    broken = True
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                finished += [(future, running.pop(future)) for future in done]
+                broken = broken or any(isinstance(future.exception(), BrokenProcessPool) for future in done)
+        # the pool has shut down: every future is done and no worker is left to write
+        for future, path in finished + list(running.items()):
+            try:
+                results.append(future.result())
+            except Exception as exc:
+                results.append(_failed_song(settings.out, Path(path).stem, exc))
+    return sorted(results, key=lambda result: result.song)

@@ -1,14 +1,13 @@
 """Batch command-line frontend: annotate songs, evaluate rollouts, corpus stats.
 
-Subcommands write files and text/CSV reports; this module checks arguments
-and prints.  ``annotate`` runs ``annotate.run_song`` per song, in-process or
-in ``--jobs`` workers (a dead worker fails only the songs in flight), and
-prints each song's MIDI problems as ``note:`` lines.  ``eval`` and ``stats``
-check their report paths, and ``eval`` refuses one mode's flags in the
-other, before they read any input.  ``main`` builds its parser once per
-process.  Exit codes: 0 success,
-1 failed songs (each reported, leaving no files) or an infeasible debug-assign
-chord, 2 an unusable input or output path.
+This module checks flags, loads configs, maps errors to exit codes and prints;
+the work is library calls: ``annotate.run_songs`` (each song's MIDI problems
+print as ``note:`` lines), ``store.song_key_counts`` and ``metrics.f1_rows``
+for ``eval --episodes``, ``store.corpus_pieces`` for ``stats``.  ``eval`` and
+``stats`` check their report paths, and ``eval`` refuses one mode's flags in
+the other, before they read any input.  ``main`` builds its parser once per
+process.  Exit codes: 0 success, 1 failed songs (each reported, leaving no
+files) or an infeasible debug-assign chord, 2 an unusable input or output path.
 """
 
 from __future__ import annotations
@@ -17,25 +16,20 @@ import argparse
 import contextlib
 import math
 import sys
-from collections import Counter, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .annotate import DEFAULT_EPISODE_LEN, SongResult, SongSettings, remove_song_files, run_song
+from .annotate import DEFAULT_EPISODE_LEN, SongSettings, run_songs
 from .assign import InfeasibleError, build_cost_matrix, format_debug_table, solve_assignment
 from .config import load_config
 from .hand import HandConfig, init_hands
 from .keyboard import KeyboardGeometry, is_black, key_for_pitch, pitch_for_key
-from .metrics import DEFAULT_PRESS_THRESHOLD, F1_THRESHOLDS, dataset_stats, f1, fingering_agreement
-from .metrics import counts_precision_recall, key_counts
-from .midi import DEFAULT_DT, DEFAULT_LOOKAHEAD, DEFAULT_STRETCH, GoalSequence, goal_from_text
+from .metrics import DEFAULT_PRESS_THRESHOLD, F1_THRESHOLDS, dataset_stats, f1_rows, fingering_agreement
+from .midi import DEFAULT_DT, DEFAULT_LOOKAHEAD, DEFAULT_STRETCH
 from .pig import load_pig
 from .reward import RewardParams
-from .store import csv_cell, iter_episodes, replacing, reward_rows, rewards_csv
+from .store import corpus_pieces, csv_cell, replacing, rewards_csv, song_key_counts
 
 _MIDI_SUFFIXES = (".mid", ".midi")
 
@@ -45,12 +39,15 @@ class UsageError(Exception):
 
 
 def _check_report_paths(*paths) -> None:
-    """Refuse, before any input is read, a report path that cannot be a file in an existing directory."""
-    for path in map(Path, filter(None, paths)):
+    """Refuse, before any input is read, report paths that are no files in existing directories, or name one file."""
+    paths = [Path(path) for path in paths if path]
+    for path in paths:
         if path.is_dir():
             raise UsageError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise UsageError(f"cannot write {path}: {path.parent} is not a directory")
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise UsageError(f"cannot write {' and '.join(map(str, paths))}: they are one file")
 
 
 def _write_report(path, text: str) -> None:
@@ -83,49 +80,9 @@ def _midi_paths(root: Path) -> list:
     return [root]
 
 
-def _file_size(path: str) -> int:
-    """Bytes in the file, or 0 if it cannot be read (its song then fails on its own)."""
-    try:
-        return Path(path).stat().st_size
-    except OSError:
-        return 0
-
-
 # ---------------------------------------------------------------------------
 # annotate
 # ---------------------------------------------------------------------------
-
-
-def _run_pool(paths: list, settings: SongSettings, jobs: int):
-    """Yield ``run_song`` of each path from worker processes, largest file first, at most ``jobs`` songs in flight.
-
-    A dead worker fails every song in flight, whose files are then removed, and a new pool runs the rest.
-    Songs that ran beside it are not retried: a song that always kills its worker would loop forever.
-    """
-    queue = deque(sorted(paths, key=_file_size, reverse=True))
-    while queue:
-        finished, broken = [], False
-        # under fork every worker starts at the first submit: start no more than there are songs
-        with ProcessPoolExecutor(max_workers=min(jobs, len(queue))) as pool:
-            running = {}
-            while not broken and (queue or running):
-                try:
-                    while queue and len(running) < jobs:
-                        running[pool.submit(run_song, queue[0], settings)] = queue[0]
-                        queue.popleft()
-                except BrokenProcessPool:  # the pool broke between two songs: this one waits for the next pool
-                    broken = True
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                finished += [(future, running.pop(future)) for future in done]
-                broken = broken or any(isinstance(future.exception(), BrokenProcessPool) for future in done)
-        # the pool has shut down: every future is done and no worker is left to write
-        for future, path in finished + list(running.items()):
-            try:
-                yield future.result()
-            except Exception as exc:
-                with contextlib.suppress(OSError):
-                    remove_song_files(settings.out, Path(path).stem)
-                yield SongResult(Path(path).stem, error=f"{type(exc).__name__}: {exc}")
 
 
 def cmd_annotate(args) -> int:
@@ -157,13 +114,10 @@ def cmd_annotate(args) -> int:
         out_dir, geom, hands, params, dt=args.dt, stretch=args.stretch, trim_silence=not args.no_trim_silence,
         best_effort=args.best_effort, episode_len=args.episode_len, lookahead=args.lookahead, pig_out=args.pig_out,
     )
-    if args.jobs > 1 and len(paths) > 1:
-        results = list(_run_pool(paths, settings, args.jobs))
-    else:
-        results = [run_song(path, settings) for path in paths]
+    results = run_songs(paths, settings, args.jobs)
 
     failures = 0
-    for res in sorted(results, key=lambda r: r.song):
+    for res in results:
         if res.error is not None:
             failures += 1
             print(f"FAIL {res.song}: {res.error}", file=sys.stderr)
@@ -183,20 +137,6 @@ def cmd_annotate(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-
-def _episode_counts(directory: Path, press_threshold: float, with_rewards: bool):
-    """Yield ``(song, key counts, reward lines)`` for each container, read once; a bad one raises UsageError.
-
-    The reward lines are ``reward_rows`` with ``with_rewards``, else empty.
-    Errors the caller raises while it handles a record do not pass through here.
-    """
-    try:
-        for rec in iter_episodes(directory):
-            found = key_counts(rec.pressed_key_steps(press_threshold), rec.active_key_steps())
-            yield str(rec.meta.get("song", "?")), found, reward_rows(rec) if with_rewards else ()
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read episodes: {exc}") from exc
 
 
 def _check_eval_mode(args) -> None:
@@ -228,25 +168,30 @@ def cmd_eval(args) -> int:
             raise UsageError(f"not a directory: {directory}")
         # a fixed importer line keeps the header that existing result files carry
         eval_snapshot = f"# press_threshold = {args.press_threshold}\n# importer = native\n"
-        counts: dict = {}  # song -> summed (hits, n_pressed, n_active) of its containers
+
+        def write_rewards(lines):  # a failed write must not read as a failed read of the episodes
+            try:
+                rewards.writelines(f"{line}\n" for line in lines)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.rewards_csv}: {exc}") from exc
+
         # reward lines go to a temporary file beside the report as each container is read
         report = replacing(args.rewards_csv, encoding="utf-8") if args.rewards_csv else contextlib.nullcontext()
         try:
             with report as rewards:
                 if rewards:
                     rewards.write(eval_snapshot + rewards_csv(()))  # the header line
-                for song, found, lines in _episode_counts(directory, args.press_threshold, bool(rewards)):
-                    counts[song] = [a + b for a, b in zip(counts.get(song, (0, 0, 0)), found)]
-                    if rewards:
-                        rewards.writelines(f"{line}\n" for line in lines)
+                try:
+                    counts = song_key_counts(directory, args.press_threshold, write_rewards if rewards else None)
+                except (OSError, ValueError) as exc:
+                    raise UsageError(f"cannot read episodes: {exc}") from exc
                 if not counts:
                     raise UsageError(f"no episode files under {directory}")
+                rows = f1_rows(counts)  # in the block, so a refused song name leaves no rewards report
         except OSError as exc:
             raise UsageError(f"cannot write {args.rewards_csv}: {exc}") from exc
-        rows = [(song, *counts[song]) for song in sorted(counts)]
-        rows.append(("OVERALL", *map(sum, zip(*counts.values()))))
-        rows = [(song, *counts_precision_recall(*found)) for song, *found in rows]
-        rows = [(song, precision, recall, f1(precision, recall)) for song, precision, recall in rows]
+        except ValueError as exc:
+            raise UsageError(f"cannot score episodes: {exc}") from exc
         print("song\tprecision\trecall\tf1")
         for song, precision, recall, score in rows:
             print(f"{song}\t{precision:.6f}\t{recall:.6f}\t{score:.6f}")
@@ -284,44 +229,19 @@ def cmd_stats(args) -> int:
     directory = Path(args.input)
     if not directory.is_dir():
         raise UsageError(f"not a directory: {directory}")
-    sources = []
-    f1_scores = []
-    chunks = {}  # song without a goal file -> (chunk, goal keys) of each of its episodes
     try:
-        goal_songs = set()
-        for path in sorted(directory.glob("*.goals.txt")):
-            sources.append(goal_from_text(path.read_text(encoding="utf-8")))
-            goal_songs.add(path.name[: -len(".goals.txt")])
-        for rec in iter_episodes(directory):
-            rec.lookahead_window()  # every container must fit the observation layout, as in eval
-            # goal files already cover this song; episodes only add F1 metadata
-            song = str(rec.meta.get("song", ""))
-            if song not in goal_songs:
-                chunks.setdefault(song, []).append(rec.chunk_goal_keys())
-            if args.f1_meta and "f1" in rec.meta:
-                f1_value = rec.meta["f1"]
-                score = float(f1_value) if isinstance(f1_value, str) else f1_value
-                # type(), not isinstance: a JSON true is no score; nan fails the range too
-                if type(score) not in (int, float) or not 0 <= score <= 1:
-                    raise ValueError(f"f1 metadata must be a number in [0, 1], got {f1_value!r}")
-                f1_scores.append(float(score))
-        # a song is one piece: its episodes joined in chunk order, so a key
-        # held across a chunk boundary is one onset
-        for song in sorted(chunks):
-            parts = sorted(chunks[song], key=lambda part: part[0])
-            sources.append(GoalSequence(np.concatenate([keys for _, keys in parts])))
+        pieces, f1_scores = corpus_pieces(directory, args.f1_meta)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot read inputs: {exc}") from exc
-    if not sources:
+    if not pieces:
         raise UsageError(f"no goal or episode files under {directory}")
-    stats = dataset_stats(sources, f1_scores=f1_scores or None, count_mode=args.count_mode)
+    stats = dataset_stats(pieces, f1_scores=f1_scores or None, count_mode=args.count_mode)
 
     print(f"pieces: {len(stats.active_key_counts)}")
     print(f"key presses counted ({stats.count_mode}): {stats.total_onsets}")
     print(f"white fraction: {stats.white_fraction:.6f}")
-    if stats.active_key_counts:
-        counts = stats.active_key_counts
-        print(f"active keys per piece: min={min(counts)} mean={sum(counts) / len(counts):.1f} max={max(counts)}")
+    counts = stats.active_key_counts  # one per piece, and there is at least one
+    print(f"active keys per piece: min={min(counts)} mean={sum(counts) / len(counts):.1f} max={max(counts)}")
     for threshold in F1_THRESHOLDS:
         print(f"fraction f1 >= {threshold}: {stats.fraction_f1_above(threshold):.6f}")
     if args.csv:

@@ -4,7 +4,7 @@ Precision measures avoiding inactive keys, recall measures pressing the
 active ones; both are micro-averaged over all steps (summed intersection
 counts, stable for silent steps).  Corpus statistics cover the pressed-key
 histogram, the white-key share, per-piece active-key totals, and the
-fraction of pieces above F1 thresholds.
+fraction of F1 scores above thresholds.
 """
 
 from __future__ import annotations
@@ -55,6 +55,24 @@ def f1(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+
+def f1_rows(counts: dict) -> list:
+    """``(song, precision, recall, f1)`` of each song by name, then of the whole corpus, named ``OVERALL``.
+
+    ``counts`` maps each song to its ``key_counts`` summed over its traces;
+    the OVERALL row sums them again.  No songs, or a song named OVERALL,
+    whose row would read as the total, raise ValueError.
+    """
+    if not counts:
+        raise ValueError("at least one song is required")
+    if "OVERALL" in counts:
+        raise ValueError("a song named OVERALL would read as the total row")
+    rows = [(song, *counts[song]) for song in sorted(counts)]
+    rows.append(("OVERALL", *map(sum, zip(*counts.values()))))
+    rows = [(song, *counts_precision_recall(*found)) for song, *found in rows]
+    return [(song, precision, recall, f1(precision, recall)) for song, precision, recall in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +174,7 @@ class DatasetStats:
         return white / total
 
     def fraction_f1_above(self, threshold: float) -> float:
-        """Share of pieces with F1 >= threshold; 0 with no scores."""
+        """Share of F1 scores >= threshold, one score per episode as ``stats --f1-meta`` collects them; 0 with none."""
         if not self.f1_scores:
             return 0.0
         return sum(1 for s in self.f1_scores if s >= threshold) / len(self.f1_scores)
@@ -168,8 +186,8 @@ def dataset_stats(sources, f1_scores=None, count_mode: str = "onsets") -> Datase
     Each source is a GoalSequence or any object whose ``active_key_steps()``
     returns its (T, 88) goal keys (the episode-record hook).
     ``count_mode="onsets"`` counts each key once per activation;
-    ``"steps"`` counts per-step occupancy instead.  Optional per-piece F1
-    scores feed the threshold fractions.
+    ``"steps"`` counts per-step occupancy instead.  Optional F1 scores
+    (``stats`` passes one per episode) feed the threshold fractions.
     """
     if count_mode not in ("onsets", "steps"):
         raise ValueError("count_mode must be 'onsets' or 'steps'")

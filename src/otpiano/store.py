@@ -32,10 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from .keyboard import KEY_COUNT
+from .metrics import key_counts
 from .midi import (
     ACTION_DIM,
     GOAL_STEP_DIM,
     OBSERVATION_DIM,
+    GoalSequence,
+    goal_from_text,
     numbered_lines,
     observation_dim,
     observation_layout,
@@ -332,6 +335,63 @@ def iter_episodes(directory):
     """
     for path in sorted(Path(directory).glob(f"*{EPISODE_SUFFIX}")):
         yield load_episode(path)
+
+
+def song_key_counts(directory, press_threshold: float, write_rewards=None) -> dict:
+    """``song -> [hits, n_pressed, n_active]``: the ``key_counts`` of each song's containers, summed.
+
+    The directory's containers are read once, in name order, and none is
+    kept; a container without ``song`` metadata counts under ``"?"``.  With
+    ``write_rewards``, each container's ``reward_rows`` lines are passed to
+    it before the next container is loaded.  Errors of reading and of
+    ``write_rewards`` alike pass through unchanged.
+    """
+    counts: dict = {}
+    for rec in iter_episodes(directory):
+        found = key_counts(rec.pressed_key_steps(press_threshold), rec.active_key_steps())
+        song = str(rec.meta.get("song", "?"))
+        counts[song] = [a + b for a, b in zip(counts.get(song, (0, 0, 0)), found)]
+        if write_rewards is not None:
+            write_rewards(reward_rows(rec))
+    return counts
+
+
+def corpus_pieces(directory, f1_meta: bool = False) -> tuple:
+    """``(pieces, f1_scores)`` of a directory of ``*.goals.txt`` files and containers: what ``stats`` counts.
+
+    A piece is a song: the goal sequence of its goal file, or else the goal
+    keys of its containers joined in ``chunk`` order, each cut at
+    ``n_real``, so that a key held across a chunk boundary is one onset.
+    Goal files come first, by name, then the joined songs, by name.  Every
+    container's layout is checked, a song's with a goal file too.  With
+    ``f1_meta``, ``f1_scores`` holds the ``f1`` metadata of each container
+    that has one, which must be a number or numeric text in [0, 1];
+    without it, the list is empty and ``f1`` is not read.  Unreadable or
+    malformed input raises OSError or ValueError.
+    """
+    pieces, f1_scores = [], []
+    goal_songs = set()
+    for path in sorted(Path(directory).glob("*.goals.txt")):
+        pieces.append(goal_from_text(path.read_text(encoding="utf-8")))
+        goal_songs.add(path.name[: -len(".goals.txt")])
+    chunks = {}  # song without a goal file -> (chunk, goal keys) of each of its containers
+    for rec in iter_episodes(directory):
+        rec.lookahead_window()  # every container must fit the observation layout, as in eval
+        # goal files already cover this song; its containers only add F1 metadata
+        song = str(rec.meta.get("song", ""))
+        if song not in goal_songs:
+            chunks.setdefault(song, []).append(rec.chunk_goal_keys())
+        if f1_meta and "f1" in rec.meta:
+            f1_value = rec.meta["f1"]
+            score = float(f1_value) if isinstance(f1_value, str) else f1_value
+            # type(), not isinstance: a JSON true is no score; nan fails the range too
+            if type(score) not in (int, float) or not 0 <= score <= 1:
+                raise ValueError(f"f1 metadata must be a number in [0, 1], got {f1_value!r}")
+            f1_scores.append(float(score))
+    for song in sorted(chunks):
+        parts = sorted(chunks[song], key=lambda part: part[0])
+        pieces.append(GoalSequence(np.concatenate([keys for _, keys in parts])))
+    return pieces, f1_scores
 
 
 # ---------------------------------------------------------------------------

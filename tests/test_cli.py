@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -12,11 +13,13 @@ import pytest
 
 import eval_reference
 from conftest import episode_with_raw_meta, golden_songs, midi_bytes, note_off, note_on, set_tempo, simple_song
-from otpiano import annotate, cli
+from otpiano import annotate, cli, store
 from otpiano.cli import main
+from otpiano.metrics import f1_rows
 from otpiano.midi import observation_layout
 from otpiano.pig import load_pig, save_pig
-from otpiano.store import EpisodeRecord, csv_cell, iter_episodes, load_episode, reward_rows, rewards_csv, save_episode
+from otpiano.store import EpisodeRecord, corpus_pieces, csv_cell, iter_episodes, load_episode, reward_rows
+from otpiano.store import rewards_csv, save_episode, song_key_counts
 
 
 @pytest.fixture
@@ -123,7 +126,7 @@ def test_parallel_run_starts_the_largest_file_first_and_prints_as_one_job(song_d
             submitted.append(Path(path).stem)
             return _done_future(fn(path, *args))
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(annotate, "ProcessPoolExecutor", RecordingPool)
     assert _annotate(song_dir, tmp_path / "recorded", "--jobs", "2") == 0
     sizes = {p.stem: p.stat().st_size for p in song_dir.iterdir()}
     assert submitted[0] == "dance"
@@ -147,7 +150,7 @@ def test_annotate_starts_no_more_workers_than_songs(song_dir, tmp_path, monkeypa
         def submit(self, fn, *args):
             return _done_future(fn(*args))
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(annotate, "ProcessPoolExecutor", RecordingPool)
     assert _annotate(song_dir, tmp_path / "out", "--jobs", "64") == 0
     assert sizes == [2]
 
@@ -464,8 +467,9 @@ def test_unwritable_report_exits_2(song_dir, tmp_path, capsys, argv):
         ["eval", "--episodes", "{out}", "--csv", "{tmp}/ok.csv", "--rewards-csv", "{tmp}/missing/r.csv"],
         ["eval", "--episodes", "{out}", "--csv", "{tmp}/ok.csv", "--rewards-csv", "{tmp}"],
         ["stats", "--in", "{out}", "--csv", "{tmp}/missing/h.csv"],
+        ["eval", "--episodes", "{out}", "--csv", "{tmp}/ok.csv", "--rewards-csv", "{tmp}/../{tmp.name}/ok.csv"],
     ],
-    ids=["eval-missing-dir", "eval-is-dir", "stats-missing-dir"],
+    ids=["eval-missing-dir", "eval-is-dir", "stats-missing-dir", "eval-one-file"],
 )
 def test_report_paths_are_checked_before_any_output(song_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -504,9 +508,12 @@ def test_eval_counts_equal_the_joined_traces(tmp_path, threshold):
     out, csv_path = tmp_path / "out", tmp_path / "eval.csv"
     assert _annotate(midi_dir, out, "--embodiment", "four-finger", "--best-effort", "--episode-len", "24") == 0
     assert main(["eval", "--episodes", str(out), "--press-threshold", threshold, "--csv", str(csv_path)]) == 0
-    lines = [f"{csv_cell(s)},{p!r},{r!r},{v!r}" for s, p, r, v in eval_reference.eval_rows(out, float(threshold))]
+    expected = eval_reference.eval_rows(out, float(threshold))
+    lines = [f"{csv_cell(s)},{p!r},{r!r},{v!r}" for s, p, r, v in expected]
     assert csv_path.read_text().splitlines()[3:] == lines
     assert len({line.split(",", 1)[1] for line in lines}) > 2
+    # the library rows, without the command line
+    assert f1_rows(song_key_counts(out, float(threshold))) == expected
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
@@ -558,6 +565,52 @@ def test_eval_rewards_csv_failure_leaves_no_file(song_dir, tmp_path, capsys, cas
     captured = capsys.readouterr()
     assert captured.err.startswith("no episode files" if case == "no-containers" else "cannot read episodes")
     assert not captured.out
+    assert os.listdir(reports) == []
+
+
+def test_eval_rewards_csv_write_failure_leaves_no_file(song_dir, tmp_path, capsys, monkeypatch):
+    out, reports = tmp_path / "out", tmp_path / "reports"
+    reports.mkdir()
+    assert _annotate(song_dir, out) == 0
+    assert len(list(out.glob("*.rp1t"))) > 1
+    replacing, written = cli.replacing, []
+
+    class FullDisk:  # takes the header and the first container's lines, then fails
+        def __init__(self, fh):
+            self.write = fh.write
+            self.fh = fh
+
+        def writelines(self, lines):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(1)
+            self.fh.writelines(lines)
+
+    @contextlib.contextmanager
+    def failing(path, **kwargs):
+        with replacing(path, **kwargs) as fh:
+            yield FullDisk(fh)
+
+    monkeypatch.setattr(cli, "replacing", failing)
+    target = reports / "rewards.csv"
+    capsys.readouterr()
+    assert main(["eval", "--episodes", str(out), "--rewards-csv", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write {target}: ") and "No space left" in captured.err
+    assert not captured.out and written
+    assert os.listdir(reports) == []
+
+
+def test_eval_refuses_a_song_named_overall(song_dir, tmp_path, capsys):
+    (song_dir / "OVERALL.mid").write_bytes((song_dir / "line.mid").read_bytes())
+    out, reports = tmp_path / "out", tmp_path / "reports"
+    reports.mkdir()
+    assert _annotate(song_dir, out) == 0
+    capsys.readouterr()
+    argv = ["eval", "--episodes", str(out), "--csv", str(reports / "eval.csv"), "--rewards-csv", str(reports / "r.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "a song named OVERALL would read as the total row" in captured.err and not captured.out
     assert os.listdir(reports) == []
 
 
@@ -625,7 +678,7 @@ def test_eval_refuses_the_other_modes_flags_before_reading(song_dir, tmp_path, c
     def unread(*args, **kwargs):
         raise AssertionError("input read")
 
-    monkeypatch.setattr(cli, "iter_episodes", unread)
+    monkeypatch.setattr(store, "iter_episodes", unread)
     monkeypatch.setattr(cli, "load_pig", unread)
     argv = [arg.format(out=out, pig=out / "line.pig.txt", tmp=tmp_path) for arg in extra]
     assert main(["eval", *argv]) == 2
@@ -870,6 +923,12 @@ def test_stats_counts_a_song_once_without_its_goal_file(tmp_path, capsys, count_
         outputs.append((capsys.readouterr().out, csv_path.read_text()))
     assert "pieces: 1\n" in outputs[0][0]
     assert outputs[1] == outputs[0]
+    # the library pieces, without the command line: the goal file's, and the containers joined
+    (goals,), full_f1 = corpus_pieces(full, f1_meta=True)
+    (joined,), only_f1 = corpus_pieces(only, f1_meta=True)
+    assert np.array_equal(joined.keys, goals.keys)
+    assert sorted(only_f1) == sorted(full_f1) and len(full_f1) == len(episodes)
+    assert corpus_pieces(only)[1] == []
 
 
 def test_debug_assign(capsys):
