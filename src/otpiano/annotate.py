@@ -68,7 +68,7 @@ from .midi import (
 )
 from .pig import PigRecord, midi_to_spelled, save_pig
 from .reward import DEFAULT_PARAMS, RewardBreakdown, RewardParams, score_steps
-from .store import EPISODE_SUFFIX, EpisodeRecord, save_episode, score_csv
+from .store import EpisodeRecord, episode_path, remove_episodes, save_episode, score_csv
 
 DEFAULT_EPISODE_LEN = 550
 
@@ -210,7 +210,7 @@ def annotate_song(
     )
     for values in arrays.values():
         values.flags.writeable = False
-    snapshot = {"dt": goals.dt, **hands.snapshot(), **geom.snapshot(), **params.snapshot()}
+    snapshot = {"dt": goals.dt, **hands.snapshot(), **geom.snapshot(), **params.snapshot(), "run.best_effort": best_effort}
     return FingeringAnnotation(dt=goals.dt, embodiment=hands.name, snapshot=snapshot, **arrays)
 
 
@@ -447,7 +447,7 @@ def parse_annotation_text(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-_SONG_SUFFIXES = (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt")  # besides the .epNNN containers
+_SONG_SUFFIXES = (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt")  # besides the containers
 
 
 @dataclass(frozen=True)
@@ -485,10 +485,7 @@ def _remove_song_files(out: Path, stem: str) -> None:
     shutil.rmtree(out / f".{stem}.partial", ignore_errors=True)
     for suffix in _SONG_SUFFIXES:
         (out / f"{stem}{suffix}").unlink(missing_ok=True)
-    index = 0
-    while (stale := out / f"{stem}.ep{index:03d}{EPISODE_SUFFIX}").exists():
-        stale.unlink()
-        index += 1
+    remove_episodes(out, stem)
 
 
 def _failed_song(out: Path, stem: str, exc: Exception) -> SongResult:
@@ -514,8 +511,7 @@ def run_song(path, settings: SongSettings) -> SongResult:
         goals = discretize(song.notes, dt=settings.dt, stretch=stretch, trim_silence=trim_silence, pedal=song.pedal)
         annotation = annotate_song(goals, settings.hands, settings.geom, settings.params, settings.best_effort)
         snapshot = {**annotation.snapshot, "midi.stretch": stretch, "midi.trim_silence": trim_silence}
-        for name in ("lookahead", "episode_len", "best_effort"):
-            snapshot[f"run.{name}"] = getattr(settings, name)
+        snapshot.update({"run.lookahead": settings.lookahead, "run.episode_len": settings.episode_len})
         comments = config_lines(snapshot)
         header = "".join(f"# {c}\n" for c in comments)
         (staging / f"{stem}.goals.txt").write_text(header + goal_to_text(goals), encoding="utf-8")
@@ -532,7 +528,7 @@ def run_song(path, settings: SongSettings) -> SongResult:
                 build_episode_record(
                     episode, goals, annotation, scores.total, settings.params, stem, snapshot, settings.lookahead
                 ),
-                staging / f"{stem}.ep{episode.index:03d}{EPISODE_SUFFIX}",
+                episode_path(staging, stem, episode.index),
             )
         for written in sorted(staging.iterdir()):
             os.replace(written, out / written.name)

@@ -172,13 +172,13 @@ class EpisodeRecord:
         self.lookahead_window()
         return self.observations[:, :KEY_COUNT] > 0.5
 
-    def chunk_goal_keys(self) -> tuple:
-        """``(chunk, keys)``: the record's place in its song and the goal keys of its real steps.
+    def identity(self) -> tuple:
+        """``(song, chunk, n_real)``: the song the record belongs to, its place in it and its real steps.
 
-        ``keys`` is ``active_key_steps()`` without the padded tail, as the
-        ``chunk`` and ``n_real`` metadata give them; a record without them
-        is chunk 0 with every step real.  Values that are not integers in
-        range raise InvalidRecordError.
+        A record without ``song`` metadata is song ``""``, which no MIDI file's
+        stem names; one without ``chunk`` is chunk 0, one without ``n_real``
+        has every step real.  Values that are not integers in range raise
+        InvalidRecordError.
         """
         chunk = self.meta.get("chunk", 0)
         n_real = self.meta.get("n_real", self.length)
@@ -187,7 +187,7 @@ class EpisodeRecord:
                 raise InvalidRecordError(f"{name} must be an integer >= 0, got {value!r}")
         if n_real > self.length:
             raise InvalidRecordError(f"n_real {n_real} exceeds the episode length {self.length}")
-        return chunk, self.active_key_steps()[:n_real]
+        return str(self.meta.get("song", "")), chunk, n_real
 
     def pressed_key_steps(self, threshold: float = 0.5) -> np.ndarray:
         """(T, 88) bool pressed keys decoded from the key-joint block."""
@@ -325,6 +325,25 @@ def load_episode(path) -> EpisodeRecord:
         return _parse_episode(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ, **_MAP_OPTIONS))
 
 
+def episode_path(directory, stem: str, index: int) -> Path:
+    """Where container ``index`` of song ``stem`` lies in ``directory``: ``<stem>.epNNN.rp1t``."""
+    return Path(directory) / f"{stem}.ep{index:03d}{EPISODE_SUFFIX}"
+
+
+def remove_episodes(directory, stem: str) -> None:
+    """Delete song ``stem``'s containers in ``directory``, from ``ep000`` up to the first missing index.
+
+    The directory is not listed: each index is checked by name, upward, and
+    the containers found are deleted from the highest index down, so a
+    removal that fails or is stopped part-way leaves a run from ``ep000``.
+    """
+    found = []
+    while (path := episode_path(directory, stem, len(found))).exists():
+        found.append(path)
+    for path in reversed(found):
+        path.unlink()
+
+
 def iter_episodes(directory):
     """Yield the records of a directory's container files, sorted by name.
 
@@ -341,15 +360,15 @@ def song_key_counts(directory, press_threshold: float, write_rewards=None) -> di
     """``song -> [hits, n_pressed, n_active]``: the ``key_counts`` of each song's containers, summed.
 
     The directory's containers are read once, in name order, and none is
-    kept; a container without ``song`` metadata counts under ``"?"``.  With
-    ``write_rewards``, each container's ``reward_rows`` lines are passed to
-    it before the next container is loaded.  Errors of reading and of
-    ``write_rewards`` alike pass through unchanged.
+    kept; each counts under its checked ``identity``'s song, ``""`` without
+    ``song`` metadata.  With ``write_rewards``, each container's lines of
+    ``reward_rows`` are passed to it before the next container is loaded.
+    Errors of reading and of ``write_rewards`` alike pass through unchanged.
     """
     counts: dict = {}
     for rec in iter_episodes(directory):
         found = key_counts(rec.pressed_key_steps(press_threshold), rec.active_key_steps())
-        song = str(rec.meta.get("song", "?"))
+        song = rec.identity()[0]
         counts[song] = [a + b for a, b in zip(counts.get(song, (0, 0, 0)), found)]
         if write_rewards is not None:
             write_rewards(reward_rows(rec))
@@ -361,13 +380,13 @@ def corpus_pieces(directory, f1_meta: bool = False) -> tuple:
 
     A piece is a song: the goal sequence of its goal file, or else the goal
     keys of its containers joined in ``chunk`` order, each cut at
-    ``n_real``, so that a key held across a chunk boundary is one onset.
-    Goal files come first, by name, then the joined songs, by name.  Every
-    container's layout is checked, a song's with a goal file too.  With
-    ``f1_meta``, ``f1_scores`` holds the ``f1`` metadata of each container
-    that has one, which must be a number or numeric text in [0, 1];
-    without it, the list is empty and ``f1`` is not read.  Unreadable or
-    malformed input raises OSError or ValueError.
+    ``n_real`` (its ``identity``; song ``""`` without ``song`` metadata), so
+    that a key held across a chunk boundary is one onset.  Goal files come
+    first, by name, then the joined songs, by name.  Every container's
+    layout and ``identity`` are checked, a song's with a goal file too.
+    With ``f1_meta``, ``f1_scores`` holds the ``f1`` metadata of each
+    container with one, a number or numeric text in [0, 1]; without it, the
+    list is empty and ``f1`` is not read.  Bad input raises OSError or ValueError.
     """
     pieces, f1_scores = [], []
     goal_songs = set()
@@ -378,9 +397,9 @@ def corpus_pieces(directory, f1_meta: bool = False) -> tuple:
     for rec in iter_episodes(directory):
         rec.lookahead_window()  # every container must fit the observation layout, as in eval
         # goal files already cover this song; its containers only add F1 metadata
-        song = str(rec.meta.get("song", ""))
+        song, chunk, n_real = rec.identity()
         if song not in goal_songs:
-            chunks.setdefault(song, []).append(rec.chunk_goal_keys())
+            chunks.setdefault(song, []).append((chunk, rec.active_key_steps()[:n_real]))
         if f1_meta and "f1" in rec.meta:
             f1_value = rec.meta["f1"]
             score = float(f1_value) if isinstance(f1_value, str) else f1_value
@@ -418,12 +437,12 @@ def _distinct_cells(column: np.ndarray, format_values) -> list:
 
 
 def reward_rows(rec: EpisodeRecord) -> list:
-    """One record's lines of the per-step reward export: song, chunk, step, reward, f1.
+    """One record's lines of the per-step reward export: song and chunk (its ``identity``), step, reward, f1.
 
-    Each distinct reward is formatted once, with the F1 cell after it.
+    Each distinct reward is formatted once, with the F1 cell, the ``f1`` metadata's text, after it.
     """
-    song, chunk, f1_value = (csv_cell(str(rec.meta.get(name, ""))) for name in ("song", "chunk", "f1"))
-    prefix = f"{song},{chunk},"
+    song, chunk, _ = rec.identity()
+    prefix, f1_value = f"{csv_cell(song)},{chunk},", csv_cell(str(rec.meta.get("f1", "")))
     # numpy scalars, not tolist(): the cells keep their np.float32(...) text
     tails = _distinct_cells(rec.rewards, lambda rewards: [f"{reward!r},{f1_value}" for reward in rewards])
     return [f"{prefix}{t},{tail}" for t, tail in enumerate(tails)]

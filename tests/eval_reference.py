@@ -26,7 +26,7 @@ def eval_rows(directory, press_threshold: float) -> list:
     by_song: dict = {}
     for rec in iter_episodes(directory):
         keys = (rec.pressed_key_steps(press_threshold), rec.active_key_steps())
-        by_song.setdefault(str(rec.meta.get("song", "?")), []).append(keys)
+        by_song.setdefault(str(rec.meta.get("song", "")), []).append(keys)
     rows, traces = [], []
     for song in sorted(by_song):
         traces.append(tuple(np.concatenate(part) for part in zip(*by_song[song])))

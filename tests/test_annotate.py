@@ -373,6 +373,26 @@ def test_chunking_validation():
     assert chunk_episodes(_sequence([]), annotate_song(_sequence([]), HANDS, GEOM), 550) == []
 
 
+@pytest.mark.parametrize("best_effort", [False, True])
+def test_the_mode_is_recorded_in_the_annotation_snapshot(tmp_path, best_effort):
+    # annotate_song reads the mode, so its snapshot records it; run_song adds only the settings it reads itself
+    annotation = annotate_song(_sequence([{39, 43}]), HANDS, GEOM, best_effort=best_effort)
+    assert annotation.snapshot["run.best_effort"] is best_effort
+    path = tmp_path / "pair.mid"
+    path.write_bytes(simple_song([(60, 0, 480), (64, 0, 480)]))
+    settings = SongSettings(
+        tmp_path, GEOM, HANDS, DEFAULT_PARAMS, dt=0.05, stretch=1.25, trim_silence=True, best_effort=best_effort,
+        episode_len=20, lookahead=10, pig_out=False,
+    )
+    assert run_song(path, settings).error is None
+    header = [line for line in (tmp_path / "pair.annotation.txt").read_text().splitlines() if line.startswith("# ")]
+    written = {line[2:].split(" = ")[0]: line[2:].split(" = ")[1] for line in header if " = " in line}
+    assert written["run.best_effort"] == str(best_effort)
+    assert set(written) - set(annotation.snapshot) == {
+        "embodiment", "midi.stretch", "midi.trim_silence", "run.lookahead", "run.episode_len"
+    }
+
+
 def test_run_song_frees_each_episode_record_before_building_the_next(tmp_path, monkeypatch):
     # an episode record holds an observation array of some MB: no two may be alive at once
     path = tmp_path / "scale.mid"

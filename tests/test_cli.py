@@ -281,6 +281,27 @@ def test_annotate_survives_a_killed_worker(song_dir, tmp_path, capsys, monkeypat
     _assert_same_files(out, clean, except_songs=failed)
 
 
+def test_annotate_failed_removal_of_an_old_container_leaves_none(song_dir, tmp_path, capsys, monkeypatch):
+    # an earlier run wrote six containers; deleting line.ep001 fails once, which fails the song,
+    # and its cleanup must still find every container that is left
+    out = tmp_path / "out"
+    assert _annotate(song_dir / "line.mid", out, "--episode-len", "13") == 0
+    assert len(list(out.glob("line.ep*.rp1t"))) == 6
+    unlink, failed = Path.unlink, []
+
+    def failing(self, *args, **kwargs):
+        if self.name == "line.ep001.rp1t" and not failed:
+            failed.append(self)
+            raise PermissionError("injected failure")
+        return unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", failing)
+    capsys.readouterr()
+    assert _annotate(song_dir / "line.mid", out, "--episode-len", "13") == 1
+    assert "FAIL line: PermissionError: injected failure" in capsys.readouterr().err
+    assert failed and not list(out.glob("line.*"))
+
+
 def test_annotate_removes_a_stale_staging_directory(song_dir, tmp_path):
     clean, out = tmp_path / "clean", tmp_path / "out"
     assert _annotate(song_dir, clean) == 0
@@ -879,10 +900,13 @@ def test_eval_csv_exports_quote_song_names(tmp_path):
         (midi_dir / f"{name}.mid").write_bytes(simple_song([(60, 0, 960), (64, 960, 1920)]))
     out = tmp_path / "out"
     assert _annotate(midi_dir, out) == 0
-    # metadata cells are quoted too
-    _rewrite_meta(sorted(out.glob("plain.*.rp1t"))[0], chunk="a,b", f1=[0.5, 0.25])
+    # the f1 metadata cell is quoted too; a chunk is an integer, so text there is refused, not quoted
     csv_path, rewards_path = tmp_path / "eval.csv", tmp_path / "rewards.csv"
     argv = ["eval", "--episodes", str(out), "--csv", str(csv_path), "--rewards-csv", str(rewards_path)]
+    _rewrite_meta(sorted(out.glob("plain.*.rp1t"))[0], chunk="a,b")
+    assert main(argv) == 2
+    assert not csv_path.exists() and not rewards_path.exists()
+    _rewrite_meta(sorted(out.glob("plain.*.rp1t"))[0], chunk=0, f1=[0.5, 0.25])
     assert main(argv) == 0
     for path, width, expected in ((csv_path, 4, {*names, "OVERALL"}), (rewards_path, 5, set(names))):
         text = path.read_text()
@@ -890,7 +914,7 @@ def test_eval_csv_exports_quote_song_names(tmp_path):
         rows = list(csv.reader(lines))
         assert all(len(row) == width for row in rows)
         assert {row[0] for row in rows[1:]} == expected
-    assert ["a,b", "[0.5, 0.25]"] in [[row[1], row[4]] for row in rows]
+    assert ["0", "[0.5, 0.25]"] in [[row[1], row[4]] for row in rows]
     assert "\nplain," in rewards_path.read_text()  # names without special characters stay unquoted
 
 
@@ -898,6 +922,43 @@ def test_stats_exit_code_on_empty(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["stats", "--in", str(empty)]) == 2
+
+
+def test_a_songless_container_is_song_empty_in_every_report(song_dir, tmp_path, capsys):
+    # line's containers become song "a" and chord's a song named "?"; a copy of chord's first container,
+    # without song metadata and with no key pressed, is song "" in each report and never merges with "?"
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert _annotate(song_dir, clean) == 0
+    out.mkdir()
+    for path in sorted(clean.glob("*.rp1t")):
+        rec = load_episode(path)
+        song = {"line": "a", "chord": "?"}[rec.meta["song"]]
+        target = out / path.name.replace(rec.meta["song"], song)
+        save_episode(dataclasses.replace(rec, meta={**rec.meta, "song": song}), target)
+    rec = load_episode(clean / "chord.ep000.rp1t")
+    start, stop = observation_layout()["key_joints"]
+    observations = np.array(rec.observations)
+    observations[:, start:stop] = 0.0
+    meta = {name: value for name, value in rec.meta.items() if name != "song"}
+    save_episode(EpisodeRecord(observations, rec.actions, rec.rewards, meta=meta), out / "z.ep000.rp1t")
+    capsys.readouterr()
+    assert main(["eval", "--episodes", str(clean)]) == 0
+    chord_row = [line for line in capsys.readouterr().out.splitlines() if line.startswith("chord\t")][0]
+
+    rewards_path = tmp_path / "rewards.csv"
+    assert main(["eval", "--episodes", str(out), "--rewards-csv", str(rewards_path)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in table] == ["song", "", "?", "a", "OVERALL"]
+    assert table[1] == "\t1.000000\t0.000000\t0.000000"  # no key pressed: nothing wrong, nothing found
+    assert table[2] == "?" + chord_row[len("chord") :]
+    lines = rewards_path.read_text().splitlines()[3:]
+    assert sum(line.startswith(",0,") for line in lines) == rec.length
+    assert {line.split(",")[0] for line in lines} == {"", "?", "a"}
+    assert set(song_key_counts(out, 0.5)) == {"", "?", "a"}
+    assert main(["stats", "--in", str(out), "--f1-meta"]) == 0
+    assert "pieces: 3\n" in capsys.readouterr().out
+    pieces, _ = corpus_pieces(out)
+    assert len(pieces) == 3 and pieces[0].keys.tobytes() == rec.active_key_steps()[: rec.meta["n_real"]].tobytes()
 
 
 @pytest.mark.parametrize("count_mode", ["onsets", "steps"])

@@ -33,9 +33,11 @@ from otpiano.store import (
     TruncatedPayloadError,
     UnsupportedVersionError,
     episode_bytes,
+    episode_path,
     iter_episodes,
     load_episode,
     read_episode,
+    remove_episodes,
     reward_rows,
     rewards_csv,
     save_episode,
@@ -371,19 +373,35 @@ def test_load_episode_reads_without_copying(tmp_path):
     assert np.array_equal(back.observations, rec.observations) and np.array_equal(back.rewards, rec.rewards)
 
 
+def _chunk_goal_keys(rec):
+    """``(chunk, keys)`` as ``corpus_pieces`` reads them: the record's chunk and its goal keys cut at n_real."""
+    _, chunk, n_real = rec.identity()
+    return chunk, rec.active_key_steps()[:n_real]
+
+
 def test_chunk_goal_keys_drops_the_padding():
     rec = _random_record(np.random.default_rng(10), obs_dim=observation_dim(1), meta={"song": "s", "chunk": 3, "n_real": 2})
-    chunk, keys = rec.chunk_goal_keys()
+    assert rec.identity() == ("s", 3, 2)
+    chunk, keys = _chunk_goal_keys(rec)
     assert chunk == 3
     assert np.array_equal(keys, rec.active_key_steps()[:2])
-    chunk, keys = _random_record(np.random.default_rng(11), obs_dim=observation_dim(1), meta={"song": "s"}).chunk_goal_keys()
+    rec = _random_record(np.random.default_rng(11), obs_dim=observation_dim(1), meta={"song": "s"})
+    assert rec.identity() == ("s", 0, 5)
+    chunk, keys = _chunk_goal_keys(rec)
     assert chunk == 0 and keys.shape == (5, 88)
+
+
+def test_identity_of_a_songless_record_is_the_empty_song():
+    # no song is named "" (a song is named by its MIDI file's stem), so the name never merges a real song
+    rec = _random_record(np.random.default_rng(20), meta={"f1": 0.5})
+    assert rec.identity() == ("", 0, rec.length)
+    assert _random_record(np.random.default_rng(20), meta={"song": 7, "chunk": 1}).identity() == ("7", 1, 5)
 
 
 def test_goal_key_hooks_reject_a_width_off_the_observation_layout():
     # 100 columns hold 88 goal keys, but no observation layout is 100 wide
     rec = _random_record(np.random.default_rng(19), obs_dim=100)
-    for hook in (rec.active_key_steps, rec.chunk_goal_keys, rec.pressed_key_steps):
+    for hook in (rec.active_key_steps, lambda: _chunk_goal_keys(rec), rec.pressed_key_steps):
         with pytest.raises(InvalidRecordError, match="obs_dim 100 does not match the observation layout"):
             hook()
 
@@ -396,7 +414,9 @@ def test_goal_key_hooks_reject_a_width_off_the_observation_layout():
 def test_chunk_goal_keys_rejects_bad_metadata(meta):
     rec = _random_record(np.random.default_rng(12), obs_dim=observation_dim(1), meta=meta)
     with pytest.raises(InvalidRecordError):
-        rec.chunk_goal_keys()
+        rec.identity()
+    with pytest.raises(InvalidRecordError):
+        _chunk_goal_keys(rec)
 
 
 def test_native_importer_reads_directory(tmp_path):
@@ -405,6 +425,47 @@ def test_native_importer_reads_directory(tmp_path):
         save_episode(_random_record(rng, meta={"song": "s", "chunk": i}), tmp_path / f"s.ep{i:03d}{EPISODE_SUFFIX}")
     records = list(iter_episodes(tmp_path))
     assert [r.meta["chunk"] for r in records] == [0, 1, 2]
+
+
+def test_episode_path_spells_the_container_name(tmp_path):
+    assert episode_path(tmp_path, "s", 7) == tmp_path / f"s.ep007{EPISODE_SUFFIX}"
+    assert episode_path(str(tmp_path), "s.x", 1234) == tmp_path / f"s.x.ep1234{EPISODE_SUFFIX}"
+
+
+def test_remove_episodes_deletes_from_the_highest_index_down(tmp_path, monkeypatch):
+    # s.ep005 lies past the gap at ep004, and s.x is another song: both stay
+    kept = [episode_path(tmp_path, "s", 5), episode_path(tmp_path, "s.x", 0), tmp_path / "s.goals.txt"]
+    for path in [episode_path(tmp_path, "s", i) for i in range(4)] + kept:
+        path.write_bytes(b"")
+    checked, deleted, unlink = [], [], Path.unlink
+    monkeypatch.setattr(Path, "exists", lambda self: checked.append(self.name) or os.path.exists(self))
+    monkeypatch.setattr(Path, "unlink", lambda self, *args: deleted.append(self.name) or unlink(self, *args))
+    monkeypatch.setattr(os, "scandir", None)  # the directory is never listed
+    monkeypatch.setattr(os, "listdir", None)
+    remove_episodes(tmp_path, "s")
+    monkeypatch.undo()
+    assert checked == [f"s.ep00{i}{EPISODE_SUFFIX}" for i in range(5)]  # one check per container, and the miss
+    assert deleted == [f"s.ep00{i}{EPISODE_SUFFIX}" for i in (3, 2, 1, 0)]
+    assert sorted(tmp_path.iterdir()) == sorted(kept)
+
+
+def test_a_failed_removal_leaves_a_run_the_next_one_finds(tmp_path, monkeypatch):
+    for i in range(6):
+        episode_path(tmp_path, "s", i).write_bytes(b"")
+    unlink = Path.unlink
+
+    def failing(self, *args):
+        if self.name == f"s.ep001{EPISODE_SUFFIX}":
+            raise PermissionError("injected failure")
+        return unlink(self, *args)
+
+    monkeypatch.setattr(Path, "unlink", failing)
+    with pytest.raises(PermissionError):
+        remove_episodes(tmp_path, "s")
+    monkeypatch.undo()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [f"s.ep00{i}{EPISODE_SUFFIX}" for i in (0, 1)]
+    remove_episodes(tmp_path, "s")
+    assert not list(tmp_path.iterdir())
 
 
 def _save_songs(directory, names, rng):
