@@ -36,7 +36,7 @@ import os
 import shutil
 import struct
 from array import array
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -330,7 +330,9 @@ def annotation_to_pig(
     the annotation was produced from.  Right-hand fingers become positive
     digits on channel 0, left-hand fingers negative digits on channel 1.
     A note without a finger is skipped: a key best-effort mode dropped, a
-    pitch off the keyboard, or a note that covers no step of the annotation.
+    pitch off the keyboard, or a note that covers no step of the annotation
+    (its step span ``[first, end)`` is empty or lies outside the grid, so
+    the discretization gave it no cell).
     """
     notes = sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
     # same playable-note shift as discretize, so step indices line up
@@ -338,9 +340,9 @@ def annotation_to_pig(
     records = []
     note_id = 0
     for note in notes:
-        first, _end = note_step_span(note, annotation.dt, stretch, shift)
+        first, end = note_step_span(note, annotation.dt, stretch, shift)
         slot = NO_FINGER
-        if 0 <= first < len(annotation) and MIN_PITCH <= note.pitch <= MAX_PITCH:
+        if 0 <= first < min(end, len(annotation)) and MIN_PITCH <= note.pitch <= MAX_PITCH:
             slot = annotation.finger[first, key_for_pitch(note.pitch)]
         if slot < 0:
             continue
@@ -416,27 +418,31 @@ def parse_annotation_text(text: str) -> tuple:
 
     The arrays are laid out as ``FingeringAnnotation.distance`` and
     ``.finger``; any malformed line, including a negative or non-finite
-    distance, raises ValueError.
+    distance, raises ValueError naming the line, counted from 1 with the
+    header and blank lines.
     """
     distances, rows = [], []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        # the pairs field is empty on silent steps, so keep trailing tabs
-        step_field, dist_field, pairs_field = line.split("\t")
-        if int(step_field) != len(rows):
-            raise ValueError(f"step index {step_field} out of order")
-        row = [NO_FINGER] * KEY_COUNT
-        for cell in pairs_field.split(";") if pairs_field else []:
-            key_str, label = cell.split(":")
-            key = int(key_str)
-            if not 0 <= key < KEY_COUNT or label not in _SLOTS or row[key] != NO_FINGER:
-                raise ValueError(f"bad or repeated annotation cell {cell!r}")
-            row[key] = _SLOTS[label]
-        distance = float(dist_field)
-        if not (math.isfinite(distance) and distance >= 0.0):
-            raise ValueError(f"bad annotation distance {dist_field!r}")
+        try:
+            # the pairs field is empty on silent steps, so keep trailing tabs
+            step_field, dist_field, pairs_field = line.split("\t")
+            if int(step_field) != len(rows):
+                raise ValueError(f"step index {step_field} out of order")
+            row = [NO_FINGER] * KEY_COUNT
+            for cell in pairs_field.split(";") if pairs_field else []:
+                key_str, label = cell.split(":")
+                key = int(key_str)
+                if not 0 <= key < KEY_COUNT or label not in _SLOTS or row[key] != NO_FINGER:
+                    raise ValueError(f"bad or repeated annotation cell {cell!r}")
+                row[key] = _SLOTS[label]
+            distance = float(dist_field)
+            if not (math.isfinite(distance) and distance >= 0.0):
+                raise ValueError(f"bad annotation distance {dist_field!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
         distances.append(distance)
         rows.append(row)
     return np.array(distances, dtype=np.float64), np.array(rows, dtype=np.int8).reshape(len(rows), KEY_COUNT)
@@ -452,7 +458,12 @@ _SONG_SUFFIXES = (".goals.txt", ".annotation.txt", ".rewards.csv", ".pig.txt")  
 
 @dataclass(frozen=True)
 class SongSettings:
-    """The settings of a batch, shared by every song of it."""
+    """The settings of a batch, shared by every song of it.
+
+    The constructor refuses, with a ValueError naming the setting, a ``dt``
+    or ``stretch`` that is not positive and finite, an ``episode_len`` below
+    1 and a negative ``lookahead``; the configs check themselves.
+    """
 
     out: Path
     geom: KeyboardGeometry
@@ -465,6 +476,16 @@ class SongSettings:
     episode_len: int
     lookahead: int
     pig_out: bool
+
+    def __post_init__(self) -> None:
+        for name in ("dt", "stretch"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # nan fails this too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.episode_len <= 0:
+            raise ValueError(f"episode_len must be > 0, got {self.episode_len!r}")
+        if self.lookahead < 0:
+            raise ValueError(f"lookahead must be >= 0, got {self.lookahead!r}")
 
 
 @dataclass(frozen=True)
@@ -550,6 +571,10 @@ def _file_size(path) -> int:
 def run_songs(paths: list, settings: SongSettings, jobs: int = 1) -> list:
     """``run_song`` of every path, one ``SongResult`` each, by song name; a failed song is a result with its ``error``.
 
+    Before any song runs it raises ValueError for ``jobs`` < 1 and for two
+    paths with one stem, which would write over each other's outputs (the
+    message names the clashing paths as given), and only then creates
+    ``settings.out`` with its parents; an OSError from that propagates.
     With ``jobs`` > 1 and more than one path, worker processes run the
     songs, largest file first, at most ``jobs`` in flight; otherwise this
     process runs them one after another.  A dead worker fails every song in
@@ -557,6 +582,13 @@ def run_songs(paths: list, settings: SongSettings, jobs: int = 1) -> list:
     Songs that ran beside it are not retried: a song that always kills its
     worker would loop forever.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    stems = Counter(Path(path).stem for path in paths)
+    clashes = [str(path) for path in paths if stems[Path(path).stem] > 1]
+    if clashes:
+        raise ValueError(f"songs would write over each other's outputs: {', '.join(clashes)}")
+    settings.out.mkdir(parents=True, exist_ok=True)
     pooled = jobs > 1 and len(paths) > 1
     results = [] if pooled else [run_song(path, settings) for path in paths]
     queue = deque(sorted(paths, key=_file_size, reverse=True) if pooled else ())

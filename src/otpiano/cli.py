@@ -2,7 +2,9 @@
 
 This module checks flags, loads configs, maps errors to exit codes and prints;
 the work is library calls: ``annotate.run_songs`` (each song's MIDI problems
-print as ``note:`` lines), ``store.song_key_counts`` and ``metrics.f1_rows``
+print as ``note:`` lines; ``SongSettings`` and ``run_songs`` refuse a batch's
+bad settings, clashing stems and an output path that cannot be made a
+directory), ``store.song_key_counts`` and ``metrics.f1_rows``
 for ``eval --episodes``, ``store.corpus_pieces`` for ``stats``.  ``eval`` and
 ``stats`` check their report paths, and ``eval`` refuses one mode's flags in
 the other, before they read any input.  ``main`` builds its parser once per
@@ -16,7 +18,6 @@ import argparse
 import contextlib
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -92,29 +93,25 @@ def cmd_annotate(args) -> int:
     paths = _midi_paths(midi)
     if not paths:
         raise UsageError(f"no MIDI files under {args.midi}")
-    stems = Counter(p.stem for p in paths)
-    clashes = [p.name for p in paths if stems[p.stem] > 1]
-    if clashes:
-        raise UsageError(f"songs would write over each other's outputs: {', '.join(clashes)}")
-    finite = 0 < args.dt < math.inf and 0 < args.stretch < math.inf
-    if not finite or args.episode_len <= 0 or args.lookahead < 0 or args.jobs < 1:
-        raise UsageError("dt, stretch and episode-len must be positive and finite; lookahead >= 0; jobs >= 1")
     try:
         geom = _load_settings(KeyboardGeometry, args.geometry)
         hands = _load_embodiment(args.embodiment)
         params = _load_settings(RewardParams, args.reward_config)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad configuration: {exc}") from exc
-    out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        settings = SongSettings(
+            Path(args.out), geom, hands, params, dt=args.dt, stretch=args.stretch,
+            trim_silence=not args.no_trim_silence, best_effort=args.best_effort, episode_len=args.episode_len,
+            lookahead=args.lookahead, pig_out=args.pig_out,
+        )
+        results = run_songs(paths, settings, args.jobs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     except OSError as exc:
-        raise UsageError(f"cannot create output directory {out_dir}: {exc}") from exc
-    settings = SongSettings(
-        out_dir, geom, hands, params, dt=args.dt, stretch=args.stretch, trim_silence=not args.no_trim_silence,
-        best_effort=args.best_effort, episode_len=args.episode_len, lookahead=args.lookahead, pig_out=args.pig_out,
-    )
-    results = run_songs(paths, settings, args.jobs)
+        if settings.out.is_dir():  # run_songs made it, so the error is the worker pool's, not the path's
+            raise
+        raise UsageError(f"cannot create output directory {settings.out}: {exc}") from exc
 
     failures = 0
     for res in results:

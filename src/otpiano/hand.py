@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .config import ConfigError, config_number, config_numbers, require_finite
-from .keyboard import KeyboardGeometry
+from .keyboard import COORDINATE_LIMIT, KeyboardGeometry
 
 LEFT = "left"
 RIGHT = "right"
@@ -84,7 +84,9 @@ class HandConfig:
 
     ``disabled`` lists digits 1 (thumb) .. 5 (little), each switched off on
     both hands, the meaning of the config key of that name; at least one
-    digit stays on.  It is stored as a sorted tuple without repeats.
+    digit stays on.  It is stored as a sorted tuple without repeats.  Every
+    rest-offset coordinate must lie within ``±COORDINATE_LIMIT``: a
+    fingertip is a base plus its offset, and must stay finite in float32.
     """
 
     name: str = "ten-finger"
@@ -109,6 +111,9 @@ class HandConfig:
         missing = [f for f in ALL_FINGERS if f not in self.rest_offsets]
         if missing:
             raise InvalidConfigError(f"missing rest offsets for {missing}")
+        for finger, offset in self.rest_offsets.items():
+            if not all(abs(x) <= COORDINATE_LIMIT for x in offset):
+                raise InvalidConfigError(f"rest offset {finger.label()} must lie within {COORDINATE_LIMIT:.6g} m of 0")
 
     @property
     def enabled_fingers(self) -> tuple:

@@ -21,6 +21,13 @@ WHITE_KEY_COUNT = 52
 # pitch classes (pitch mod 12) of the black keys: C#, D#, F#, G#, A#
 _BLACK_PITCH_CLASSES = frozenset({1, 3, 6, 8, 10})
 
+# Bound on every press-point coordinate and rest offset, in meters: half of the largest finite
+# float32, the type episode containers store positions in.  A fingertip is a hand base (which
+# stays between press points) plus a rest offset, or lies between such points, so it stays
+# within the whole float32 range, and every distance the rollout takes between two such
+# points is finite in float64.
+COORDINATE_LIMIT = float(np.finfo(np.float32).max) / 2
+
 
 class OutOfRangeError(ValueError):
     """Pitch or key index outside the 88-key keyboard."""
@@ -55,7 +62,11 @@ class KeyboardGeometry:
     """Physical layout used to place press-point targets.
 
     Defaults are near standard acoustic dimensions; all lengths in meters.
-    ``origin`` is the left edge of key A0 at white-key press height.
+    ``origin`` is the left edge of key A0 at white-key press height.  The
+    constructor refuses a geometry whose press points leave
+    ``±COORDINATE_LIMIT``, where the rollout would overflow its distances
+    or the containers' float32, or whose lengths vanish beside the origin
+    so that two keys share one press point.
     """
 
     white_key_width: float = 0.0225
@@ -71,6 +82,11 @@ class KeyboardGeometry:
                 raise ConfigError(f"{f.name} must be > 0")
         if len(self.origin) != 3:
             raise ConfigError("origin must be a 3D point")
+        points = {key_press_point(key, self) for key in range(KEY_COUNT)}
+        if not all(abs(x) <= COORDINATE_LIMIT for point in points for x in point):
+            raise ConfigError(f"every press point must lie within {COORDINATE_LIMIT:.6g} m of 0 on each axis")
+        if len(points) < KEY_COUNT:
+            raise ConfigError("two keys share one press point: the key sizes vanish beside the origin")
 
     @property
     def width(self) -> float:

@@ -290,7 +290,9 @@ class GoalSequence:
 
     Row t of ``keys``, a read-only ``(T, 88)`` bool array, marks the keys
     that must be down at step t; ``sustain`` is the read-only ``(T,)`` 0/1
-    pedal target (all zero when omitted).
+    pedal target (all zero when omitted).  An empty 1-D ``keys`` is the
+    0-step sequence; any other shape than ``(T, 88)``, ``(T, 0)`` included,
+    raises DimensionMismatchError.
     """
 
     keys: np.ndarray
@@ -301,7 +303,7 @@ class GoalSequence:
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
         keys = np.array(self.keys, dtype=bool)
-        if keys.size == 0:
+        if keys.shape == (0,):
             keys = keys.reshape(0, KEY_COUNT)
         if keys.ndim != 2 or keys.shape[1] != KEY_COUNT:
             raise DimensionMismatchError(f"goal keys must have shape (T, {KEY_COUNT}), got {keys.shape}")

@@ -14,6 +14,7 @@ import otpiano.annotate as annotate_module
 from conftest import key_rows, simple_song
 from reward_reference import collision_reward, press_reward, sustain_reward
 from otpiano.annotate import (
+    ANNOTATION_HEADER,
     DROPPED,
     NO_FINGER,
     FingeringAnnotation,
@@ -25,6 +26,7 @@ from otpiano.annotate import (
     chunk_episodes,
     parse_annotation_text,
     run_song,
+    run_songs,
     score_annotation,
     write_annotation_text,
 )
@@ -393,6 +395,47 @@ def test_the_mode_is_recorded_in_the_annotation_snapshot(tmp_path, best_effort):
     }
 
 
+def _settings(out, **changes):
+    values = dict(dt=0.05, stretch=1.25, trim_silence=True, best_effort=False, episode_len=20, lookahead=10)
+    return SongSettings(out, GEOM, HANDS, DEFAULT_PARAMS, pig_out=False, **{**values, **changes})
+
+
+@pytest.mark.parametrize(
+    "setting,value",
+    [("dt", 0.0), ("dt", -0.05), ("dt", float("nan")), ("dt", float("inf")), ("stretch", 0.0),
+     ("stretch", float("nan")), ("stretch", float("-inf")), ("episode_len", 0), ("episode_len", -5), ("lookahead", -1)],
+)
+def test_song_settings_refuse_bad_settings(tmp_path, setting, value):
+    with pytest.raises(ValueError, match=setting):
+        _settings(tmp_path, **{setting: value})
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_songs_refuses_songs_sharing_a_stem_before_it_makes_the_output_directory(tmp_path, jobs):
+    # two songs named x in two directories would write over each other's files in one output directory
+    paths = []
+    for directory, end in (("a", 480), ("b", 960)):
+        (tmp_path / directory).mkdir()
+        paths.append(tmp_path / directory / "x.mid")
+        paths[-1].write_bytes(simple_song([(60, 0, end)]))
+    (tmp_path / "y.mid").write_bytes(simple_song([(64, 0, 480)]))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="write over each other's outputs") as refused:
+        run_songs([*paths, tmp_path / "y.mid"], _settings(out), jobs)
+    message = str(refused.value)
+    assert all(str(path) in message for path in paths) and "y.mid" not in message
+    assert not out.exists()
+
+
+def test_run_songs_refuses_jobs_below_one_before_it_makes_the_output_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="jobs"):
+        run_songs([], _settings(out), 0)
+    assert not out.exists()
+    assert run_songs([], _settings(out / "made" / "here"), 1) == []
+    assert (out / "made" / "here").is_dir()
+
+
 def test_run_song_frees_each_episode_record_before_building_the_next(tmp_path, monkeypatch):
     # an episode record holds an observation array of some MB: no two may be alive at once
     path = tmp_path / "scale.mid"
@@ -486,6 +529,15 @@ def test_pig_export_shift_matches_discretize_with_junk_notes():
     (record,) = records  # the junk note is skipped, the C4 resolves at step 0
     assert record.pitch == 60
     assert record.onset == 2.0
+
+
+def test_pig_export_skips_a_note_that_covers_no_step():
+    # the second note lies inside step 1's boundary tolerance, so discretize gives it no cell
+    notes = [NoteEvent(60, 0.0, 0.2, 80, 0), NoteEvent(60, 0.05, 0.05 + 1e-12, 80, 0)]
+    goals = discretize(notes, dt=0.05, stretch=1.0, trim_silence=False)
+    annotation = annotate_song(goals, HANDS, GEOM)
+    (record,) = annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False)
+    assert (record.onset, record.offset) == (0.0, 0.2)
 
 
 def test_pig_export_unlabeled_note():
@@ -662,8 +714,17 @@ def test_annotation_text_best_effort_markers():
     + [pytest.param(distance, "39:R1", id=f"distance={distance}") for distance in ["-1.5", "nan", "inf", "-inf"]],
 )
 def test_parse_annotation_text_rejects_bad_cells(distance, cell):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 1: "):
         parse_annotation_text(f"0\t{distance}\t{cell}\n")
+    # header and blank lines count toward the line number
+    with pytest.raises(ValueError, match="^line 4: "):
+        parse_annotation_text(f"{ANNOTATION_HEADER}\n\n0\t0.0\t\n1\t{distance}\t{cell}\n")
+
+
+@pytest.mark.parametrize("line", ["0\tx\t", "0\t0.0", "0\t0.0\t\t", "1\t0.0\t", "x\t0.0\t"])
+def test_parse_annotation_text_names_the_line_of_a_malformed_step(line):
+    with pytest.raises(ValueError, match="^line 3: "):
+        parse_annotation_text(f"# header\n\n{line}\n")
 
 
 @pytest.mark.parametrize("min_base_gap, collided", [(1.0, True), (0.0, False)])

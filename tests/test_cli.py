@@ -372,6 +372,12 @@ _BAD_CONFIGS = [
     ("--embodiment", "disabled = 1 2 3 4 5"),
     ("--embodiment", "name = 7"),
     ("--embodiment", "name = true"),
+    # finite values whose press points or fingertips overflow float32, or whose press points coincide
+    ("--geometry", "white_key_width = 1e300"),
+    ("--geometry", "white_key_width = 1e160"),
+    ("--geometry", "white_key_width = 1e150"),
+    ("--geometry", "origin = 1e16 0 0"),
+    ("--embodiment", "rest_offset.L1 = 1e200 0 0"),
 ]
 
 
@@ -385,7 +391,11 @@ def test_annotate_rejects_bad_config_values(song_dir, tmp_path, capsys, flag, te
     assert not out.exists()
 
 
-_BAD_DEBUG_CONFIGS = [(flag, text) for flag, text in _BAD_CONFIGS if flag != "--reward-config"]
+# these two hang annotate's rollout when they are let through, so only debug-assign, which does not roll out, tries them
+_BAD_DEBUG_CONFIGS = [(flag, text) for flag, text in _BAD_CONFIGS if flag != "--reward-config"] + [
+    ("--geometry", "white_key_width = 1e307"),
+    ("--geometry", "origin = 1e308 0 0"),
+]
 
 
 @pytest.mark.parametrize("flag,text", _BAD_DEBUG_CONFIGS, ids=[text for _, text in _BAD_DEBUG_CONFIGS])

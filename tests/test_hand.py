@@ -370,6 +370,13 @@ def test_config_validation():
         FingerId(LEFT, 6)
 
 
+@pytest.mark.parametrize("offset", [(1e200, 0.0, 0.0), (0.0, -1e39, 0.0), (0.0, 0.0, 3.4e38)], ids=str)
+def test_config_refuses_rest_offsets_past_the_coordinate_limit(offset):
+    text = f"rest_offset.L1 = {offset[0]!r} {offset[1]!r} {offset[2]!r}\n"
+    with pytest.raises(InvalidConfigError, match="rest offset L1 must lie within"):
+        HandConfig.from_mapping(parse_config(text))
+
+
 def test_config_from_text():
     text = """
     name = narrow

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy_reference import pressed_keys
 from otpiano.config import ConfigError, parse_config
 from otpiano.keyboard import (
+    COORDINATE_LIMIT,
     KEY_COUNT,
     MAX_PITCH,
     MIN_PITCH,
@@ -89,6 +90,34 @@ def test_geometry_validation():
         KeyboardGeometry(white_key_width=0.0)
     with pytest.raises(ConfigError):
         KeyboardGeometry(black_key_height=-0.01)
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        # press points past float32's range: the rollout hangs or overflows, or the containers hold inf
+        (dict(white_key_width=1e307), "must lie within"),
+        (dict(white_key_width=1e300), "must lie within"),
+        (dict(white_key_width=1e160), "must lie within"),
+        (dict(white_key_width=1e150), "must lie within"),
+        (dict(origin=(1e308, 0.0, 0.0)), "must lie within"),
+        (dict(origin=(0.0, -1e39, 0.0)), "must lie within"),
+        (dict(black_key_setback=1e39), "must lie within"),
+        # the key widths vanish beside the origin, so the white keys' press points coincide
+        (dict(origin=(1e16, 0.0, 0.0)), "share one press point"),
+    ],
+    ids=str,
+)
+def test_geometry_refuses_press_points_that_overflow_or_coincide(values, message):
+    with pytest.raises(ConfigError, match=message):
+        KeyboardGeometry(**values)
+
+
+def test_geometry_accepts_press_points_up_to_the_coordinate_limit():
+    geom = KeyboardGeometry(origin=(0.0, COORDINATE_LIMIT, -COORDINATE_LIMIT), black_key_setback=1e-3)
+    assert key_press_point(1, geom)[1:] == (COORDINATE_LIMIT, -COORDINATE_LIMIT)  # the set-back rounds away
+    # far from 0 the key widths round, but while no two press points coincide the geometry stands
+    assert len({key_press_point(key, KeyboardGeometry(origin=(1e14, 0.0, 0.0))) for key in range(88)}) == 88
 
 
 def test_geometry_from_config_text():

@@ -754,6 +754,13 @@ def test_goal_sequence_validates_arrays():
     assert not seq.keys.flags.writeable and not seq.sustain.flags.writeable
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (0, 5), (0, 0), (0, 88, 1)])
+def test_goal_sequence_refuses_an_empty_grid_of_the_wrong_shape(shape):
+    with pytest.raises(DimensionMismatchError):
+        GoalSequence(np.zeros(shape, dtype=bool))
+    assert GoalSequence(np.zeros(0, dtype=bool)).keys.shape == (0, 88)  # only a 1-D empty input is the 0-step grid
+
+
 def _reference_discretize(notes, dt, stretch, trim_silence, pedal):
     """The per-note, per-step fill that the difference-array discretize replaced."""
     kept = [n for n in notes if 21 <= n.pitch <= 108]
