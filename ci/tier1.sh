@@ -1,0 +1,8 @@
+#!/usr/bin/env bash
+# The tier-1 test suite on this checkout's src.  Run from anywhere: bash ci/tier1.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+# libdeflate's CRC32 where libdeflate.so.0 loads, else zlib's; the tests compare the two
+python -c 'from otpiano import store; print(f"otpiano.store.crc32: {store.crc32.__module__}.{store.crc32.__name__}")'
+python -m pytest -q --continue-on-collection-errors

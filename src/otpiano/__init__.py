@@ -70,7 +70,6 @@ from .pig import MalformedPigLineError, PigRecord, parse_pig, write_pig
 from .reward import (
     RewardBreakdown,
     RewardParams,
-    energy_cost,
     ot_reward,
     score_steps,
     tolerance,

@@ -572,8 +572,9 @@ def run_songs(paths: list, settings: SongSettings, jobs: int = 1) -> list:
     """``run_song`` of every path, one ``SongResult`` each, by song name; a failed song is a result with its ``error``.
 
     Before any song runs it raises ValueError for ``jobs`` < 1 and for two
-    paths with one stem, which would write over each other's outputs (the
-    message names the clashing paths as given), and only then creates
+    paths whose stems are equal when case is ignored, which would write over
+    each other's outputs on a case-insensitive file system (the message
+    names the clashing paths as given), and only then creates
     ``settings.out`` with its parents; an OSError from that propagates.
     With ``jobs`` > 1 and more than one path, worker processes run the
     songs, largest file first, at most ``jobs`` in flight; otherwise this
@@ -584,8 +585,8 @@ def run_songs(paths: list, settings: SongSettings, jobs: int = 1) -> list:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    stems = Counter(Path(path).stem for path in paths)
-    clashes = [str(path) for path in paths if stems[Path(path).stem] > 1]
+    stems = Counter(Path(path).stem.casefold() for path in paths)
+    clashes = [str(path) for path in paths if stems[Path(path).stem.casefold()] > 1]
     if clashes:
         raise ValueError(f"songs would write over each other's outputs: {', '.join(clashes)}")
     settings.out.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import require_finite, settings_from_mapping, settings_snapshot
-from .midi import DimensionMismatchError
 
 
 class InvalidParamsError(ValueError):
@@ -107,15 +106,6 @@ def ot_reward(distance: float, params: RewardParams = DEFAULT_PARAMS) -> float:
         return 1.0
     excess = distance - params.threshold
     return math.exp(params.scale * excess * excess)
-
-
-def energy_cost(torques, velocities) -> float:
-    """Sum of |torque| * |velocity| over joints."""
-    tau = np.asarray(torques, dtype=np.float64)
-    vel = np.asarray(velocities, dtype=np.float64)
-    if tau.shape != vel.shape or tau.ndim != 1:
-        raise DimensionMismatchError(f"torques {tau.shape} and velocities {vel.shape} must be equal-length vectors")
-    return float(np.abs(tau) @ np.abs(vel))
 
 
 @dataclass(frozen=True)

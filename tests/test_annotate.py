@@ -412,19 +412,21 @@ def test_song_settings_refuse_bad_settings(tmp_path, setting, value):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_songs_refuses_songs_sharing_a_stem_before_it_makes_the_output_directory(tmp_path, jobs):
-    # two songs named x in two directories would write over each other's files in one output directory
-    paths = []
-    for directory, end in (("a", 480), ("b", 960)):
-        (tmp_path / directory).mkdir()
-        paths.append(tmp_path / directory / "x.mid")
-        paths[-1].write_bytes(simple_song([(60, 0, end)]))
+    # two songs named x in two directories would write over each other's files in one output directory;
+    # X and x would too on a case-insensitive file system, so they are refused on every one
     (tmp_path / "y.mid").write_bytes(simple_song([(64, 0, 480)]))
-    out = tmp_path / "out"
-    with pytest.raises(ValueError, match="write over each other's outputs") as refused:
-        run_songs([*paths, tmp_path / "y.mid"], _settings(out), jobs)
-    message = str(refused.value)
-    assert all(str(path) in message for path in paths) and "y.mid" not in message
-    assert not out.exists()
+    for case, names in enumerate((("x.mid", "x.mid"), ("X.mid", "x.mid"))):
+        paths = []
+        for directory, name, end in zip("ab", names, (480, 960)):
+            paths.append(tmp_path / f"{directory}{case}" / name)
+            paths[-1].parent.mkdir()
+            paths[-1].write_bytes(simple_song([(60, 0, end)]))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="write over each other's outputs") as refused:
+            run_songs([*paths, tmp_path / "y.mid"], _settings(out), jobs)
+        message = str(refused.value)
+        assert all(str(path) in message for path in paths) and "y.mid" not in message
+        assert not out.exists()
 
 
 def test_run_songs_refuses_jobs_below_one_before_it_makes_the_output_directory(tmp_path):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from conftest import key_rows
 from reward_reference import collision_reward, press_reward, sustain_reward
 from otpiano.keyboard import KEY_COUNT, KeyState
-from otpiano.midi import DimensionMismatchError
 from otpiano.reward import (
     DEFAULT_PARAMS,
     InvalidParamsError,
     RewardParams,
-    energy_cost,
     ot_reward,
     score_steps,
     tolerance,
@@ -160,15 +158,6 @@ def test_collision_reward():
     assert collision_reward(True) == collision_reward(True)
     assert _score_one({39}, {39}, collided=False).collision.tolist() == [1.0]
     assert _score_one({39}, {39}, collided=True).collision.tolist() == [0.0]
-
-
-def test_energy_cost():
-    assert energy_cost([1.0, -2.0], [0.5, 0.5]) == pytest.approx(1.5)
-    assert energy_cost([], []) == 0.0
-    assert energy_cost([0.0, 0.0], [1.0, 1.0]) == 0.0
-    assert energy_cost([1.0, 2.0], [0.5, 0.5]) == energy_cost([-1.0, 2.0], [0.5, -0.5])
-    with pytest.raises(DimensionMismatchError):
-        energy_cost([1.0], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
