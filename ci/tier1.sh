@@ -5,4 +5,5 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 # libdeflate's CRC32 where libdeflate.so.0 loads, else zlib's; the tests compare the two
 python -c 'from otpiano import store; print(f"otpiano.store.crc32: {store.crc32.__module__}.{store.crc32.__name__}")'
-python -m pytest -q --continue-on-collection-errors
+# the ten slowest tests, so every run shows where tier-1 time goes
+python -m pytest -q --continue-on-collection-errors --durations=10

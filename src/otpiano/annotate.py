@@ -62,6 +62,7 @@ from .midi import (
     note_step_span,
     numbered_lines,
     observation_dim,
+    require_positive,
     step_runs,
     trim_shift,
     write_observations,
@@ -151,10 +152,9 @@ def annotate_song(
         return layout.pack(*itertools.chain.from_iterable(tips), *base)
 
     motion = HandMotion(hands, geom, goals.dt)
-    press_table = press_point_table(geom)
-    press_points = press_table.tolist()
+    press_points = geom.press_points
     tips, base = state.fingertips, state.base
-    gap = resting_gap(motion.distance_bound(press_points, base))
+    gap = resting_gap(motion.distance_bound(base))
     state_bytes = state_of(tips, base)
     T = len(goals)
     key_steps, key_list = np.nonzero(goals.keys)
@@ -198,7 +198,7 @@ def annotate_song(
     states = np.frombuffer(states, dtype=np.float64).reshape(T, 32)  # ten fingertip points, then the two bases
     trace = states[:, :30].reshape(T, 10, 3)
     steps, keys = np.nonzero(finger >= 0)
-    offset = trace[steps, finger[steps, keys]] - press_table[keys]
+    offset = trace[steps, finger[steps, keys]] - press_point_table(geom)[keys]
     pressed = np.zeros((T, KEY_COUNT), dtype=bool)
     pressed[steps, keys] = np.sqrt(np.sum(offset * offset, axis=1)) < params.threshold  # summed as key_distances
     arrays = dict(
@@ -332,8 +332,10 @@ def annotation_to_pig(
     A note without a finger is skipped: a key best-effort mode dropped, a
     pitch off the keyboard, or a note that covers no step of the annotation
     (its step span ``[first, end)`` is empty or lies outside the grid, so
-    the discretization gave it no cell).
+    the discretization gave it no cell).  A ``stretch`` that is not
+    positive and finite is refused, as ``discretize`` refuses it.
     """
+    require_positive("stretch", stretch)
     notes = sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
     # same playable-note shift as discretize, so step indices line up
     shift = trim_shift(notes, stretch) if (trim_silence and notes) else 0.0
@@ -478,10 +480,8 @@ class SongSettings:
     pig_out: bool
 
     def __post_init__(self) -> None:
-        for name in ("dt", "stretch"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # nan fails this too
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        require_positive("dt", self.dt)
+        require_positive("stretch", self.stretch)
         if self.episode_len <= 0:
             raise ValueError(f"episode_len must be > 0, got {self.episode_len!r}")
         if self.lookahead < 0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keyboard import KEY_COUNT, KeyboardGeometry, OutOfRangeError, press_point_table
+from .keyboard import KEY_COUNT, KeyboardGeometry, OutOfRangeError
 
 _INF = float("inf")
 _BRUTE_MAX_ROWS = 7
@@ -108,7 +108,7 @@ def build_cost_matrix(fingertips, finger_ids, active_keys, geom: KeyboardGeometr
         raise ValueError("fingertips must be a non-empty (n, 3) array")
     if tips.shape[0] != len(finger_ids):
         raise ValueError("fingertips and finger_ids disagree on finger count")
-    points = press_point_table(geom)[keys].tolist()
+    points = [geom.press_points[key] for key in keys]
     costs = np.array(key_distances(points, tips.tolist()), dtype=np.float64)
     return CostMatrix(costs=costs, key_ids=tuple(keys), finger_ids=tuple(finger_ids))
 

@@ -53,7 +53,8 @@ def _check_report_paths(*paths) -> None:
 
 def _write_report(path, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with replacing(path, encoding="utf-8") as report:
+            report.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 

@@ -237,21 +237,22 @@ class HandMotion:
         self.step_reach = config.v_max * dt
         self.base_reach = config.base_v_max * dt
         self.radius = config.span_max / 2.0
+        self.press_points = geom.press_points
         self._tips = self._base = None  # what the last call returned
         self._settled = [None, None]  # per hand: the (row, target) pairs it settled on when last stepped, or None
 
-    def distance_bound(self, points: list, base: tuple) -> float:
-        """Bound on the distance from any fingertip to any of ``points`` in a rollout from rest at ``base``.
+    def distance_bound(self, base: tuple) -> float:
+        """Bound on the distance from any fingertip to any press point in a rollout from rest at ``base``.
 
-        ``step`` moves a fingertip only toward its goal, one of ``points``
-        or its rest offset around its base, and the span projection only
-        toward its hand's centroid; a base only moves toward a mean of
-        the points' x.  So every fingertip stays in the box around the
-        points and the rest pose at the two extreme bases, and no
-        distance exceeds that box's diagonal.
+        ``step`` moves a fingertip only toward its goal, a press point of
+        the geometry or its rest offset around its base, and the span
+        projection only toward its hand's centroid; a base only moves
+        toward a mean of the points' x.  So every fingertip stays in the
+        box around the press points and the rest pose at the two extreme
+        bases, and no distance exceeds that box's diagonal.
         """
-        xs = [x for x, _, _ in points] + list(base)
-        corners = list(points) + [(b + dx, y, z) for b in (min(xs), max(xs)) for dx, y, z in self.rest]
+        xs = [x for x, _, _ in self.press_points] + list(base)
+        corners = list(self.press_points) + [(b + dx, y, z) for b in (min(xs), max(xs)) for dx, y, z in self.rest]
         return math.sqrt(sum((max(c) - min(c)) ** 2 for c in zip(*corners)))
 
     def step(self, tips: list, base: tuple, rows: list, targets: list) -> tuple:

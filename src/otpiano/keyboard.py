@@ -57,6 +57,37 @@ def is_black(key: int) -> bool:
     return (key + MIN_PITCH) % 12 in _BLACK_PITCH_CLASSES
 
 
+# white index of each key, -1 for black keys, computed once
+_WHITE_INDEX = []
+_count = 0
+for _k in range(KEY_COUNT):
+    if (_k + MIN_PITCH) % 12 in _BLACK_PITCH_CLASSES:
+        _WHITE_INDEX.append(-1)
+    else:
+        _WHITE_INDEX.append(_count)
+        _count += 1
+del _count, _k
+
+
+def _press_point(key: int, geom: "KeyboardGeometry") -> tuple[float, float, float]:
+    """A key's press point, run only by ``KeyboardGeometry``, once per key when it is built.
+
+    A white key's point is centered on the key; a black key's sits at the
+    boundary between its two white neighbours, set back and raised.
+    """
+    ox, oy, oz = map(float, geom.origin)
+    w = _WHITE_INDEX[key]
+    if w >= 0:
+        return (ox + (w + 0.5) * geom.white_key_width, oy, oz)
+    # black key: left neighbour (key - 1) is always white
+    w = _WHITE_INDEX[key - 1]
+    return (
+        ox + (w + 1) * geom.white_key_width,
+        oy + geom.black_key_setback,
+        oz + geom.black_key_height,
+    )
+
+
 @dataclass(frozen=True)
 class KeyboardGeometry:
     """Physical layout used to place press-point targets.
@@ -67,6 +98,10 @@ class KeyboardGeometry:
     ``±COORDINATE_LIMIT``, where the rollout would overflow its distances
     or the containers' float32, or whose lengths vanish beside the origin
     so that two keys share one press point.
+
+    It keeps the points it checks as ``press_points``, a tuple whose item k
+    is key k's ``(x, y, z)`` in floats.  That table is no dataclass field:
+    equality, ``repr``, ``snapshot()`` and the config keys ignore it.
     """
 
     white_key_width: float = 0.0225
@@ -82,11 +117,12 @@ class KeyboardGeometry:
                 raise ConfigError(f"{f.name} must be > 0")
         if len(self.origin) != 3:
             raise ConfigError("origin must be a 3D point")
-        points = {key_press_point(key, self) for key in range(KEY_COUNT)}
+        points = tuple(_press_point(key, self) for key in range(KEY_COUNT))
         if not all(abs(x) <= COORDINATE_LIMIT for point in points for x in point):
             raise ConfigError(f"every press point must lie within {COORDINATE_LIMIT:.6g} m of 0 on each axis")
-        if len(points) < KEY_COUNT:
+        if len(set(points)) < KEY_COUNT:
             raise ConfigError("two keys share one press point: the key sizes vanish beside the origin")
+        object.__setattr__(self, "press_points", points)
 
     @property
     def width(self) -> float:
@@ -103,41 +139,15 @@ class KeyboardGeometry:
         return settings_snapshot(self, "geometry")
 
 
-# white index of each key, -1 for black keys, computed once
-_WHITE_INDEX = []
-_count = 0
-for _k in range(KEY_COUNT):
-    if (_k + MIN_PITCH) % 12 in _BLACK_PITCH_CLASSES:
-        _WHITE_INDEX.append(-1)
-    else:
-        _WHITE_INDEX.append(_count)
-        _count += 1
-del _count, _k
-
-
 def key_press_point(key: int, geom: KeyboardGeometry) -> tuple[float, float, float]:
-    """3D press-point target of a key.
-
-    A white key's point is centered on the key; a black key's sits at the
-    boundary between its two white neighbours, set back and raised.
-    """
+    """3D press-point target of a key: its row of the table ``geom`` holds (``geom.press_points``)."""
     _check_key(key)
-    ox, oy, oz = geom.origin
-    w = _WHITE_INDEX[key]
-    if w >= 0:
-        return (ox + (w + 0.5) * geom.white_key_width, oy, oz)
-    # black key: left neighbour (key - 1) is always white
-    w = _WHITE_INDEX[key - 1]
-    return (
-        ox + (w + 1) * geom.white_key_width,
-        oy + geom.black_key_setback,
-        oz + geom.black_key_height,
-    )
+    return geom.press_points[key]
 
 
 def press_point_table(geom: KeyboardGeometry) -> np.ndarray:
-    """(88, 3) array whose row k is ``key_press_point(k, geom)``."""
-    return np.array([key_press_point(k, geom) for k in range(KEY_COUNT)], dtype=np.float64)
+    """(88, 3) array of ``geom.press_points``: row k is key k's press point."""
+    return np.array(geom.press_points, dtype=np.float64)
 
 
 def _default_depths() -> "tuple[float, ...]":

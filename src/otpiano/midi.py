@@ -300,8 +300,7 @@ class GoalSequence:
     dt: float = DEFAULT_DT
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+        require_positive("dt", self.dt)
         keys = np.array(self.keys, dtype=bool)
         if keys.shape == (0,):
             keys = keys.reshape(0, KEY_COUNT)
@@ -335,6 +334,12 @@ def _first_step(time: float, dt: float) -> int:
 def _end_step(time: float, dt: float) -> int:
     """Exclusive end step of an interval finishing at ``time``."""
     return int(math.ceil(time / dt - _STEP_EPS))
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is positive and finite (nan is neither)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def note_step_span(note: NoteEvent, dt: float, stretch: float, shift: float) -> tuple[int, int]:
@@ -371,12 +376,11 @@ def discretize(
     stretched [onset, offset) interval intersects [t*dt, (t+1)*dt); boundary
     comparisons carry a 1e-9-step tolerance.  The sustain bit samples the
     pedal state (CC value >= 64) at each step start.  Notes outside the
-    88-key range are left out silently; ``parse_midi`` reports them.
+    88-key range are left out silently; ``parse_midi`` reports them.  A
+    ``dt`` or ``stretch`` that is not positive and finite is refused.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    if stretch <= 0.0:
-        raise ValueError("stretch must be > 0")
+    require_positive("dt", dt)
+    require_positive("stretch", stretch)
     kept = keyboard_notes(notes)
     if not kept:
         if trim_silence:

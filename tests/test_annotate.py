@@ -283,7 +283,7 @@ def test_resting_pairs_leave_every_output_unchanged(hands, best_effort, grid):
     # the gap rests on this bound: no fingertip of the rollout is farther from any press point
     state = init_hands(hands, GEOM)
     press = press_point_table(GEOM)
-    bound = HandMotion(hands, GEOM, goals.dt).distance_bound(press.tolist(), state.base)
+    bound = HandMotion(hands, GEOM, goals.dt).distance_bound(state.base)
     slots = [ALL_FINGERS.index(f) for f in hands.enabled_fingers]
     tips = certified.fingertip_trace[:, slots].reshape(-1, 1, 3)
     assert (np.sqrt(np.sum((tips - press) ** 2, axis=-1)) <= bound).all()
@@ -513,6 +513,22 @@ def test_pig_export_respects_stretch_and_trim():
     notes = [NoteEvent(pitch=60, onset=2.0, offset=2.0 + 30 * 0.05 / 1.25, velocity=80, channel=0)]
     (record,) = annotation_to_pig(annotation, notes, stretch=1.25, trim_silence=True)
     assert record.onset == 2.0  # original, unstretched time
+
+
+_NOT_POSITIVE = [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("trim_silence", [False, True], ids=["untrimmed", "trimmed"])
+@pytest.mark.parametrize("value", _NOT_POSITIVE, ids=str)
+@pytest.mark.parametrize("call, setting", [("discretize", "dt"), ("discretize", "stretch"), ("pig", "stretch")])
+def test_step_mapping_refuses_a_setting_that_is_not_positive_and_finite(call, setting, value, trim_silence):
+    notes = [NoteEvent(pitch=60, onset=0.5, offset=0.6, velocity=80, channel=0)]
+    with pytest.raises(ValueError, match=f"^{setting} must be positive and finite, got {value!r}$"):
+        if call == "discretize":
+            discretize(notes, trim_silence=trim_silence, **{setting: value})
+        else:
+            annotation = _manual_annotation([[(39, FingerId(RIGHT, 1))]] * 4)
+            annotation_to_pig(annotation, notes, stretch=value, trim_silence=trim_silence)
 
 
 def test_pig_export_empty():
@@ -754,6 +770,27 @@ def test_fingertip_trace_shape():
     annotation = annotate_song(goals, HANDS, GEOM)
     assert annotation.fingertip_trace.shape == (7, 10, 3)
     assert not annotation.fingertip_trace.flags.writeable
+
+
+# ROADMAP item 2: each base moves onto the mean x of its hand's targets, and digit 3 rests at its base x,
+# so the free middle finger relaxes onto the point of the white key another finger of its hand presses
+_PARKING = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the middle finger parks on the pressed key")
+
+
+@_PARKING
+@pytest.mark.parametrize("key", [27, 60], ids=["white-27-left", "white-60-right"])
+def test_no_free_finger_rests_on_the_key_its_hand_presses(key):
+    annotation = annotate_song(_sequence([{key}]), HANDS, GEOM)
+    ((_, finger),) = annotation.pairs(0)
+    point = key_press_point(key, GEOM)
+    on_point = [f for slot, f in enumerate(ALL_FINGERS) if tuple(annotation.fingertip_trace[0, slot]) == point]
+    assert on_point == [finger]
+
+
+@_PARKING
+def test_held_keys_keep_their_fingers():
+    annotation = annotate_song(_sequence([{70, 74}] * 8), HANDS, GEOM)
+    assert len({annotation.pairs(t) for t in range(8)}) == 1
 
 
 # near-valid annotation lines: step, distance and key:finger cells with odd fields

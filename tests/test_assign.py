@@ -28,7 +28,7 @@ from otpiano.assign import (
     solve_cost_rows,
 )
 from otpiano.hand import HandConfig, HandMotion, init_hands
-from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point, press_point_table
+from otpiano.keyboard import KeyboardGeometry, OutOfRangeError, key_press_point
 from otpiano.midi import discretize, parse_midi
 
 GEOM = KeyboardGeometry()
@@ -392,8 +392,7 @@ def _solved(points, tips):
 def _gap(geom):
     """resting_gap from the bound annotate_song uses: a ten-finger rollout on the whole keyboard."""
     hands = HandConfig.default()
-    points = press_point_table(geom).tolist()
-    return resting_gap(HandMotion(hands, geom, 0.05).distance_bound(points, init_hands(hands, geom).base))
+    return resting_gap(HandMotion(hands, geom, 0.05).distance_bound(init_hands(hands, geom).base))
 
 
 _NUDGES = {

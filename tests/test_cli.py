@@ -599,37 +599,66 @@ def test_eval_rewards_csv_failure_leaves_no_file(song_dir, tmp_path, capsys, cas
     assert os.listdir(reports) == []
 
 
+class _FullDisk:
+    """A report file on a disk with room for ``room`` more characters: a write past it writes what fits, then fails."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, text):
+        self.fh.write(text[: max(self.room, 0)])
+        self.room -= len(text)
+        if self.room < 0:
+            raise OSError(28, "No space left on device")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def _fill_disk(monkeypatch, room):
+    """Make every report cli writes through ``replacing`` fail past ``room`` characters; returns the files."""
+    replacing, files = cli.replacing, []
+
+    @contextlib.contextmanager
+    def failing(path, **kwargs):
+        with replacing(path, **kwargs) as fh:
+            files.append(_FullDisk(fh, room))
+            yield files[-1]
+
+    monkeypatch.setattr(cli, "replacing", failing)
+    return files
+
+
 def test_eval_rewards_csv_write_failure_leaves_no_file(song_dir, tmp_path, capsys, monkeypatch):
     out, reports = tmp_path / "out", tmp_path / "reports"
     reports.mkdir()
     assert _annotate(song_dir, out) == 0
     assert len(list(out.glob("*.rp1t"))) > 1
-    replacing, written = cli.replacing, []
-
-    class FullDisk:  # takes the header and the first container's lines, then fails
-        def __init__(self, fh):
-            self.write = fh.write
-            self.fh = fh
-
-        def writelines(self, lines):
-            if written:
-                raise OSError(28, "No space left on device")
-            written.append(1)
-            self.fh.writelines(lines)
-
-    @contextlib.contextmanager
-    def failing(path, **kwargs):
-        with replacing(path, **kwargs) as fh:
-            yield FullDisk(fh)
-
-    monkeypatch.setattr(cli, "replacing", failing)
+    files = _fill_disk(monkeypatch, 1000)  # the header and the first container's lines fit, the rest does not
     target = reports / "rewards.csv"
     capsys.readouterr()
     assert main(["eval", "--episodes", str(out), "--rewards-csv", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"cannot write {target}: ") and "No space left" in captured.err
-    assert not captured.out and written
+    assert not captured.out and len(files) == 1 and files[0].room < 0
     assert os.listdir(reports) == []
+
+
+@pytest.mark.parametrize("command, source", [("eval", "--episodes"), ("stats", "--in")])
+def test_csv_report_write_failure_keeps_the_old_report(song_dir, tmp_path, capsys, monkeypatch, command, source):
+    out, reports = tmp_path / "out", tmp_path / "reports"
+    reports.mkdir()
+    assert _annotate(song_dir, out) == 0
+    target = reports / "report.csv"
+    target.write_text("old report\n")
+    files = _fill_disk(monkeypatch, 10)  # the report fails part-way
+    capsys.readouterr()
+    assert main([command, source, str(out), "--csv", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {target}: ") and "No space left" in err
+    assert len(files) == 1 and files[0].room < 0
+    assert os.listdir(reports) == ["report.csv"] and target.read_text() == "old report\n"
 
 
 def test_eval_refuses_a_song_named_overall(song_dir, tmp_path, capsys):
@@ -1015,6 +1044,53 @@ def test_debug_assign_best_effort(capsys):
     assert "keys but only" in capsys.readouterr().err
     assert main(["debug-assign", "--pitches", pitches, "--best-effort"]) == 0
     assert "dropped keys:" in capsys.readouterr().out
+
+
+# debug-assign's whole table from the rest pose, as the default geometry gives it; no golden digest covers it
+_DEBUG_TABLES = {
+    "triad": (
+        ["--pitches", "60,64,67"],
+        "key         L1      L2      L3      L4      L5      R1      R2      R3      R4      R5\n"
+        "39     0.0938* 0.1162  0.1387  0.1613  0.1837  0.2062  0.2288  0.2512  0.2737  0.2963 \n"
+        "43     0.1388  0.1613* 0.1838  0.2063  0.2288  0.1612  0.1837  0.2062  0.2287  0.2512 \n"
+        "46     0.1838  0.2063  0.2288  0.2513  0.2738  0.1162* 0.1387  0.1612  0.1837  0.2062 \n"
+        "total cost: 0.371250\n",
+    ),
+    "eleven-keys-best-effort": (
+        ["--pitches", ",".join(str(48 + i) for i in range(11)), "--best-effort"],
+        "key         L1      L2      L3      L4      L5      R1      R2      R3      R4      R5\n"
+        "27     0.0637  0.0413  0.0187  0.0038* 0.0262  0.3637  0.3862  0.4087  0.4312  0.4537 \n"
+        "28     0.1047  0.0954  0.0909  0.0918  0.0980* 0.3639  0.3858  0.4077  0.4297  0.4517 \n"
+        "29     0.0412  0.0187  0.0038* 0.0263  0.0488  0.3412  0.3637  0.3862  0.4087  0.4312 \n"
+        "30     0.0954  0.0909  0.0918  0.0980  0.1086  0.3422  0.3639  0.3858  0.4077  0.4297 \n"
+        "31     0.0187  0.0038* 0.0263  0.0488  0.0713  0.3187  0.3412  0.3637  0.3862  0.4087 \n"
+        "32     0.0038* 0.0262  0.0488  0.0713  0.0938  0.2962  0.3187  0.3412  0.3637  0.3862 \n"
+        "33     0.0918  0.0980  0.1086  0.1225  0.1387  0.2990  0.3206  0.3422* 0.3639  0.3858 \n"
+        "34     0.0263  0.0488  0.0713  0.0938  0.1163  0.2737* 0.2962  0.3187  0.3412  0.3637 \n"
+        "35     0.0980  0.1086  0.1225  0.1387  0.1564  0.2777  0.2990  0.3206  0.3422* 0.3639 \n"
+        "36     0.0488  0.0712  0.0938  0.1163  0.1387  0.2512  0.2737* 0.2962  0.3187  0.3412 \n"
+        "37     0.1086  0.1225  0.1387  0.1564  0.1752  0.2565  0.2777  0.2990  0.3206  0.3422*\n"
+        "total cost: 1.687108\n"
+        "dropped keys: [30]\n",
+    ),
+    "four-finger": (
+        ["--pitches", "48,55,64,72", "--embodiment", "four-finger"],
+        "key         L1      L2      L3      L4      R1      R2      R3      R4\n"
+        "27     0.0637  0.0413  0.0187  0.0038* 0.3637  0.3862  0.4087  0.4312 \n"
+        "34     0.0263* 0.0488  0.0713  0.0938  0.2737  0.2962  0.3187  0.3412 \n"
+        "43     0.1388  0.1613* 0.1838  0.2063  0.1612  0.1837  0.2062  0.2287 \n"
+        "51     0.2513  0.2738  0.2963  0.3188  0.0487* 0.0712  0.0937  0.1162 \n"
+        "total cost: 0.240000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEBUG_TABLES))
+def test_debug_assign_prints_its_whole_table(capsys, case):
+    args, table = _DEBUG_TABLES[case]
+    assert main(["debug-assign", *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == table and not captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import key_rows
 from numpy_reference import pressed_keys
+from otpiano import keyboard
+from otpiano.annotate import annotate_song
+from otpiano.assign import build_cost_matrix
+from otpiano.cli import main
 from otpiano.config import ConfigError, parse_config
+from otpiano.hand import HandConfig, HandMotion, init_hands
 from otpiano.keyboard import (
     COORDINATE_LIMIT,
     KEY_COUNT,
@@ -19,7 +28,9 @@ from otpiano.keyboard import (
     key_for_pitch,
     key_press_point,
     pitch_for_key,
+    press_point_table,
 )
+from otpiano.midi import GoalSequence
 
 
 def test_pitch_to_key_endpoints():
@@ -83,6 +94,52 @@ def test_press_point_with_shifted_origin():
     geom = KeyboardGeometry(origin=(1.0, 2.0, 3.0))
     x, y, z = key_press_point(0, geom)
     assert (x, y, z) == pytest.approx((1.01125, 2.0, 3.0), rel=1e-12)
+
+
+def test_press_points_are_computed_once_when_the_geometry_is_built(monkeypatch, capsys):
+    formula, calls = keyboard._press_point, []
+
+    def counted(key, geom):
+        calls.append(key)
+        return formula(key, geom)
+
+    monkeypatch.setattr(keyboard, "_press_point", counted)
+    geom, hands = KeyboardGeometry(), HandConfig.default()
+    assert calls == list(range(KEY_COUNT))
+    assert geom.press_points == tuple(formula(key, geom) for key in range(KEY_COUNT))
+    annotate_song(GoalSequence(key_rows([{39, 43}, {39, 43}, {40}, set(), {87}]), dt=0.05), hands, geom)
+    state = init_hands(hands, geom)
+    build_cost_matrix(state.fingertips, state.fingers, {1, 39, 87}, geom)
+    HandMotion(hands, geom, 0.05).distance_bound(state.base)
+    assert key_press_point(87, geom) is geom.press_points[87]
+    assert press_point_table(geom).tolist() == [list(point) for point in geom.press_points]
+    assert len(calls) == KEY_COUNT
+    assert main(["debug-assign", "--pitches", "60,64,67"]) == 0  # it builds its own geometry, and only that
+    assert len(calls) == 2 * KEY_COUNT and "total cost:" in capsys.readouterr().out
+
+
+def test_press_point_table_is_no_field_of_the_geometry():
+    geom = KeyboardGeometry()
+    assert geom.snapshot() == {  # every dataclass field, and only those
+        "geometry.white_key_width": 0.0225,
+        "geometry.white_key_length": 0.15,
+        "geometry.black_key_setback": 0.09,
+        "geometry.black_key_height": 0.01,
+        "geometry.origin": (0.0, 0.0, 0.0),
+    }
+    assert repr(geom) == (
+        "KeyboardGeometry(white_key_width=0.0225, white_key_length=0.15, black_key_setback=0.09, "
+        "black_key_height=0.01, origin=(0.0, 0.0, 0.0))"
+    )
+    assert geom == KeyboardGeometry() and hash(geom) == hash(KeyboardGeometry())
+    assert geom != KeyboardGeometry(origin=(0.1, 0.0, 0.0))
+    assert {type(x) for point in KeyboardGeometry(origin=(1, 2, 3)).press_points for x in point} == {float}
+    copy = pickle.loads(pickle.dumps(geom))  # as --jobs workers receive it
+    assert copy == geom and copy.press_points == geom.press_points
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geom.press_points = ()
+    with pytest.raises(ConfigError, match="unknown KeyboardGeometry key 'press_points'"):
+        KeyboardGeometry.from_mapping({"press_points": 0.0})
 
 
 def test_geometry_validation():
