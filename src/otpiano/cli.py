@@ -30,7 +30,7 @@ from .metrics import DEFAULT_PRESS_THRESHOLD, F1_THRESHOLDS, dataset_stats, f1_r
 from .midi import DEFAULT_DT, DEFAULT_LOOKAHEAD, DEFAULT_STRETCH
 from .pig import load_pig
 from .reward import RewardParams
-from .store import corpus_pieces, csv_cell, replacing, rewards_csv, song_key_counts
+from .store import EPISODE_SUFFIX, GOAL_SUFFIX, corpus_pieces, csv_cell, replacing, rewards_csv, song_key_counts
 
 _MIDI_SUFFIXES = (".mid", ".midi")
 
@@ -39,14 +39,24 @@ class UsageError(Exception):
     """An unusable input or output path: ``main`` prints the message and exits 2."""
 
 
-def _check_report_paths(*paths) -> None:
-    """Refuse, before any input is read, report paths that are no files in existing directories, or name one file."""
+def _check_report_paths(paths, directory, suffixes) -> None:
+    """Refuse, before any input is read, report paths that cannot be written, share a file or name an input.
+
+    A path cannot be written when it is a directory or its directory does
+    not exist.  An input is a file of ``directory`` whose name ends in one
+    of ``suffixes`` (the files the command reads there), whether it exists
+    yet or not.
+    """
     paths = [Path(path) for path in paths if path]
+    inputs = Path(directory).resolve()
     for path in paths:
         if path.is_dir():
             raise UsageError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise UsageError(f"cannot write {path}: {path.parent} is not a directory")
+        # replacing swaps the directory entry and never writes through a link, so only the parent is resolved
+        if path.parent.resolve() == inputs and path.name.endswith(suffixes):
+            raise UsageError(f"cannot write {path}: it would replace an input file of {directory}")
     if len({path.resolve() for path in paths}) < len(paths):
         raise UsageError(f"cannot write {' and '.join(map(str, paths))}: they are one file")
 
@@ -160,7 +170,7 @@ def cmd_eval(args) -> int:
     if args.episodes is not None:
         if not 0.0 < args.press_threshold <= 1.0:  # key depths lie in [0, 1]; nan fails this too
             raise UsageError(f"press-threshold must lie in (0, 1], got {args.press_threshold}")
-        _check_report_paths(args.csv, args.rewards_csv)
+        _check_report_paths((args.csv, args.rewards_csv), args.episodes, (EPISODE_SUFFIX,))
         directory = Path(args.episodes)
         if not directory.is_dir():
             raise UsageError(f"not a directory: {directory}")
@@ -169,7 +179,7 @@ def cmd_eval(args) -> int:
 
         def write_rewards(lines):  # a failed write must not read as a failed read of the episodes
             try:
-                rewards.writelines(f"{line}\n" for line in lines)
+                rewards.write("\n".join(lines) + "\n")  # one write per container: a container has steps
             except OSError as exc:
                 raise UsageError(f"cannot write {args.rewards_csv}: {exc}") from exc
 
@@ -223,7 +233,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _check_report_paths(args.csv)
+    _check_report_paths((args.csv,), args.input, (EPISODE_SUFFIX, GOAL_SUFFIX))
     directory = Path(args.input)
     if not directory.is_dir():
         raise UsageError(f"not a directory: {directory}")

@@ -50,6 +50,7 @@ MAGIC = b"RP1T"
 FORMAT_VERSION = 1
 CANONICAL_T = 550
 EPISODE_SUFFIX = ".rp1t"
+GOAL_SUFFIX = ".goals.txt"  # the goal files corpus_pieces reads beside the containers
 
 _HEADER = struct.Struct("<4sIIII")
 _CRC = struct.Struct("<I")
@@ -362,7 +363,9 @@ def song_key_counts(directory, press_threshold: float, write_rewards=None) -> di
     The directory's containers are read once, in name order, and none is
     kept; each counts under its checked ``identity``'s song, ``""`` without
     ``song`` metadata.  With ``write_rewards``, each container's lines of
-    ``reward_rows`` are passed to it before the next container is loaded.
+    ``reward_rows`` (never empty: a container has at least one step) are
+    passed to it in one list before the next container is loaded, so a
+    writer can write them as one block.
     Errors of reading and of ``write_rewards`` alike pass through unchanged.
     """
     counts: dict = {}
@@ -390,9 +393,9 @@ def corpus_pieces(directory, f1_meta: bool = False) -> tuple:
     """
     pieces, f1_scores = [], []
     goal_songs = set()
-    for path in sorted(Path(directory).glob("*.goals.txt")):
+    for path in sorted(Path(directory).glob(f"*{GOAL_SUFFIX}")):
         pieces.append(goal_from_text(path.read_text(encoding="utf-8")))
-        goal_songs.add(path.name[: -len(".goals.txt")])
+        goal_songs.add(path.name[: -len(GOAL_SUFFIX)])
     chunks = {}  # song without a goal file -> (chunk, goal keys) of each of its containers
     for rec in iter_episodes(directory):
         rec.lookahead_window()  # every container must fit the observation layout, as in eval

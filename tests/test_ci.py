@@ -1,8 +1,10 @@
-"""The patch table of ci/golden_run.py: every patch must reach the function it replaces, and restore it."""
+"""The scripts under ci/: golden_run.py's patch table must reach the functions it replaces, and restore them;
+bench_pairs.py's summary of canned perfbench result lines."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -11,11 +13,11 @@ from otpiano import assign, store
 from otpiano.hand import HandConfig, HandMotion, init_hands
 from otpiano.keyboard import KeyboardGeometry
 
-GOLDEN_RUN = Path(__file__).resolve().parents[1] / "ci" / "golden_run.py"
+CI = Path(__file__).resolve().parents[1] / "ci"
 
 
-def _golden_run():
-    spec = importlib.util.spec_from_file_location("golden_run", GOLDEN_RUN)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, CI / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -36,7 +38,7 @@ REACHES = {
 
 
 def test_every_golden_run_patch_is_reached_and_then_restored():
-    golden_run = _golden_run()
+    golden_run = _load("golden_run")
     assert set(golden_run.PATCHES) == set(REACHES)
     for name, (owner, attribute, call) in REACHES.items():
         original = getattr(owner, attribute)
@@ -47,3 +49,31 @@ def test_every_golden_run_patch_is_reached_and_then_restored():
         assert getattr(owner, attribute) is original, name
     with pytest.raises(KeyError), golden_run.patched("no-such-patch"):
         pass
+
+
+def _line(correct=True, failed=0, **values):
+    metrics = {name: {"value": value, "unit": "1/s"} for name, value in values.items()}
+    return json.dumps({"correct": correct, "attempted": 9, "failed": failed, "metrics": metrics})
+
+
+def test_bench_pairs_summary_gives_medians_ratios_wins_and_every_run_not_correct():
+    end_to_end = [{"name": "episodes_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"},
+                  {"name": "notes_per_s", "better": "higher"}]
+    pairs = [
+        (1101, _line(episodes_per_s=600.0, setup_s=0.30), _line(episodes_per_s=660.0, setup_s=0.28)),
+        (1102, _line(episodes_per_s=640.0, setup_s=0.26), _line(episodes_per_s=630.0, setup_s=0.29)),
+        (1101, _line(episodes_per_s=620.0, setup_s=0.27), _line(False, 1, episodes_per_s=700.0, setup_s=0.25)),
+        (1102, "exit 1: Traceback", _line(episodes_per_s=1.0, setup_s=9.0)),
+    ]
+    summary = _load("bench_pairs").summarise(pairs, end_to_end).splitlines()
+    assert summary[0].split() == ["metric", "parent", "change", "ratio", "parent", "IQR", "change", "better"]
+    # the last pair has no parent result: it is left out of the medians, quartiles and win counts
+    assert summary[1].split() == ["episodes_per_s", "620", "660", "1.0645", "40", "2/3"]
+    assert summary[2].split() == ["setup_s", "0.27", "0.28", "1.0370", "0.04", "2/3"]
+    assert summary[3].split() == ["notes_per_s", "no", "pair", "of", "values"]
+    assert summary[4:] == [
+        "runs not correct:",
+        f"  pair 2 seed 1101 change: {pairs[2][2]}",
+        "  pair 3 seed 1102 parent: exit 1: Traceback",
+    ]
+    assert _load("bench_pairs").summarise(pairs[:2], end_to_end[:1]).splitlines()[-1] == "runs not correct: none"

@@ -579,6 +579,50 @@ def test_eval_rewards_csv(song_dir, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["midi", "out", "rewards.csv"]
 
 
+def _file_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["eval", "--episodes", "{out}", "--csv"], "line.ep000.rp1t"),
+        (["eval", "--episodes", "{out}", "--rewards-csv"], "chord.ep000.rp1t"),
+        (["eval", "--episodes", "{out}", "--csv"], "new.ep000.rp1t"),
+        (["eval", "--episodes", "{out}", "--rewards-csv"], "{out}/../out/.hidden.rp1t"),
+        (["stats", "--in", "{out}", "--csv"], "line.goals.txt"),
+        (["stats", "--in", "{out}", "--csv"], "new.goals.txt"),
+        (["stats", "--in", "{out}", "--csv"], "chord.ep000.rp1t"),
+    ],
+    ids=["eval-csv", "eval-rewards-csv", "eval-new-container", "eval-other-spelling", "stats-goals", "stats-new-goals",
+         "stats-container"],
+)
+def test_report_path_that_would_replace_an_input_is_refused(song_dir, tmp_path, capsys, argv, target):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    before = _file_bytes(out)
+    capsys.readouterr()
+    path = target.format(out=out) if "/" in target else str(out / target)
+    assert main([*(arg.format(out=out) for arg in argv), path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write {path}: it would replace an input file") and not captured.out
+    assert _file_bytes(out) == before
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["eval", "--episodes", "{out}", "--csv"], "line.goals.txt"), (["stats", "--in", "{out}", "--csv"], "report.csv")],
+    ids=["eval-goal-file", "stats-csv"],
+)
+def test_report_path_beside_the_inputs_that_no_input_matches_is_written(song_dir, tmp_path, capsys, argv, target):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    before = _file_bytes(out)
+    assert main([*(arg.format(out=out) for arg in argv), str(out / target)]) == 0
+    after = _file_bytes(out)
+    assert after.pop(target) != before.pop(target, None) and after == before
+
+
 @pytest.mark.parametrize("case", ["corrupt-last-container", "no-containers"])
 def test_eval_rewards_csv_failure_leaves_no_file(song_dir, tmp_path, capsys, case):
     out, reports = tmp_path / "out", tmp_path / "reports"
@@ -616,18 +660,47 @@ class _FullDisk:
             self.write(line)
 
 
-def _fill_disk(monkeypatch, room):
-    """Make every report cli writes through ``replacing`` fail past ``room`` characters; returns the files."""
+def _wrap_reports(monkeypatch, wrap):
+    """Hand cli ``wrap(fh)`` for every report file it opens through ``replacing``; returns the wrapped files."""
     replacing, files = cli.replacing, []
 
     @contextlib.contextmanager
-    def failing(path, **kwargs):
+    def wrapped(path, **kwargs):
         with replacing(path, **kwargs) as fh:
-            files.append(_FullDisk(fh, room))
+            files.append(wrap(fh))
             yield files[-1]
 
-    monkeypatch.setattr(cli, "replacing", failing)
+    monkeypatch.setattr(cli, "replacing", wrapped)
     return files
+
+
+def _fill_disk(monkeypatch, room):
+    """Make every report cli writes through ``replacing`` fail past ``room`` characters; returns the files."""
+    return _wrap_reports(monkeypatch, lambda fh: _FullDisk(fh, room))
+
+
+class _Recording:
+    """A report file that keeps the text of each ``write``; it has no ``writelines``."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, []
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+
+def test_eval_rewards_csv_writes_one_block_per_container(song_dir, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert _annotate(song_dir, out) == 0
+    files = _wrap_reports(monkeypatch, _Recording)
+    rewards_path = tmp_path / "rewards.csv"
+    assert main(["eval", "--episodes", str(out), "--rewards-csv", str(rewards_path)]) == 0
+    snapshot = "# press_threshold = 0.5\n# importer = native\n"
+    blocks = [reward_rows(rec) for rec in iter_episodes(out)]  # name order
+    assert len(files) == 1 and len(blocks) > 2
+    assert files[0].writes == [snapshot + rewards_csv(()), *("\n".join(lines) + "\n" for lines in blocks)]
+    assert rewards_path.read_text() == snapshot + rewards_csv([line for lines in blocks for line in lines])
 
 
 def test_eval_rewards_csv_write_failure_leaves_no_file(song_dir, tmp_path, capsys, monkeypatch):
