@@ -3,8 +3,9 @@
     python3 ci/bench_pairs.py --parent ../parent --change . --workload corpus-read \\
         --seeds 1101 1102 --pairs 5 --seconds 10
 
-Pair ``i`` runs ``perfbench/run.py --trace 0`` once in each checkout, on seed ``seeds[i % len(seeds)]``; the
-parent runs first in even pairs, the change in odd ones.  One run at a time, each waited for.  The summary gives,
+Pair ``i`` runs ``perfbench/run.py --trace 0`` once in each checkout, on seed ``seeds[(i // 2) % len(seeds)]``,
+so two pairs running take one seed; the parent runs first in even pairs, the change in odd ones, so each seed
+runs in both orders.  One run at a time, each waited for.  The summary gives,
 for each end-to-end metric of ``BENCHMARK.json``, each side's median, the ratio change / parent, the distance
 between the parent's quartiles and in how many pairs the change was better, then every run that did not give
 ``correct: true`` with 0 failed.  Each run's result line goes to standard error as it arrives.  Nothing under
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     pairs = []
     for index in range(args.pairs):
-        seed = args.seeds[index % len(args.seeds)]
+        seed = args.seeds[(index // 2) % len(args.seeds)]  # each seed in both orders
         lines = {}
         for side in SIDES if index % 2 == 0 else SIDES[::-1]:
             lines[side] = run_once(checkouts[side], args.workload, seed, args.seconds)

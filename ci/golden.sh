@@ -5,7 +5,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 for run in none:{strict-ten,best-effort-four,corpus-read}:{0..3} traced:corpus-read:{0,1} traced:strict-ten:0 \
-    zlib-crc32:{corpus-read,strict-ten}:0 {searching-solve,every-hand-stepped}:{best-effort-four,strict-ten}:0; do
+    zlib-crc32:{corpus-read,strict-ten}:0 \
+    {searching-solve,unscreened-tie-break,every-hand-stepped}:{best-effort-four,strict-ten}:0; do
   IFS=: read -r patch workload seed <<< "$run"
   python3 ci/golden_run.py --patch "$patch" --workload "$workload" --seed "$seed"
 done

@@ -12,6 +12,7 @@ import functools
 import importlib
 import io
 import json
+import math
 import runpy
 import sys
 import zlib
@@ -25,6 +26,10 @@ PATCHES = {  # name -> (module, attribute path in it, function of the original t
     # otpiano.assign starts its solve from the row minima; tests/assign_reference.py searches for every row
     "searching-solve": ("otpiano.assign", "_augmenting_path_solve",
                         lambda solve: importlib.import_module("assign_reference")._augmenting_path_solve),
+    # otpiano.assign screens the tie-break's candidates by the caller's bound on the tie slack; an infinite
+    # bound screens none
+    "unscreened-tie-break": ("otpiano.assign", "_lexicographic_optimum",
+                             lambda optimum: lambda cost, col4row, u, v, gap: optimum(cost, col4row, u, v, math.inf)),
     # HandMotion.step skips a hand it can prove would not move; a copy of the fingertip list is never the
     # object the last call returned, so every call steps both hands
     "every-hand-stepped": ("otpiano.hand", "HandMotion.step",

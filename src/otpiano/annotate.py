@@ -21,6 +21,9 @@ previous step's outputs without a cost build, solve or hand step.  A
 step whose every key already has a fingertip exactly on its press point,
 with no other fingertip near one, takes its pairs from ``resting_pairs``
 at distance 0.0 without a cost build or solve; only the hand step runs.
+Its gap, ``resting_gap`` of the song's bound on every fingertip-to-point
+distance, also screens the tie-break of every solve.  The loop that
+writes a step's finger cells splits its pairs by hand for the hand step.
 The hand step itself skips each hand that the step before left settled
 on the same targets with its base still (see ``HandMotion.step``); when
 it skips both, it hands back the same state objects, and the step reuses
@@ -152,6 +155,8 @@ def annotate_song(
         return layout.pack(*itertools.chain.from_iterable(tips), *base)
 
     motion = HandMotion(hands, geom, goals.dt)
+    split = motion.hand_bounds[1][0]  # finger rows below it are the left hand's
+    n_fingers = len(state.fingers)
     press_points = geom.press_points
     tips, base = state.fingertips, state.base
     gap = resting_gap(motion.distance_bound(base))
@@ -174,15 +179,20 @@ def annotate_song(
             states += state_bytes
             continue
         previous = active
-        if len(active) > len(state.fingers) and not best_effort:
-            raise InfeasibleStepError(t, len(active), len(state.fingers))
+        if len(active) > n_fingers and not best_effort:
+            raise InfeasibleStepError(t, len(active), n_fingers)
         points = [press_points[key] for key in active]
         solved, total = (resting_pairs(points, tips, gap) if active else ()), 0.0
         if solved is None:
-            solved, total, _ = solve_cost_rows(key_distances(points, tips), best_effort)
+            solved, total, _ = solve_cost_rows(key_distances(points, tips), best_effort, gap)
+        hand_pairs, hand_xs = ([], []), ([], [])
         for r, c in solved:
             finger[row + active[r]] = slot_index[c]
-        stepped = motion.step(tips, base, [c for _, c in solved], [points[r] for r, _ in solved])
+            point = points[r]
+            hand = c >= split
+            hand_pairs[hand].append((c, point))
+            hand_xs[hand].append(point[0])
+        stepped = motion.step(tips, base, hand_pairs, hand_xs)
         distance.append(total)
         unmoved = stepped[0] is tips and stepped[1] is base  # no hand stepped: the state row repeats
         if not unmoved:

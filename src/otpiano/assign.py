@@ -16,7 +16,10 @@ matching along one shortest path over tight edges, without another float
 solve; one extra search node stands for every unassigned column, as in
 the square reduction of the rectangular problem.  A tie exactly one
 tolerance above the optimum is decided by float summation order and can
-keep a later column (see _lexicographic_optimum).  When every key
+keep a later column (see _lexicographic_optimum).  The caller's bound
+on the costs screens the tie-break: a column whose reduced cost exceeds
+twice the slack that bound allows (resting_gap) cannot tie and is skipped
+before the slack itself is summed.  When every key
 already has a fingertip exactly on its press point and no other
 fingertip is near one, resting_pairs reads the same answer off the
 points without a cost build or solve.  An exhaustive
@@ -217,10 +220,11 @@ def _augmenting_path_solve(cost: list) -> tuple:
     return col4row, u, v
 
 
-def _lexicographic_optimum(cost: list, col4row: list, u: list, v: list) -> list:
+def _lexicographic_optimum(cost: list, col4row: list, u: list, v: list, gap: float) -> list:
     """Rewrite a solved col4row into the lexicographically smallest optimum.
 
-    "Optimal" means a total within ``eps`` of the solved one.  With the
+    "Optimal" means a total within ``eps`` of the solved one, where ``eps``
+    is the tie slack ``_TIE_RTOL * max(1, max cost)``.  With the
     solver's final duals, an assignment's excess over the optimum is the
     sum of its reduced costs ``c - u - v`` plus ``-v`` of every column it
     leaves uncovered, all terms >= 0; so only tight edges (reduced cost
@@ -231,19 +235,29 @@ def _lexicographic_optimum(cost: list, col4row: list, u: list, v: list) -> list:
     which always does; rows before it stay fixed.  The bound is a float
     sum, so summation order decides a tie exactly ``eps`` above the optimum
     and can keep a later column (test_resolving_reference_returns_its_best_candidate_on_exact_tolerance_sums).
+
+    ``gap`` is at least ``eps``, such as resting_gap of a bound on every
+    cost.  A column whose reduced cost exceeds it is skipped at once, since
+    it exceeds ``eps`` too; ``eps`` and the solved total are summed only
+    when a column passes that screen, and it is then tested against them
+    as if there were no screen.  Most solves have no such column.
     """
     n_rows = len(cost)
-    eps = _TIE_RTOL * max(1.0, max(map(max, cost)))  # costs are >= 0
-    target = 0.0
-    for i, j in enumerate(col4row):
-        target += cost[i][j]
+    eps = None  # the tie slack and the solved total, once a column passes the screen
     fixed = [False] * len(v)
     prefix = 0.0
     for i, row in enumerate(cost):
         current = col4row[i]
         ui = u[i]
         for j in range(current):
-            if fixed[j] or row[j] - ui - v[j] > eps:
+            if fixed[j] or row[j] - ui - v[j] > gap:
+                continue
+            if eps is None:
+                eps = _TIE_RTOL * max(1.0, max(map(max, cost)))  # costs are >= 0
+                target = 0.0
+                for r, c in enumerate(col4row):
+                    target += cost[r][c]
+            if row[j] - ui - v[j] > eps:
                 continue
             moved = _reroute(cost, u, v, eps, col4row, fixed, j, current)
             if moved is None:
@@ -357,24 +371,29 @@ def _cycle_text(cycle: list, unassigned: int) -> str:
     return "negative cycle " + " -> ".join(names + names[:1])
 
 
-def solve_cost_rows(rows: list, best_effort: bool = False) -> tuple:
+def solve_cost_rows(rows: list, best_effort: bool = False, gap: "float | None" = None) -> tuple:
     """The solve behind solve_assignment, on a list of cost rows.
 
     Returns ``(pairs, total_cost, dropped_rows)`` as stored in Assignment;
     raises InfeasibleError on more rows than columns unless ``best_effort``.
+    ``gap`` is resting_gap of a bound on every cost, which screens the
+    tie-break's candidates (see _lexicographic_optimum); by default, of the
+    rows' largest cost.  Any such bound gives the same answer.
     """
     n_keys, n_fingers = len(rows), len(rows[0])
+    if gap is None:
+        gap = resting_gap(max(map(max, rows)))
     dropped = ()
     if n_keys > n_fingers:
         if not best_effort:
             raise InfeasibleError(f"{n_keys} keys but only {n_fingers} fingers")
         transposed = list(zip(*rows))
-        key4finger = _lexicographic_optimum(transposed, *_augmenting_path_solve(transposed))
+        key4finger = _lexicographic_optimum(transposed, *_augmenting_path_solve(transposed), gap)
         pairs = tuple(sorted((key_row, finger_col) for finger_col, key_row in enumerate(key4finger)))
         assigned = set(key4finger)
         dropped = tuple(r for r in range(n_keys) if r not in assigned)
     else:
-        pairs = tuple(enumerate(_lexicographic_optimum(rows, *_augmenting_path_solve(rows))))
+        pairs = tuple(enumerate(_lexicographic_optimum(rows, *_augmenting_path_solve(rows), gap)))
     total = 0.0
     for i, j in pairs:
         total += rows[i][j]
@@ -382,7 +401,7 @@ def solve_cost_rows(rows: list, best_effort: bool = False) -> tuple:
 
 
 def resting_gap(max_cost: float) -> float:
-    """The ``gap`` resting_pairs needs on instances whose costs are at most ``max_cost``.
+    """The ``gap`` that resting_pairs and solve_cost_rows take on instances whose costs are at most ``max_cost``.
 
     Twice the tie slack of such an instance, so the slack stays below the
     gap after the rounding of a distance and of the bound itself.

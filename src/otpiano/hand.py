@@ -255,19 +255,27 @@ class HandMotion:
         corners = list(self.press_points) + [(b + dx, y, z) for b in (min(xs), max(xs)) for dx, y, z in self.rest]
         return math.sqrt(sum((max(c) - min(c)) ** 2 for c in zip(*corners)))
 
-    def step(self, tips: list, base: tuple, rows: list, targets: list) -> tuple:
+    def step(self, tips: list, base: tuple, hand_pairs: tuple, hand_xs: tuple) -> tuple:
         """Advance one control step; returns the new ``(fingertips, (left_x, right_x))``.
 
-        ``tips`` holds one ``(x, y, z)`` point per finger row and
-        ``targets[m]`` is the point assigned to finger row ``rows[m]``.
-        Assigned fingertips move toward their targets at up to v_max
-        (arriving exactly when in range), each hand base moves toward the
-        mean target x at up to base_v_max (staying put with no targets),
+        ``tips`` holds one ``(x, y, z)`` point per finger row.
+        ``hand_pairs`` holds a list per hand, left then right, of
+        ``(row, target)`` pairs: the point assigned to each finger row of
+        that hand, with no row twice.  ``hand_xs`` holds per hand the
+        targets' x values, in pair order.  Assigned fingertips move toward
+        their targets by at most v_max*dt (arriving exactly when in range),
+        each hand base moves toward the mean of its targets' x, summed in
+        pair order, by at most base_v_max*dt (staying put with no targets),
         and unassigned fingertips relax toward the rest pose around the
         updated base.  Finally each hand's fingertips are projected into
         the ball of radius span_max/2 around their centroid, which bounds
         the pairwise spread by span_max.  The returned list and tuple are
-        the new state; they must not be changed in place.
+        the new state; they must not be changed in place, nor may the pair
+        lists given, which the call keeps.
+
+        The speed cap is not a hard cap on a fingertip's move: the span
+        projection runs after it, and it can carry a fingertip further than
+        v_max*dt from where the step began (README "Known limits").
 
         A call leaves a hand *settled* when no fingertip of it hit the
         speed cap and the span projection moved none of them: its
@@ -290,12 +298,6 @@ class HandMotion:
         moves none.  When neither hand steps, ``tips`` and ``base``
         themselves are returned.
         """
-        split = self.hand_bounds[1][0]
-        hand_xs, hand_pairs = ([], []), ([], [])
-        for pair in zip(rows, targets):
-            hand = pair[0] >= split
-            hand_xs[hand].append(pair[1][0])
-            hand_pairs[hand].append(pair)
         returned = tips is self._tips and base is self._base
         base_reach = self.base_reach
         new_base = list(base)
@@ -376,15 +378,17 @@ def step_hand(
     """
     if state.fingers != config.enabled_fingers:
         raise InvalidConfigError("hand state has other fingers than the config enables")
-    rows, points = [], []
+    hand_pairs, hand_xs = ([], []), ([], [])
     for finger, target in targets.items():
         if finger not in state.fingers:
             raise InvalidConfigError(f"target for disabled or unknown finger {finger}")
         if len(target) != 3:
             raise InvalidConfigError(f"target for {finger} must be 3 numbers, got {target!r}")
-        rows.append(state.fingers.index(finger))
-        points.append(tuple(float(c) for c in target))
-    tips, base = HandMotion(config, geom, dt).step(state.fingertips, state.base, rows, points)
+        point = tuple(float(c) for c in target)
+        hand = finger.hand == RIGHT
+        hand_pairs[hand].append((state.fingers.index(finger), point))
+        hand_xs[hand].append(point[0])
+    tips, base = HandMotion(config, geom, dt).step(state.fingertips, state.base, hand_pairs, hand_xs)
     return HandState(fingers=state.fingers, fingertips=tuple(tips), base=base)
 
 

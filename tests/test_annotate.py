@@ -292,8 +292,8 @@ def test_resting_pairs_leave_every_output_unchanged(hands, best_effort, grid):
 class _SteppingHandMotion(HandMotion):
     """A HandMotion that steps both hands on every call: it is never handed the objects it returned."""
 
-    def step(self, tips, base, rows, targets):
-        return super().step(list(tips), base, rows, targets)
+    def step(self, tips, base, *pairs):
+        return super().step(list(tips), base, *pairs)
 
 
 # perfbench's corpus families, seed 0: grid songs with ten fingers (strict), legato songs with four (best effort)
@@ -313,8 +313,8 @@ def test_skipping_settled_hands_leaves_corpus_rollouts_unchanged(name):
     skipped = []
     step = HandMotion.step
 
-    def counting(self, tips, base, rows, targets):
-        new_tips, new_base = step(self, tips, base, rows, targets)
+    def counting(self, tips, base, *pairs):
+        new_tips, new_base = step(self, tips, base, *pairs)
         skipped.append(new_tips is tips)
         return new_tips, new_base
 

@@ -577,6 +577,19 @@ def test_row_minimum_start_ends_on_a_dual_certificate(family, data):
         assert abs(reduced[col4row[i]]) <= bound
 
 
+@pytest.mark.parametrize("family", _FAMILIES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tie_break_screen_leaves_every_solve_unchanged(family, data):
+    # the tightest gap the screen may take, the screen off, and a looser gap give the same bits
+    rows, best_effort = data.draw(_start_instances(family))
+    gap = resting_gap(max(map(max, rows)))
+    screened = solve_cost_rows(rows, best_effort, gap)
+    for other in (math.inf, 10.0 * gap):
+        pairs, total, dropped = solve_cost_rows(rows, best_effort, other)
+        assert (pairs, total.hex(), dropped) == (screened[0], screened[1].hex(), screened[2]), other
+
+
 def test_both_solves_break_a_tie_at_the_tolerance_boundary_alike():
     # an oversized chord whose lexicographically smaller matching costs exactly one tolerance (1e-12) more;
     # which one wins rests on the exact cost of the re-routing the tie-break finds, and a breadth-first
@@ -642,17 +655,34 @@ _ROLLOUT_SONGS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
-def test_row_minimum_start_leaves_corpus_rollouts_unchanged(name):
+def _assert_rollouts_unchanged(name, attribute, replacement):
+    """The five arrays of a corpus song's rollout are the same bits with ``assign_module.<attribute>`` replaced."""
     data, hands, best_effort = _ROLLOUT_SONGS[name]
     song = parse_midi(data)
     goals = discretize(song.notes, pedal=song.pedal)
     ours = annotate_song(goals, hands, GEOM, best_effort=best_effort)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(assign_module, "_augmenting_path_solve", assign_reference._augmenting_path_solve)
+        patch.setattr(assign_module, attribute, replacement)
         theirs = annotate_song(goals, hands, GEOM, best_effort=best_effort)
     for array in ("finger", "distance", "collision", "fingertip_trace", "pressed"):
         assert getattr(ours, array).tobytes() == getattr(theirs, array).tobytes(), array
+
+
+@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
+def test_row_minimum_start_leaves_corpus_rollouts_unchanged(name):
+    _assert_rollouts_unchanged(name, "_augmenting_path_solve", assign_reference._augmenting_path_solve)
+
+
+@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
+def test_tie_break_screen_leaves_corpus_rollouts_unchanged(name):
+    lexicographic_optimum, calls = assign_module._lexicographic_optimum, []
+
+    def unscreened(cost, col4row, u, v, gap):
+        calls.append(gap)
+        return lexicographic_optimum(cost, col4row, u, v, math.inf)
+
+    _assert_rollouts_unchanged(name, "_lexicographic_optimum", unscreened)
+    assert calls and len(set(calls)) == 1 and 0.0 < calls[0] < math.inf  # every solve took the song's one gap
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,14 @@ def _load(name):
 def _hand_step():
     config, geom = HandConfig(), KeyboardGeometry()
     state = init_hands(config, geom)
-    HandMotion(config, geom, 0.05).step(list(state.fingertips), state.base, [], [])
+    HandMotion(config, geom, 0.05).step(list(state.fingertips), state.base, ([], []), ([], []))
 
 
 # patch name -> the object and attribute it replaces, and one direct call that reaches it
 REACHES = {
     "zlib-crc32": (store, "crc32", lambda: store.crc32(b"x")),
     "searching-solve": (assign, "_augmenting_path_solve", lambda: assign.solve_cost_rows([[0.0]])),
+    "unscreened-tie-break": (assign, "_lexicographic_optimum", lambda: assign.solve_cost_rows([[0.0]])),
     "every-hand-stepped": (HandMotion, "step", _hand_step),
 }
 
@@ -77,3 +78,22 @@ def test_bench_pairs_summary_gives_medians_ratios_wins_and_every_run_not_correct
         "  pair 3 seed 1102 parent: exit 1: Traceback",
     ]
     assert _load("bench_pairs").summarise(pairs[:2], end_to_end[:1]).splitlines()[-1] == "runs not correct: none"
+
+
+@pytest.mark.parametrize("seeds,pairs", [(["1", "2"], 4), (["1", "2", "3"], 6), (["1"], 2)])
+def test_bench_pairs_runs_every_seed_in_both_orders(monkeypatch, capsys, seeds, pairs):
+    bench_pairs = _load("bench_pairs")
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((seed, checkout.name))
+        return _line(steps_per_s=1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", "parent", "--change", "change", "--workload", "strict-ten", "--seconds", "0"]
+    assert bench_pairs.main([*argv, "--seeds", *seeds, "--pairs", str(pairs)]) == 0
+    orders = {}  # seed -> the side that ran first, in each of its pairs
+    for (seed, first), (again, _) in zip(runs[::2], runs[1::2]):
+        assert again == seed  # both runs of a pair take one seed
+        orders.setdefault(seed, []).append(first)
+    assert {seed: sorted(firsts) for seed, firsts in orders.items()} == {int(s): ["change", "parent"] for s in seeds}
