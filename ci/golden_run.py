@@ -30,10 +30,11 @@ PATCHES = {  # name -> (module, attribute path in it, function of the original t
     # bound screens none
     "unscreened-tie-break": ("otpiano.assign", "_lexicographic_optimum",
                              lambda optimum: lambda cost, col4row, u, v, gap: optimum(cost, col4row, u, v, math.inf)),
-    # HandMotion.step skips a hand it can prove would not move; a copy of the fingertip list is never the
-    # object the last call returned, so every call steps both hands
+    # HandMotion.step skips a hand that it left settled and can prove would not move; clearing that memory
+    # before each call makes every call step both hands
     "every-hand-stepped": ("otpiano.hand", "HandMotion.step",
-                           lambda step: lambda self, tips, *args: step(self, list(tips), *args)),
+                           lambda step: lambda self, *args: setattr(self, "_settled", [None, None])
+                           or step(self, *args)),
 }
 
 

@@ -24,10 +24,9 @@ at distance 0.0 without a cost build or solve; only the hand step runs.
 Its gap, ``resting_gap`` of the song's bound on every fingertip-to-point
 distance, also screens the tie-break of every solve.  The loop that
 writes a step's finger cells splits its pairs by hand for the hand step.
-The hand step itself skips each hand that the step before left settled
-on the same targets with its base still (see ``HandMotion.step``); when
-it skips both, it hands back the same state objects, and the step reuses
-the last state row without packing it again.
+The hand step itself skips each hand that it left settled on the same
+targets with its base still (see ``HandMotion.step``); when it skips
+both, the step reuses the last state row without packing it again.
 """
 
 from __future__ import annotations
@@ -154,13 +153,12 @@ def annotate_song(
         """Fingertips in the trace's slot layout (disabled slots zero), then the bases."""
         return layout.pack(*itertools.chain.from_iterable(tips), *base)
 
-    motion = HandMotion(hands, geom, goals.dt)
+    motion = HandMotion(hands, geom, goals.dt, state)
     split = motion.hand_bounds[1][0]  # finger rows below it are the left hand's
     n_fingers = len(state.fingers)
     press_points = geom.press_points
-    tips, base = state.fingertips, state.base
-    gap = resting_gap(motion.distance_bound(base))
-    state_bytes = state_of(tips, base)
+    gap = resting_gap(motion.distance_bound())
+    state_bytes = state_of(motion.tips, motion.base)
     T = len(goals)
     key_steps, key_list = np.nonzero(goals.keys)
     ends = np.cumsum(np.bincount(key_steps, minlength=T)).tolist()
@@ -182,9 +180,9 @@ def annotate_song(
         if len(active) > n_fingers and not best_effort:
             raise InfeasibleStepError(t, len(active), n_fingers)
         points = [press_points[key] for key in active]
-        solved, total = (resting_pairs(points, tips, gap) if active else ()), 0.0
+        solved, total = (resting_pairs(points, motion.tips, gap) if active else ()), 0.0
         if solved is None:
-            solved, total, _ = solve_cost_rows(key_distances(points, tips), best_effort, gap)
+            solved, total, _ = solve_cost_rows(key_distances(points, motion.tips), best_effort, gap)
         hand_pairs, hand_xs = ([], []), ([], [])
         for r, c in solved:
             finger[row + active[r]] = slot_index[c]
@@ -192,12 +190,10 @@ def annotate_song(
             hand = c >= split
             hand_pairs[hand].append((c, point))
             hand_xs[hand].append(point[0])
-        stepped = motion.step(tips, base, hand_pairs, hand_xs)
         distance.append(total)
-        unmoved = stepped[0] is tips and stepped[1] is base  # no hand stepped: the state row repeats
+        unmoved = not motion.step(hand_pairs, hand_xs)  # no hand stepped: the state row repeats
         if not unmoved:
-            tips, base = stepped
-            next_bytes = state_of(tips, base)
+            next_bytes = state_of(motion.tips, motion.base)
             unmoved = next_bytes == state_bytes  # bitwise: -0.0 and 0.0 stay distinct
             state_bytes = next_bytes
         states += state_bytes

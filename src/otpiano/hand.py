@@ -9,11 +9,11 @@ costs only need fingertip positions.  An embodiment (``HandConfig``) is the
 set of digits switched off on both hands, such as the little fingers of
 the four-finger hand, plus the motion limits.  A hand state is the
 fingertips as ``(x, y, z)`` Python floats plus the ``(left_x, right_x)``
-base pair, the values the one step kernel ``HandMotion.step`` works on.
-A ``HandMotion`` remembers the state its last step returned and which
-hands that step left settled on their goals; a later step fed that very
-state skips each settled hand whose targets and base stay the same, since
-stepping it would give the same bits (the proof is at ``HandMotion.step``).
+base pair.  A ``HandMotion`` holds one rollout's hand state and steps it
+with the one step kernel ``HandMotion.step``; it remembers which hands
+its steps left settled on their goals, and skips each settled hand whose
+targets and base stay the same, since stepping it would give the same
+bits (the proof is at ``HandMotion.step``).
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class HandConfig:
 
 @dataclass(frozen=True)
 class HandState:
-    """Immutable hand snapshot, in the form ``HandMotion.step`` works on.
+    """Immutable hand snapshot, the form a ``HandMotion`` is built from.
 
     One ``(x, y, z)`` float tuple per finger of ``fingers`` and the ``(left_x, right_x)`` bases.
     """
@@ -208,26 +208,28 @@ def init_hands(config: HandConfig, geom: KeyboardGeometry) -> HandState:
 
 
 class HandMotion:
-    """Step constants of one embodiment at one dt, in finger-row order.
+    """One rollout's hand state and the step constants of its embodiment at one dt, in finger-row order.
 
-    Finger rows are positions in ``config.enabled_fingers``, which is also
-    the finger tuple of every hand state of that config.  Built once
-    per song by the annotator, and per call by step_hand.  ``step`` is the
-    one hand-step kernel: it runs on Python floats, since numpy
-    call overhead dominates arrays of at most 10x3, and keeps numpy's order
-    of operations, so its results are the same bits a numpy build of the
-    step gives: norms sum as ``(dx*dx + dy*dy) + dz*dz`` and a centroid is
-    a running sum from 0.0 over the rows, then a division.
+    Finger rows are positions in ``config.enabled_fingers``, the fingers of
+    the state it holds: ``tips``, a list of one ``(x, y, z)`` per row, and
+    the ``base`` pair, which a ``step`` that moves a hand replaces and
+    nothing changes in place.  Built once per song by the annotator, and
+    per call by step_hand.  ``step`` is the one hand-step kernel: it runs
+    on Python floats, since numpy call overhead dominates arrays of at most
+    10x3, and keeps numpy's order of operations, so its results are the
+    same bits a numpy build of the step gives: norms sum as
+    ``(dx*dx + dy*dy) + dz*dz`` and a centroid is a running sum from 0.0
+    over the rows, then a division.
 
-    It remembers three things of its last ``step`` call: the fingertip
-    list and the base tuple it returned, and per hand the ``(row, target)``
-    pairs that hand settled on, if it did.  With them ``step`` skips a hand
-    it can prove would not move (see there), so every call still returns
-    exactly what a fresh ``HandMotion`` would.
+    It remembers per hand the ``(row, target)`` pairs its last step of
+    that hand settled on, if it did, and skips a hand it can prove would
+    not move (see ``step``), to the bits a fresh ``HandMotion`` would give.
     """
 
-    def __init__(self, config: HandConfig, geom: KeyboardGeometry, dt: float):
+    def __init__(self, config: HandConfig, geom: KeyboardGeometry, dt: float, state: HandState):
         fingers = config.enabled_fingers
+        if state.fingers != fingers:
+            raise InvalidConfigError("hand state has other fingers than the config enables")
         # enabled fingers keep ALL_FINGERS order, so rows [0, split) are the left hand's and the rest
         # the right hand's; neither is empty, since a digit stays enabled on both hands
         split = sum(finger.hand == LEFT for finger in fingers)
@@ -238,11 +240,11 @@ class HandMotion:
         self.base_reach = config.base_v_max * dt
         self.radius = config.span_max / 2.0
         self.press_points = geom.press_points
-        self._tips = self._base = None  # what the last call returned
+        self.tips, self.base = list(state.fingertips), state.base
         self._settled = [None, None]  # per hand: the (row, target) pairs it settled on when last stepped, or None
 
-    def distance_bound(self, base: tuple) -> float:
-        """Bound on the distance from any fingertip to any press point in a rollout from rest at ``base``.
+    def distance_bound(self) -> float:
+        """Bound on any fingertip-to-press-point distance in a rollout from rest at the base it was built with.
 
         ``step`` moves a fingertip only toward its goal, a press point of
         the geometry or its rest offset around its base, and the span
@@ -251,14 +253,13 @@ class HandMotion:
         box around the press points and the rest pose at the two extreme
         bases, and no distance exceeds that box's diagonal.
         """
-        xs = [x for x, _, _ in self.press_points] + list(base)
+        xs = [x for x, _, _ in self.press_points] + list(self.base)
         corners = list(self.press_points) + [(b + dx, y, z) for b in (min(xs), max(xs)) for dx, y, z in self.rest]
         return math.sqrt(sum((max(c) - min(c)) ** 2 for c in zip(*corners)))
 
-    def step(self, tips: list, base: tuple, hand_pairs: tuple, hand_xs: tuple) -> tuple:
-        """Advance one control step; returns the new ``(fingertips, (left_x, right_x))``.
+    def step(self, hand_pairs: tuple, hand_xs: tuple) -> bool:
+        """Advance ``tips`` and ``base`` one control step; returns whether any hand stepped.
 
-        ``tips`` holds one ``(x, y, z)`` point per finger row.
         ``hand_pairs`` holds a list per hand, left then right, of
         ``(row, target)`` pairs: the point assigned to each finger row of
         that hand, with no row twice.  ``hand_xs`` holds per hand the
@@ -269,9 +270,8 @@ class HandMotion:
         and unassigned fingertips relax toward the rest pose around the
         updated base.  Finally each hand's fingertips are projected into
         the ball of radius span_max/2 around their centroid, which bounds
-        the pairwise spread by span_max.  The returned list and tuple are
-        the new state; they must not be changed in place, nor may the pair
-        lists given, which the call keeps.
+        the pairwise spread by span_max.  The pair lists given must not be
+        changed in place, as the call keeps them.
 
         The speed cap is not a hard cap on a fingertip's move: the span
         projection runs after it, and it can carry a fingertip further than
@@ -283,7 +283,6 @@ class HandMotion:
         its assigned rows and the rest offsets around its new base.  A call
         skips a hand, keeping its fingertip objects and its base, when
 
-        - ``tips`` and ``base`` are the very objects the last call returned;
         - the last call that stepped the hand left it settled;
         - the hand's ``(row, target)`` pairs equal the ones it settled on,
           with the same target objects (``0.0 == -0.0``, so equal floats
@@ -295,10 +294,9 @@ class HandMotion:
         each distance is 0.0 and the fingertip "arrives exactly" at the
         same bits.  The projection then sees the points it saw when the
         hand settled, so it computes the same centroid and norms and again
-        moves none.  When neither hand steps, ``tips`` and ``base``
-        themselves are returned.
+        moves none.
         """
-        returned = tips is self._tips and base is self._base
+        tips, base = self.tips, self.base
         base_reach = self.base_reach
         new_base = list(base)
         stepped = []
@@ -311,7 +309,7 @@ class HandMotion:
                 x = x + (delta if delta > -base_reach else -base_reach)
             pairs = hand_pairs[hand]
             # bitwise x == old, as 0.0 == -0.0; the pairs compare targets as floats, the loop as objects
-            if returned and x == old and (x or math.copysign(1.0, x) == math.copysign(1.0, old)):
+            if x == old and (x or math.copysign(1.0, x) == math.copysign(1.0, old)):
                 if self._settled[hand] == pairs:
                     for row, target in pairs:
                         if tips[row] is not target:
@@ -321,7 +319,7 @@ class HandMotion:
             new_base[hand] = x
             stepped.append(hand)
         if not stepped:
-            return tips, base
+            return False
 
         reach = self.step_reach
         radius = self.radius
@@ -365,8 +363,8 @@ class HandMotion:
                     settled = False
             new_tips[lo:hi] = goals
             self._settled[hand] = pairs if settled else None
-        self._tips, self._base = new_tips, tuple(new_base)
-        return self._tips, self._base
+        self.tips, self.base = new_tips, tuple(new_base)
+        return True
 
 
 def step_hand(
@@ -376,8 +374,7 @@ def step_hand(
 
     ``targets`` maps enabled FingerId -> 3D point.
     """
-    if state.fingers != config.enabled_fingers:
-        raise InvalidConfigError("hand state has other fingers than the config enables")
+    motion = HandMotion(config, geom, dt, state)
     hand_pairs, hand_xs = ([], []), ([], [])
     for finger, target in targets.items():
         if finger not in state.fingers:
@@ -388,8 +385,8 @@ def step_hand(
         hand = finger.hand == RIGHT
         hand_pairs[hand].append((state.fingers.index(finger), point))
         hand_xs[hand].append(point[0])
-    tips, base = HandMotion(config, geom, dt).step(state.fingertips, state.base, hand_pairs, hand_xs)
-    return HandState(fingers=state.fingers, fingertips=tuple(tips), base=base)
+    motion.step(hand_pairs, hand_xs)
+    return HandState(fingers=state.fingers, fingertips=tuple(motion.tips), base=motion.base)
 
 
 def bases_collide(base: tuple, min_base_gap: float) -> bool:

@@ -343,9 +343,11 @@ def require_positive(name: str, value: float) -> None:
 
 
 def note_step_span(note: NoteEvent, dt: float, stretch: float, shift: float) -> tuple[int, int]:
-    """Half-open step range [first, end) a note occupies after stretch/shift."""
+    """Half-open step range [first, end) a note occupies after stretch/shift; a ValueError where a time over dt overflows."""
     onset = note.onset * stretch - shift
     offset = note.offset * stretch - shift
+    if not (math.isfinite(onset / dt) and math.isfinite(offset / dt)):
+        raise ValueError(f"note {note.pitch} at {note.onset!r} s has no finite step at stretch {stretch!r}, dt {dt!r}")
     return _first_step(onset, dt), _end_step(offset, dt)
 
 
@@ -377,7 +379,8 @@ def discretize(
     comparisons carry a 1e-9-step tolerance.  The sustain bit samples the
     pedal state (CC value >= 64) at each step start.  Notes outside the
     88-key range are left out silently; ``parse_midi`` reports them.  A
-    ``dt`` or ``stretch`` that is not positive and finite is refused.
+    ``dt`` or ``stretch`` that is not positive and finite is refused, and so
+    is one that puts a note's time over ``dt`` past every float.
     """
     require_positive("dt", dt)
     require_positive("stretch", stretch)

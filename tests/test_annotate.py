@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import runpy
 from pathlib import Path
 
@@ -283,17 +284,18 @@ def test_resting_pairs_leave_every_output_unchanged(hands, best_effort, grid):
     # the gap rests on this bound: no fingertip of the rollout is farther from any press point
     state = init_hands(hands, GEOM)
     press = press_point_table(GEOM)
-    bound = HandMotion(hands, GEOM, goals.dt).distance_bound(state.base)
+    bound = HandMotion(hands, GEOM, goals.dt, state).distance_bound()
     slots = [ALL_FINGERS.index(f) for f in hands.enabled_fingers]
     tips = certified.fingertip_trace[:, slots].reshape(-1, 1, 3)
     assert (np.sqrt(np.sum((tips - press) ** 2, axis=-1)) <= bound).all()
 
 
 class _SteppingHandMotion(HandMotion):
-    """A HandMotion that steps both hands on every call: it is never handed the objects it returned."""
+    """A HandMotion that steps both hands on every call: it forgets which hands it left settled."""
 
-    def step(self, tips, base, *pairs):
-        return super().step(list(tips), base, *pairs)
+    def step(self, *pairs):
+        self._settled = [None, None]
+        return super().step(*pairs)
 
 
 # perfbench's corpus families, seed 0: grid songs with ten fingers (strict), legato songs with four (best effort)
@@ -313,10 +315,10 @@ def test_skipping_settled_hands_leaves_corpus_rollouts_unchanged(name):
     skipped = []
     step = HandMotion.step
 
-    def counting(self, tips, base, *pairs):
-        new_tips, new_base = step(self, tips, base, *pairs)
-        skipped.append(new_tips is tips)
-        return new_tips, new_base
+    def counting(self, *pairs):
+        stepped = step(self, *pairs)
+        skipped.append(not stepped)
+        return stepped
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(HandMotion, "step", counting)
@@ -327,6 +329,30 @@ def test_skipping_settled_hands_leaves_corpus_rollouts_unchanged(name):
     assert any(skipped) and not all(skipped)  # some calls moved neither hand
     for array in ("finger", "distance", "collision", "fingertip_trace", "pressed"):
         assert getattr(skipping, array).tobytes() == getattr(stepping, array).tobytes(), array
+
+
+def _pairs_of_cells(row):
+    """(key, FingerId) of each cell of one finger row that holds a slot, by key: NO_FINGER and DROPPED left out."""
+    return tuple((int(key), ALL_FINGERS[row[key]]) for key in np.flatnonzero(row >= 0))
+
+
+def test_readme_quick_start_runs_and_pairs_lists_each_fingered_key(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    notes = [(48, 0, 1920), (60, 0, 480), (64, 240, 960), (67, 480, 1440), (72, 960, 1920)]
+    (tmp_path / "prelude.mid").write_bytes(simple_song(notes))
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    annotation = scope["annotation"]
+    assert len(annotation) > 4 and capsys.readouterr().out
+    for t in range(len(annotation)):
+        assert annotation.pairs(t) == _pairs_of_cells(annotation.finger[t]), t
+    assert any(annotation.pairs(t) for t in range(len(annotation)))
+    # a key best-effort mode dropped has no finger, so pairs leaves it out
+    dropped = _manual_annotation([[(39, FingerId(RIGHT, 1)), (40, FingerId(RIGHT, 2))]])
+    dropped.finger[0, 41] = DROPPED
+    assert dropped.pairs(0) == ((39, FingerId(RIGHT, 1)), (40, FingerId(RIGHT, 2))) == _pairs_of_cells(dropped.finger[0])
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +555,21 @@ def test_step_mapping_refuses_a_setting_that_is_not_positive_and_finite(call, se
         else:
             annotation = _manual_annotation([[(39, FingerId(RIGHT, 1))]] * 4)
             annotation_to_pig(annotation, notes, stretch=value, trim_silence=trim_silence)
+
+
+@pytest.mark.parametrize("trim_silence", [False, True], ids=["untrimmed", "trimmed"])
+@pytest.mark.parametrize("dt, stretch", [(0.05, 1e308), (5e-324, 1.0)], ids=["huge stretch", "tiny dt"])
+@pytest.mark.parametrize("call", ["discretize", "pig"])
+def test_step_mapping_refuses_a_setting_that_overflows_a_note_step(call, dt, stretch, trim_silence):
+    # finite settings whose stretched times, or those over dt, overflow to infinity: refused before any grid
+    notes = [NoteEvent(pitch=60, onset=0.5, offset=0.6, velocity=80, channel=0)]
+    message = f"note 60 at 0.5 s has no finite step at stretch {stretch!r}, dt {dt!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if call == "discretize":
+            discretize(notes, dt=dt, stretch=stretch, trim_silence=trim_silence)
+        else:
+            annotation = _manual_annotation([[(39, FingerId(RIGHT, 1))]] * 4, dt=dt)
+            annotation_to_pig(annotation, notes, stretch=stretch, trim_silence=trim_silence)
 
 
 def test_pig_export_empty():

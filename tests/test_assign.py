@@ -392,7 +392,7 @@ def _solved(points, tips):
 def _gap(geom):
     """resting_gap from the bound annotate_song uses: a ten-finger rollout on the whole keyboard."""
     hands = HandConfig.default()
-    return resting_gap(HandMotion(hands, geom, 0.05).distance_bound(init_hands(hands, geom).base))
+    return resting_gap(HandMotion(hands, geom, 0.05, init_hands(hands, geom)).distance_bound())
 
 
 _NUDGES = {
@@ -602,19 +602,28 @@ def test_both_solves_break_a_tie_at_the_tolerance_boundary_alike():
 
 
 def test_the_solves_split_a_tie_exactly_one_tolerance_above_the_optimum():
-    # the instance on which test_row_minimum_start_matches_the_searching_solve[continuous] fails at random:
-    # (3, 4), (5, 5) is lexicographically smaller than (3, 5), (5, 4) and costs exactly the tie tolerance
-    # more, the case assign_reference's docstring exempts; the row-minimum start keeps the optimum, the
-    # searching solve the smaller matching.  Today's answers, pinned so that a change to either shows
-    rows = [[0.0] * 8 for _ in range(9)]
-    rows[2][2], rows[3][2], rows[3][4], rows[6][7] = 1.0, 1.0, 1e-12, 2.0**-52
-    assert 1e-12 == assign_module._TIE_RTOL * max(1.0, max(map(max, rows)))
-    assert solve_cost_rows(rows, True) == (
-        ((0, 0), (1, 1), (2, 3), (3, 5), (4, 2), (5, 4), (6, 6), (7, 7)), 0.0, (8,)
-    )
-    assert _solve_with(assign_reference._augmenting_path_solve, rows, True) == (
-        ((0, 0), (1, 1), (2, 3), (3, 4), (4, 2), (5, 5), (6, 6), (7, 7)), 1e-12, (8,)
-    )
+    # the instances on which test_row_minimum_start_matches_the_searching_solve[continuous] fails at random,
+    # each the case assign_reference's docstring exempts; today's answers, pinned so that a change to either
+    # shows.  9x8: (3, 4), (5, 5) is lexicographically smaller than (3, 5), (5, 4) and costs exactly the tie
+    # tolerance more; the row-minimum start keeps the optimum, the searching solve the smaller matching.
+    # 7x6, the reverse: both answers cost exactly the tolerance above the optimum 0.0, and the row-minimum
+    # start's is the finger-major lexicographic optimum within it, the searching solve's is not.  Both
+    # instances' sub-tolerance costs, 2**-52 and 5.9e-25, lie below _reroute's noise floor eps * 1e-3 = 1e-15:
+    # a lead on the cause, not a verified one
+    rows_9x8 = [[0.0] * 8 for _ in range(9)]
+    rows_9x8[2][2], rows_9x8[3][2], rows_9x8[3][4], rows_9x8[6][7] = 1.0, 1.0, 1e-12, 2.0**-52
+    rows_7x6 = [[0.0] * 6 for _ in range(7)]
+    rows_7x6[1][1], rows_7x6[2][1], rows_7x6[5][5] = 1.0, 1e-12, 5.9e-25
+    instances = [
+        (rows_9x8, (((0, 0), (1, 1), (2, 3), (3, 5), (4, 2), (5, 4), (6, 6), (7, 7)), 0.0, (8,)),
+         (((0, 0), (1, 1), (2, 3), (3, 4), (4, 2), (5, 5), (6, 6), (7, 7)), 1e-12, (8,))),
+        (rows_7x6, (((0, 0), (1, 2), (2, 1), (3, 3), (4, 4), (6, 5)), 1e-12, (5,)),
+         (((0, 0), (1, 2), (2, 1), (3, 3), (4, 5), (5, 4)), 1e-12, (6,))),
+    ]
+    for rows, ours, searching in instances:
+        assert 1e-12 == assign_module._TIE_RTOL * max(1.0, max(map(max, rows)))
+        assert solve_cost_rows(rows, True) == ours
+        assert _solve_with(assign_reference._augmenting_path_solve, rows, True) == searching
 
 
 def test_row_minimum_start_hands_a_taken_minimum_to_the_search():

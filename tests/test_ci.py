@@ -1,10 +1,12 @@
-"""The scripts under ci/: golden_run.py's patch table must reach the functions it replaces, and restore them;
-bench_pairs.py's summary of canned perfbench result lines."""
+"""The scripts under ci/: golden_run.py's patch table must reach the functions it replaces, and restore them, and
+golden.sh must run every patch; bench_pairs.py's summary of canned perfbench result lines."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -25,8 +27,9 @@ def _load(name):
 
 def _hand_step():
     config, geom = HandConfig(), KeyboardGeometry()
-    state = init_hands(config, geom)
-    HandMotion(config, geom, 0.05).step(list(state.fingertips), state.base, ([], []), ([], []))
+    motion = HandMotion(config, geom, 0.05, init_hands(config, geom))
+    motion.step(([], []), ([], []))
+    assert motion.step(([], []), ([], []))  # hands settled at rest step again only where the patch forces it
 
 
 # patch name -> the object and attribute it replaces, and one direct call that reaches it
@@ -50,6 +53,16 @@ def test_every_golden_run_patch_is_reached_and_then_restored():
         assert getattr(owner, attribute) is original, name
     with pytest.raises(KeyError), golden_run.patched("no-such-patch"):
         pass
+
+
+def test_golden_sh_runs_every_golden_run_patch_on_a_perfbench_workload():
+    # expand golden.sh's "for run in ..." words as bash does: each is patch:workload:seed
+    script = (CI / "golden.sh").read_text().replace("\\\n", " ")
+    words = re.search(r"for run in (.*?); do", script).group(1)
+    runs = subprocess.run(["bash", "-c", f"printf '%s\\n' {words}"], capture_output=True, text=True, check=True)
+    workloads = {w["name"] for w in json.loads((CI.parent / "BENCHMARK.json").read_text())["workloads"]}
+    covered = {patch for patch, workload, _ in (run.split(":") for run in runs.stdout.split()) if workload in workloads}
+    assert covered >= {"none", "traced", *_load("golden_run").PATCHES}
 
 
 def _line(correct=True, failed=0, **values):

@@ -757,6 +757,15 @@ def test_annotate_rejects_bad_flags(song_dir, tmp_path):
     assert not out.exists()
 
 
+def test_annotate_fails_each_song_whose_steps_overflow(song_dir, tmp_path, capsys):
+    # a finite --stretch that puts a note past every float step fails that song (exit 1), leaving no files
+    out = tmp_path / "out"
+    assert main(["annotate", "--midi", str(song_dir), "--out", str(out), "--stretch", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL chord: ValueError: note 60" in err and "FAIL line: ValueError: note 60" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_rest_offset_override_is_recorded(song_dir, tmp_path):
     headers, configs = [], []
     for name, text in (("plain", ""), ("moved", "rest_offset.L1 = 0.01 0 0\n")):

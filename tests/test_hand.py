@@ -114,18 +114,25 @@ _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
 _CONFIGS = [HandConfig.default(), HandConfig.four_finger(), HandConfig(span_max=0.05, base_v_max=3.0)]
 
 
-def _step(motion, tips, base, rows, targets):
+def _motion(config, dt, tips, base):
+    """A HandMotion of ``config`` at ``dt`` from fingertips ``tips`` and bases ``base``."""
+    return HandMotion(config, GEOM, dt, HandState(config.enabled_fingers, tuple(tips), base))
+
+
+def _step(motion, rows, targets):
     """``motion.step`` with ``targets[m]`` assigned to finger row ``rows[m]``, split by hand as annotate_song does."""
     split = motion.hand_bounds[1][0]
     hand_pairs, hand_xs = ([], []), ([], [])
     for row, target in zip(rows, targets):
         hand_pairs[row >= split].append((row, target))
         hand_xs[row >= split].append(target[0])
-    return motion.step(tips, base, hand_pairs, hand_xs)
+    return motion.step(hand_pairs, hand_xs)
 
 
 def _assert_step_matches_reference(config, dt, tips, base, rows, targets):
-    got_tips, got_base = _step(HandMotion(config, GEOM, dt), tips, base, rows, targets)
+    motion = _motion(config, dt, tips, base)
+    _step(motion, rows, targets)
+    got_tips, got_base = motion.tips, motion.base
     want_tips, want_base = reference.HandMotion(config, GEOM, dt).step(
         np.array(tips, dtype=np.float64), base, rows, np.array(targets, dtype=np.float64).reshape(len(rows), 3)
     )
@@ -175,8 +182,8 @@ def test_step_kernel_matches_numpy_reference_under_span_clamp(pull, steps, lift)
     assert reference.hand_spread(HandState(config.enabled_fingers, tuple(tips), base), RIGHT) <= config.span_max + 1e-12
 
 
-def _bits(tips, base) -> bytes:
-    return struct.pack(f"<{3 * len(tips) + 2}d", *itertools.chain.from_iterable(tips), *base)
+def _bits(motion) -> bytes:
+    return struct.pack(f"<{3 * len(motion.tips) + 2}d", *itertools.chain.from_iterable(motion.tips), *motion.base)
 
 
 def _flip_zeros(point):
@@ -195,17 +202,15 @@ def _target_near(data, tip, reach):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_step_sequence_matches_fresh_motions(data):
-    # one HandMotion over a sequence of calls, each fed the last call's outputs or a fresh state, must
-    # return what a fresh HandMotion returns: held targets let hands settle and be skipped, targets
-    # beyond v_max*dt hit the speed cap, targets wider than the span get clamped, a hand may have no
-    # target, bases may still be moving, and a fresh state or a target equal only as floats must step
+    # one HandMotion over a sequence of calls must give the bits of one that forgets before every call which
+    # hands it left settled, and so steps both as a fresh HandMotion would: held targets let hands settle and
+    # be skipped, targets beyond v_max*dt hit the speed cap, targets wider than the span get clamped, a hand
+    # may have no target, bases may still be moving, and a target equal only as floats must step
     config = data.draw(st.sampled_from(_CONFIGS))
     dt = 0.05
     reach = config.v_max * dt
     fingers = config.enabled_fingers
-    motion = HandMotion(config, GEOM, dt)
-    state = init_hands(config, GEOM)
-    tips, base = state.fingertips, state.base
+    motion, stepping = (HandMotion(config, GEOM, dt, init_hands(config, GEOM)) for _ in range(2))
     rows, targets = [], []
     for call in range(data.draw(st.integers(1, 24))):
         change = data.draw(st.sampled_from(["hold", "hold", "hold", "new", "zero signs"]), label="targets")
@@ -213,37 +218,32 @@ def test_step_sequence_matches_fresh_motions(data):
             hands = data.draw(st.sampled_from([(LEFT, RIGHT), (LEFT,), (RIGHT,), ()]), label="hands with targets")
             candidates = [row for row, finger in enumerate(fingers) if finger.hand in hands]
             rows = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4)) if candidates else []
-            targets = [_target_near(data, tips[row], reach) for row in rows]
+            targets = [_target_near(data, motion.tips[row], reach) for row in rows]
         elif change == "zero signs":
             targets = [_flip_zeros(target) for target in targets]
-        fresh = data.draw(st.sampled_from([None, 0.0, 1e-9, 0.01]), label="fresh state, shifted by")
-        if fresh is not None:
-            tips = [(x + fresh, y, z) for x, y, z in tips]
-            base = (base[0] + fresh, base[1])
-        want = _step(HandMotion(config, GEOM, dt), tips, base, rows, targets)
-        got = _step(motion, tips, base, rows, targets)
-        assert _bits(*got) == _bits(*want), call
-        tips, base = got
+        stepping._settled = [None, None]
+        assert _step(stepping, rows, targets)
+        _step(motion, rows, targets)
+        assert _bits(motion) == _bits(stepping), call
 
 
 def _held(config, targets_of, calls):
-    """``calls`` steps of one HandMotion from rest, row -> target from ``targets_of(tips)``; the motion and last state."""
-    motion = HandMotion(config, GEOM, 0.05)
-    state = init_hands(config, GEOM)
-    tips, base = state.fingertips, state.base
+    """``calls`` steps of one HandMotion from rest, row -> target from ``targets_of(tips)``; the motion."""
+    motion = HandMotion(config, GEOM, 0.05, init_hands(config, GEOM))
     for _ in range(calls):
-        chosen = targets_of(tips)
-        tips, base = _step(motion, tips, base, list(chosen), list(chosen.values()))
-    return motion, tips, base
+        chosen = targets_of(motion.tips)
+        _step(motion, list(chosen), list(chosen.values()))
+    return motion
 
 
-def _step_both_ways(motion, tips, base, chosen):
-    """One step of ``motion`` and of a fresh HandMotion; asserts the same bits and returns the first."""
+def _step_both_ways(motion, chosen):
+    """One step of ``motion`` and of a fresh HandMotion from its state; asserts the same bits, returns ``motion``'s."""
     rows, targets = list(chosen), list(chosen.values())
-    got = _step(motion, tips, base, rows, targets)
-    want = _step(HandMotion(_TEN, GEOM, 0.05), tips, base, rows, targets)
-    assert _bits(*got) == _bits(*want)
-    return got
+    fresh = _motion(_TEN, 0.05, motion.tips, motion.base)
+    _step(fresh, rows, targets)
+    stepped = _step(motion, rows, targets)
+    assert _bits(motion) == _bits(fresh)
+    return stepped
 
 
 _TEN = HandConfig.default()
@@ -258,65 +258,63 @@ def test_settled_hand_keeps_its_fingertip_objects():
     # base stays; the right middle finger chases a target beyond v_max*dt, alternating sides
     hold = init_hands(_TEN, GEOM).fingertips[_L3]
     far = [(0.2, 0.0, 0.0), (1.2, 0.0, 0.0)]
-    motion, tips, base = _held(_TEN, lambda tips: {_L3: hold}, 2)
+    motion = _held(_TEN, lambda tips: {_L3: hold}, 2)
     for k in range(4):
-        new_tips, new_base = _step_both_ways(motion, tips, base, {_L3: hold, _R3: far[k % 2]})
-        assert all(new_tips[row] is tips[row] for row in _LEFT_ROWS)
-        assert new_base[0] is base[0]
-        assert all(new_tips[row] is not tips[row] for row in _RIGHT_ROWS)
-        tips, base = new_tips, new_base
+        tips, base = motion.tips, motion.base
+        assert _step_both_ways(motion, {_L3: hold, _R3: far[k % 2]})
+        assert all(motion.tips[row] is tips[row] for row in _LEFT_ROWS)
+        assert motion.base[0] is base[0]
+        assert all(motion.tips[row] is not tips[row] for row in _RIGHT_ROWS)
 
 
 def test_no_hand_steps_returns_the_state_given():
     rest = init_hands(_TEN, GEOM).fingertips
     chosen = {_L3: rest[_L3], _R3: rest[_R3]}
-    motion, tips, base = _held(_TEN, lambda tips: chosen, 1)
-    new_tips, new_base = _step_both_ways(motion, tips, base, chosen)
-    assert new_tips is tips and new_base is base
-    # a copy of the fingertip list is not the state the motion returned: it is stepped, to the same bits
-    copied = list(tips)
-    new_tips, new_base = _step_both_ways(motion, copied, base, chosen)
-    assert new_tips is not copied and _bits(new_tips, new_base) == _bits(tips, base)
+    motion = _held(_TEN, lambda tips: chosen, 1)
+    tips, base = motion.tips, motion.base
+    assert _step_both_ways(motion, chosen) is False
+    assert motion.tips is tips and motion.base is base
 
 
-def _left_is_stepped(motion, tips, base, chosen):
-    new_tips, _ = _step_both_ways(motion, tips, base, chosen)
+def _left_is_stepped(motion, chosen):
+    tips = motion.tips
+    _step_both_ways(motion, chosen)
     free = [row for row in _LEFT_ROWS if row not in chosen]
-    return any(new_tips[row] is not tips[row] for row in free)
+    return any(motion.tips[row] is not tips[row] for row in free)
 
 
 def test_hand_is_stepped_while_its_base_moves():
     # in reach of the finger but beyond base_v_max*dt of the base: the hand settles while its base still travels
     hold = init_hands(_TEN, GEOM).fingertips[_L3]
     target = (hold[0] + 0.08, hold[1], hold[2])
-    motion, tips, base = _held(_TEN, lambda tips: {_L3: target}, 1)
-    assert tips[_L3] is target
-    assert _left_is_stepped(motion, tips, base, {_L3: target})
+    motion = _held(_TEN, lambda tips: {_L3: target}, 1)
+    assert motion.tips[_L3] is target
+    assert _left_is_stepped(motion, {_L3: target})
 
 
 @pytest.mark.parametrize("change", ["new point", "zero signs"])
 def test_hand_is_stepped_when_a_target_changes(change):
     hold = init_hands(_TEN, GEOM).fingertips[_L3]
     hold = (hold[0], 0.0, 0.0)  # on a white key's press point, in reach
-    motion, tips, base = _held(_TEN, lambda tips: {_L3: hold}, 3)
-    assert tips[_L3] is hold and not _left_is_stepped(motion, tips, base, {_L3: hold})
+    motion = _held(_TEN, lambda tips: {_L3: hold}, 3)
+    assert motion.tips[_L3] is hold and not _left_is_stepped(motion, {_L3: hold})
     moved = _flip_zeros(hold) if change == "zero signs" else (hold[0] + 0.01, 0.0, 0.0)
-    new_tips, _ = _step_both_ways(motion, tips, base, {_L3: moved})
-    assert new_tips[_L3] is moved  # a target equal only as floats still gives its own bits
+    _step_both_ways(motion, {_L3: moved})
+    assert motion.tips[_L3] is moved  # a target equal only as floats still gives its own bits
 
 
 def _left_keeps_moving(config, tips, calls):
     """``calls`` steps with no target for the left hand; asserts it is stepped, to a fresh motion's bits, each time."""
-    motion = HandMotion(config, GEOM, 0.05)
-    base = init_hands(config, GEOM).base
+    motion = _motion(config, 0.05, tips, init_hands(config, GEOM).base)
     right = config.enabled_fingers.index(FingerId(RIGHT, 3))
     left_rows = [row for row, finger in enumerate(config.enabled_fingers) if finger.hand == LEFT]
     for _ in range(calls):
-        new_tips, new_base = _step(motion, tips, base, [right], [tips[right]])
-        want = _step(HandMotion(config, GEOM, 0.05), tips, base, [right], [tips[right]])
-        assert _bits(new_tips, new_base) == _bits(*want)
-        assert all(new_tips[row] is not tips[row] for row in left_rows)
-        tips, base = new_tips, new_base
+        tips = motion.tips
+        fresh = _motion(config, 0.05, tips, motion.base)
+        _step(fresh, [right], [tips[right]])
+        _step(motion, [right], [tips[right]])
+        assert _bits(motion) == _bits(fresh)
+        assert all(motion.tips[row] is not tips[row] for row in left_rows)
 
 
 def test_hand_is_stepped_after_the_speed_cap():

@@ -110,7 +110,7 @@ def test_press_points_are_computed_once_when_the_geometry_is_built(monkeypatch, 
     annotate_song(GoalSequence(key_rows([{39, 43}, {39, 43}, {40}, set(), {87}]), dt=0.05), hands, geom)
     state = init_hands(hands, geom)
     build_cost_matrix(state.fingertips, state.fingers, {1, 39, 87}, geom)
-    HandMotion(hands, geom, 0.05).distance_bound(state.base)
+    HandMotion(hands, geom, 0.05, state).distance_bound()
     assert key_press_point(87, geom) is geom.press_points[87]
     assert press_point_table(geom).tolist() == [list(point) for point in geom.press_points]
     assert len(calls) == KEY_COUNT
