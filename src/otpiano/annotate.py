@@ -183,15 +183,12 @@ def annotate_song(
         solved, total = (resting_pairs(points, motion.tips, gap) if active else ()), 0.0
         if solved is None:
             solved, total, _ = solve_cost_rows(key_distances(points, motion.tips), best_effort, gap)
-        hand_pairs, hand_xs = ([], []), ([], [])
+        hand_pairs = ([], [])
         for r, c in solved:
             finger[row + active[r]] = slot_index[c]
-            point = points[r]
-            hand = c >= split
-            hand_pairs[hand].append((c, point))
-            hand_xs[hand].append(point[0])
+            hand_pairs[c >= split].append((c, points[r]))
         distance.append(total)
-        unmoved = not motion.step(hand_pairs, hand_xs)  # no hand stepped: the state row repeats
+        unmoved = not motion.step(hand_pairs)  # no hand stepped: the state row repeats
         if not unmoved:
             next_bytes = state_of(motion.tips, motion.base)
             unmoved = next_bytes == state_bytes  # bitwise: -0.0 and 0.0 stay distinct

@@ -13,7 +13,9 @@ base pair.  A ``HandMotion`` holds one rollout's hand state and steps it
 with the one step kernel ``HandMotion.step``; it remembers which hands
 its steps left settled on their goals, and skips each settled hand whose
 targets and base stay the same, since stepping it would give the same
-bits (the proof is at ``HandMotion.step``).
+bits (the proof is at ``HandMotion.step``).  Float sums here run left to
+right, never through builtin ``sum``, which compensates from Python 3.12
+on, so a rollout gives the same bits on every Python.
 """
 
 from __future__ import annotations
@@ -255,18 +257,18 @@ class HandMotion:
         """
         xs = [x for x, _, _ in self.press_points] + list(self.base)
         corners = list(self.press_points) + [(b + dx, y, z) for b in (min(xs), max(xs)) for dx, y, z in self.rest]
-        return math.sqrt(sum((max(c) - min(c)) ** 2 for c in zip(*corners)))
+        dx, dy, dz = (max(c) - min(c) for c in zip(*corners))
+        return math.sqrt(dx**2 + dy**2 + dz**2)  # left to right, as every step's sums
 
-    def step(self, hand_pairs: tuple, hand_xs: tuple) -> bool:
+    def step(self, hand_pairs: tuple) -> bool:
         """Advance ``tips`` and ``base`` one control step; returns whether any hand stepped.
 
         ``hand_pairs`` holds a list per hand, left then right, of
         ``(row, target)`` pairs: the point assigned to each finger row of
-        that hand, with no row twice.  ``hand_xs`` holds per hand the
-        targets' x values, in pair order.  Assigned fingertips move toward
+        that hand, with no row twice.  Assigned fingertips move toward
         their targets by at most v_max*dt (arriving exactly when in range),
-        each hand base moves toward the mean of its targets' x, summed in
-        pair order, by at most base_v_max*dt (staying put with no targets),
+        each hand base moves toward the mean of its targets' x, summed left
+        to right in pair order, by at most base_v_max*dt (staying put with no targets),
         and unassigned fingertips relax toward the rest pose around the
         updated base.  Finally each hand's fingertips are projected into
         the ball of radius span_max/2 around their centroid, which bounds
@@ -300,14 +302,16 @@ class HandMotion:
         base_reach = self.base_reach
         new_base = list(base)
         stepped = []
-        for hand, xs in enumerate(hand_xs):
+        for hand, pairs in enumerate(hand_pairs):
             x = old = base[hand]
-            if xs:
-                delta = sum(xs) / len(xs) - x
+            if pairs:
+                total = 0.0
+                for _, target in pairs:
+                    total += target[0]
+                delta = total / len(pairs) - x
                 # max(-base_reach, min(base_reach, delta)) spelled out: the same value, without two calls
                 delta = delta if delta < base_reach else base_reach
                 x = x + (delta if delta > -base_reach else -base_reach)
-            pairs = hand_pairs[hand]
             # bitwise x == old, as 0.0 == -0.0; the pairs compare targets as floats, the loop as objects
             if x == old and (x or math.copysign(1.0, x) == math.copysign(1.0, old)):
                 if self._settled[hand] == pairs:
@@ -375,17 +379,15 @@ def step_hand(
     ``targets`` maps enabled FingerId -> 3D point.
     """
     motion = HandMotion(config, geom, dt, state)
-    hand_pairs, hand_xs = ([], []), ([], [])
+    hand_pairs = ([], [])
     for finger, target in targets.items():
         if finger not in state.fingers:
             raise InvalidConfigError(f"target for disabled or unknown finger {finger}")
         if len(target) != 3:
             raise InvalidConfigError(f"target for {finger} must be 3 numbers, got {target!r}")
         point = tuple(float(c) for c in target)
-        hand = finger.hand == RIGHT
-        hand_pairs[hand].append((state.fingers.index(finger), point))
-        hand_xs[hand].append(point[0])
-    motion.step(hand_pairs, hand_xs)
+        hand_pairs[finger.hand == RIGHT].append((state.fingers.index(finger), point))
+    motion.step(hand_pairs)
     return HandState(fingers=state.fingers, fingertips=tuple(motion.tips), base=motion.base)
 
 

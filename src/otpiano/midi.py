@@ -31,6 +31,10 @@ HAND_STATE_DIM = 46
 FINGERTIP_SLOTS = 10
 OBSERVATION_DIM = 1144
 ACTION_DIM = 39
+# The most steps ``discretize`` gives one song: 14.6 hours at the default dt of 0.05 s, more than any
+# single piece, and a (T + 1, 88) int32 fill array of 369 MB, so a song that asks for more is refused
+# before anything is allocated.
+MAX_STEPS = 2**20
 
 _SUSTAIN_CONTROLLER = 64
 _SUSTAIN_ON = 64  # CC values >= this count as pedal down
@@ -380,7 +384,9 @@ def discretize(
     pedal state (CC value >= 64) at each step start.  Notes outside the
     88-key range are left out silently; ``parse_midi`` reports them.  A
     ``dt`` or ``stretch`` that is not positive and finite is refused, and so
-    is one that puts a note's time over ``dt`` past every float.
+    is one that puts a note's time over ``dt`` past every float, and a song
+    whose grid would have more than ``MAX_STEPS`` steps, before the grid
+    is allocated.
     """
     require_positive("dt", dt)
     require_positive("stretch", stretch)
@@ -394,6 +400,12 @@ def discretize(
     spans = np.array([(key_for_pitch(n.pitch), *note_step_span(n, dt, stretch, shift)) for n in kept])
     key, first, end = spans[:, 0], np.maximum(spans[:, 1], 0), spans[:, 2]
     length = max(int(end.max()), 0)
+    if length > MAX_STEPS:
+        latest = kept[int(np.argmax(end))]
+        raise ValueError(
+            f"note {latest.pitch} at {latest.onset!r} s ends at step {length:.10g} at stretch {stretch!r}, dt {dt!r}, "
+            f"past the limit of {MAX_STEPS} steps"
+        )
     # difference array: +1 where a note's interval starts, -1 where it ends;
     # a note that ends by step 0 (negative times, no trim) fills nothing
     live = first < end

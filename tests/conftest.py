@@ -84,6 +84,15 @@ def middle_c_file() -> bytes:
     return simple_song([(60, 0, 480)])
 
 
+def huge_grid_song() -> bytes:
+    """A valid 43-byte file whose one note asks for 27,487,370 steps at the default dt and stretch.
+
+    One tick per quarter at 0xFFFFFF us per quarter, and middle C held 0xFFFF ticks: about 305 hours.
+    """
+    track = [(0, set_tempo(0xFFFFFF)), (0, note_on(0, 60)), (0xFFFF, note_off(0, 60))]
+    return midi_bytes([track], division=1, fmt=0)
+
+
 def key_rows(active_sets) -> np.ndarray:
     """(T, 88) bool goal keys whose row t is set at the keys of ``active_sets[t]``."""
     rows = np.zeros((len(active_sets), 88), dtype=bool)

@@ -8,6 +8,9 @@ for bit.  Also here: state summaries that only tests use.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
 from otpiano.assign import CostMatrix, solve_assignment
@@ -43,15 +46,15 @@ class HandMotion:
 
     def step(self, tips: np.ndarray, base: tuple, rows: list, targets: "np.ndarray | None") -> tuple:
         """Returns the new ``(fingertips, (left_x, right_x))``; ``targets`` is (len(rows), 3)."""
-        hand_xs = ([], [])
+        target_xs = ([], [])
         if rows:
             for x, row in zip(targets[:, 0].tolist(), rows):
-                hand_xs[0 if self.is_left[row] else 1].append(x)
+                target_xs[0 if self.is_left[row] else 1].append(x)
         goals = self.rest.copy()
         new_base = []
-        for x, xs, idx in zip(base, hand_xs, self.hand_rows):
+        for x, xs, idx in zip(base, target_xs, self.hand_rows):
             if xs:
-                delta = sum(xs) / len(xs) - x
+                delta = reduce(operator.add, xs, 0.0) / len(xs) - x  # left to right: sum() compensates from 3.12 on
                 x = x + max(-self.base_reach, min(self.base_reach, delta))
             goals[idx, 0] += x
             new_base.append(x)

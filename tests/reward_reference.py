@@ -8,6 +8,9 @@ explicit false-press flag and a sustain state off its target.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from otpiano.reward import DEFAULT_PARAMS, RewardParams
 
 
@@ -20,7 +23,8 @@ def press_reward(key_state, active_keys, false_press: bool, params: RewardParams
     """
     active = sorted(active_keys)
     if active:
-        depth_term = sum(params.shaping(abs(key_state.depths[k] - 1.0)) for k in active) / len(active)
+        shaped = (params.shaping(abs(key_state.depths[k] - 1.0)) for k in active)
+        depth_term = reduce(operator.add, shaped, 0.0) / len(active)  # left to right: sum() compensates from 3.12 on
     else:
         depth_term = 1.0
     return 0.5 * depth_term + 0.5 * (0.0 if false_press else 1.0)

@@ -28,8 +28,8 @@ def _load(name):
 def _hand_step():
     config, geom = HandConfig(), KeyboardGeometry()
     motion = HandMotion(config, geom, 0.05, init_hands(config, geom))
-    motion.step(([], []), ([], []))
-    assert motion.step(([], []), ([], []))  # hands settled at rest step again only where the patch forces it
+    motion.step(([], []))
+    assert motion.step(([], []))  # hands settled at rest step again only where the patch forces it
 
 
 # patch name -> the object and attribute it replaces, and one direct call that reaches it

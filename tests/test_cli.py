@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import eval_reference
-from conftest import episode_with_raw_meta, golden_songs, midi_bytes, note_off, note_on, set_tempo, simple_song
+from conftest import episode_with_raw_meta, golden_songs, huge_grid_song, midi_bytes, note_off, note_on, set_tempo, simple_song
 from otpiano import annotate, cli, store
 from otpiano.cli import main
 from otpiano.metrics import f1_rows
-from otpiano.midi import observation_layout
+from otpiano.midi import MAX_STEPS, observation_layout
 from otpiano.pig import load_pig, save_pig
 from otpiano.store import EpisodeRecord, corpus_pieces, csv_cell, iter_episodes, load_episode, reward_rows
 from otpiano.store import rewards_csv, save_episode, song_key_counts
@@ -764,6 +764,22 @@ def test_annotate_fails_each_song_whose_steps_overflow(song_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert "FAIL chord: ValueError: note 60" in err and "FAIL line: ValueError: note 60" in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_annotate_fails_a_song_past_max_steps_and_writes_the_rest(song_dir, tmp_path, capsys, jobs):
+    # the 43-byte file asks for 27,487,370 steps: refused before its grid is allocated, the batch goes on
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert _annotate(song_dir, clean) == 0
+    (song_dir / "huge.mid").write_bytes(huge_grid_song())
+    capsys.readouterr()
+    assert _annotate(song_dir, out, "--jobs", jobs) == 1
+    err = capsys.readouterr().err
+    assert "FAIL huge: ValueError: note 60 " in err and f"past the limit of {MAX_STEPS} steps" in err
+    assert "1 of 3 songs failed" in err
+    assert sorted(path.name for path in out.iterdir()) == sorted(path.name for path in clean.iterdir())
+    for path in clean.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes()
 
 
 def test_rest_offset_override_is_recorded(song_dir, tmp_path):

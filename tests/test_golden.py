@@ -120,10 +120,8 @@ def _run(argv) -> str:
     return out.getvalue()
 
 
-@pytest.fixture(scope="module")
-def annotated(tmp_path_factory):
-    """Run name -> output directory of ``annotate`` on the golden songs."""
-    base = tmp_path_factory.mktemp("golden")
+def annotate_runs(base) -> dict:
+    """Run name -> output directory of ``annotate`` on the golden songs, all written under ``base``."""
     midi = base / "midi"
     midi.mkdir()
     for name, data in golden_songs().items():
@@ -135,10 +133,19 @@ def annotated(tmp_path_factory):
     return dirs
 
 
+def file_digests(directory) -> dict:
+    """File name -> SHA-256 of every file in ``directory``."""
+    return {path.name: _sha256(path.read_bytes()) for path in sorted(directory.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def annotated(tmp_path_factory):
+    return annotate_runs(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_annotate_outputs_match_golden_digests(run, annotated):
-    digests = {path.name: _sha256(path.read_bytes()) for path in sorted(annotated[run].iterdir())}
-    assert digests == GOLDEN[run]
+    assert file_digests(annotated[run]) == GOLDEN[run]
 
 
 def test_read_outputs_match_golden_digests(annotated, tmp_path):

@@ -122,11 +122,10 @@ def _motion(config, dt, tips, base):
 def _step(motion, rows, targets):
     """``motion.step`` with ``targets[m]`` assigned to finger row ``rows[m]``, split by hand as annotate_song does."""
     split = motion.hand_bounds[1][0]
-    hand_pairs, hand_xs = ([], []), ([], [])
+    hand_pairs = ([], [])
     for row, target in zip(rows, targets):
         hand_pairs[row >= split].append((row, target))
-        hand_xs[row >= split].append(target[0])
-    return motion.step(hand_pairs, hand_xs)
+    return motion.step(hand_pairs)
 
 
 def _assert_step_matches_reference(config, dt, tips, base, rows, targets):

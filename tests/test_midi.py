@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     control_change,
     golden_songs,
+    huge_grid_song,
     key_rows,
     midi_bytes,
     mutated_bytes,
@@ -25,8 +27,10 @@ import goal_text_reference as reference
 import midi_reference
 import pig_reference
 from numpy_reference import key_onsets
+from otpiano import midi
 from otpiano.keyboard import KeyState, OutOfRangeError
 from otpiano.midi import (
+    MAX_STEPS,
     DimensionMismatchError,
     EmptySongError,
     _GOAL_LINE,
@@ -474,6 +478,40 @@ def test_stretch_scales_step_indices():
             assert key in _active(doubled, 2 * t)
             assert key in _active(doubled, 2 * t + 1)
     assert len(doubled) == 2 * len(base)
+
+
+def test_discretize_refuses_a_grid_past_max_steps_before_allocating_it(monkeypatch):
+    data = huge_grid_song()
+    assert len(data) == 43
+    notes = parse_midi(data).notes
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 2**20, f"np.zeros{shape!r} called"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            discretize(notes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    message = str(refused.value)
+    for part in ("note 60 ", "step 27487370 ", "stretch 1.25", "dt 0.05", f"limit of {MAX_STEPS} steps"):
+        assert part in message
+
+
+def test_discretize_allows_max_steps_exactly(monkeypatch):
+    monkeypatch.setattr(midi, "MAX_STEPS", 4)
+    assert len(discretize([_note(60, 0.0, 0.2)], dt=0.05, stretch=1.0, trim_silence=False)) == 4
+    with pytest.raises(ValueError, match="ends at step 5 .* past the limit of 4 steps"):
+        discretize([_note(60, 0.0, 0.25)], dt=0.05, stretch=1.0, trim_silence=False)
+    # a step count past ten digits is given to ten significant ones
+    with pytest.raises(ValueError, match=r"ends at step 1\.2e\+301 at stretch 1e\+300"):
+        discretize([_note(60, 0.5, 0.6)], stretch=1e300, trim_silence=False)
 
 
 def test_key_onsets_counts_activations_once():
