@@ -49,24 +49,21 @@ import numpy as np
 from . import __version__
 from .assign import InfeasibleError, key_distances, resting_gap, resting_pairs, solve_cost_rows
 from .hand import ALL_FINGERS, LEFT, HandConfig, HandMotion, bases_collide, init_hands
-from .keyboard import KEY_COUNT, MAX_PITCH, MIN_PITCH, KeyboardGeometry, key_for_pitch, press_point_table
+from .keyboard import KEY_COUNT, KeyboardGeometry, key_for_pitch, press_point_table
 from .metrics import f1, precision_recall
 from .midi import (
     ACTION_DIM,
     DEFAULT_LOOKAHEAD,
-    DEFAULT_STRETCH,
     HAND_STATE_DIM,
     GoalSequence,
     discretize,
     goal_to_text,
     goal_windows,
     load_midi,
-    note_step_span,
     numbered_lines,
     observation_dim,
     require_positive,
     step_runs,
-    trim_shift,
     write_observations,
 )
 from .pig import PigRecord, midi_to_spelled, save_pig
@@ -321,41 +318,30 @@ def build_episode_record(
 # ---------------------------------------------------------------------------
 
 
-def annotation_to_pig(
-    annotation: FingeringAnnotation,
-    notes,
-    stretch: float = DEFAULT_STRETCH,
-    trim_silence: bool = True,
-) -> list:
-    """Label each note onset with the finger assigned at its first step.
+def annotation_to_pig(goals: GoalSequence, annotation: FingeringAnnotation) -> list:
+    """Label each note of ``goals.note_starts`` with the finger assigned at its first step.
 
-    The notes and the stretch/trim settings must match the discretization
-    the annotation was produced from.  Right-hand fingers become positive
-    digits on channel 0, left-hand fingers negative digits on channel 1.
-    A note without a finger is skipped: a key best-effort mode dropped, a
-    pitch off the keyboard, or a note that covers no step of the annotation
-    (its step span ``[first, end)`` is empty or lies outside the grid, so
-    the discretization gave it no cell).  A ``stretch`` that is not
-    positive and finite is refused, as ``discretize`` refuses it.
+    ``discretize`` records those notes and steps; goals read back with
+    ``goal_from_text``, or built by hand, have none, and give no records.
+    Right-hand fingers become positive digits on channel 0, left-hand
+    fingers negative digits on channel 1.  A note without a start gets no
+    record (a pitch off the keyboard, a note that covers no step or one that
+    starts before step 0), and neither does one whose key has no finger at
+    its first step, such as a key best-effort mode dropped.  Goals and an
+    annotation of different step counts are refused.
     """
-    require_positive("stretch", stretch)
-    notes = sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
-    # same playable-note shift as discretize, so step indices line up
-    shift = trim_shift(notes, stretch) if (trim_silence and notes) else 0.0
+    if len(goals) != len(annotation):
+        raise ValueError("goal sequence and annotation disagree on step count")
     records = []
-    note_id = 0
-    for note in notes:
-        first, end = note_step_span(note, annotation.dt, stretch, shift)
-        slot = NO_FINGER
-        if 0 <= first < min(end, len(annotation)) and MIN_PITCH <= note.pitch <= MAX_PITCH:
-            slot = annotation.finger[first, key_for_pitch(note.pitch)]
+    for first, note in goals.note_starts:
+        slot = annotation.finger[first, key_for_pitch(note.pitch)]
         if slot < 0:
             continue
         finger = ALL_FINGERS[slot]
         digit = finger.digit if finger.hand != LEFT else -finger.digit
         records.append(
             PigRecord(
-                note_id=note_id,
+                note_id=len(records),
                 onset=note.onset,
                 offset=note.offset,
                 spelled_pitch=midi_to_spelled(note.pitch),
@@ -365,7 +351,6 @@ def annotation_to_pig(
                 finger=str(digit),
             )
         )
-        note_id += 1
     return records
 
 
@@ -543,7 +528,7 @@ def run_song(path, settings: SongSettings) -> SongResult:
         scores = score_annotation(goals, annotation, settings.params)
         (staging / f"{stem}.rewards.csv").write_text(header + score_csv(scores), encoding="utf-8")
         if settings.pig_out:
-            records = annotation_to_pig(annotation, song.notes, stretch=stretch, trim_silence=trim_silence)
+            records = annotation_to_pig(goals, annotation)
             save_pig(records, staging / f"{stem}.pig.txt", header_comments=comments)
         episodes = chunk_episodes(goals, annotation, settings.episode_len)
         for episode in episodes:

@@ -4,9 +4,11 @@ Reads SMF format 0/1 byte-exactly (no external MIDI dependency), one pass
 over each track that matches its notes as it goes, converts ticks to seconds
 through the tempo map, and discretizes note intervals onto a fixed control
 grid: a (T, 88) bool array of keys that must be down plus a (T,) binary
-sustain-pedal target.  Lookahead windows of that grid are sliced into goal
-vectors and observation blocks, and the grid is written to and read back
-from a line-per-step text format in one pass each way.
+sustain-pedal target.  ``discretize`` is the one place a note's time becomes
+a step: it also records the step each note starts at, which the PIG export
+reads.  Lookahead windows of that grid are sliced into goal vectors and
+observation blocks, and the grid is written to and read back from a
+line-per-step text format in one pass each way.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import re
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import itemgetter
 
@@ -65,7 +67,7 @@ class NoteEvent:
     channel: int
 
     def __init__(self, pitch: int, onset: float, offset: float, velocity: int, channel: int) -> None:
-        if offset <= onset:
+        if not offset > onset:  # false for a NaN time too
             raise ValueError(f"offset {offset} must exceed onset {onset}")
         # the frozen __setattr__ refuses assignment, so the checked fields go into the instance dict at once
         self.__dict__.update(pitch=pitch, onset=onset, offset=offset, velocity=velocity, channel=channel)
@@ -296,12 +298,16 @@ class GoalSequence:
     that must be down at step t; ``sustain`` is the read-only ``(T,)`` 0/1
     pedal target (all zero when omitted).  An empty 1-D ``keys`` is the
     0-step sequence; any other shape than ``(T, 88)``, ``(T, 0)`` included,
-    raises DimensionMismatchError.
+    raises DimensionMismatchError.  ``note_starts`` holds
+    ``(first step, note)`` for each note whose first step ``discretize`` put
+    on the grid, in ``(onset, pitch, channel)`` order; goals read back with
+    ``goal_from_text``, or built by hand, have none.
     """
 
     keys: np.ndarray
     sustain: "np.ndarray | None" = None
     dt: float = DEFAULT_DT
+    note_starts: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         require_positive("dt", self.dt)
@@ -331,41 +337,10 @@ def onset_mask(keys: np.ndarray) -> np.ndarray:
     return keys & ~before
 
 
-def _first_step(time: float, dt: float) -> int:
-    return int(math.floor(time / dt + _STEP_EPS))
-
-
-def _end_step(time: float, dt: float) -> int:
-    """Exclusive end step of an interval finishing at ``time``."""
-    return int(math.ceil(time / dt - _STEP_EPS))
-
-
 def require_positive(name: str, value: float) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is positive and finite (nan is neither)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def note_step_span(note: NoteEvent, dt: float, stretch: float, shift: float) -> tuple[int, int]:
-    """Half-open step range [first, end) a note occupies after stretch/shift; a ValueError where a time over dt overflows."""
-    onset = note.onset * stretch - shift
-    offset = note.offset * stretch - shift
-    if not (math.isfinite(onset / dt) and math.isfinite(offset / dt)):
-        raise ValueError(f"note {note.pitch} at {note.onset!r} s has no finite step at stretch {stretch!r}, dt {dt!r}")
-    return _first_step(onset, dt), _end_step(offset, dt)
-
-
-def keyboard_notes(notes) -> list:
-    """The subset of notes within the 88-key pitch range, order preserved."""
-    return [n for n in notes if MIN_PITCH <= n.pitch <= MAX_PITCH]
-
-
-def trim_shift(notes, stretch: float) -> float:
-    """Time shift that maps the earliest playable stretched onset to t = 0."""
-    playable = keyboard_notes(notes)
-    if not playable:
-        raise EmptySongError("cannot trim silence: song has no playable notes")
-    return min(n.onset for n in playable) * stretch
 
 
 def discretize(
@@ -378,48 +353,66 @@ def discretize(
     """Discretize note events into a GoalSequence.
 
     All times are multiplied by ``stretch`` first; with ``trim_silence`` the
-    grid starts at the earliest onset.  A key is active at step t when the
-    stretched [onset, offset) interval intersects [t*dt, (t+1)*dt); boundary
-    comparisons carry a 1e-9-step tolerance.  The sustain bit samples the
-    pedal state (CC value >= 64) at each step start.  Notes outside the
-    88-key range are left out silently; ``parse_midi`` reports them.  A
-    ``dt`` or ``stretch`` that is not positive and finite is refused, and so
-    is one that puts a note's time over ``dt`` past every float, and a song
-    whose grid would have more than ``MAX_STEPS`` steps, before the grid
-    is allocated.
+    grid starts at the earliest onset.  A note occupies the steps
+    ``[first, end)`` whose intervals [t*dt, (t+1)*dt) its stretched
+    [onset, offset) intersects; boundary comparisons carry a 1e-9-step
+    tolerance.  The sustain bit samples the pedal state (CC value >= 64) at
+    each step start.  Notes outside the 88-key range are left out silently;
+    ``parse_midi`` reports them.  ``note_starts`` of the result pairs each
+    note with ``0 <= first < end`` with its ``first``, sorted stably by
+    ``(onset, pitch, channel)``: a note that starts before step 0 (negative
+    times, no trim) fills its steps but has no start.  A ``dt`` or
+    ``stretch`` that is not positive and finite is refused, and so is one
+    that puts a note's time over ``dt`` past every float, and a song whose
+    grid would have more than ``MAX_STEPS`` steps, before the grid is
+    allocated.
     """
     require_positive("dt", dt)
     require_positive("stretch", stretch)
-    kept = keyboard_notes(notes)
+    kept = [n for n in notes if MIN_PITCH <= n.pitch <= MAX_PITCH]
     if not kept:
         if trim_silence:
             raise EmptySongError("cannot trim silence: song has no playable notes")
         return GoalSequence(np.zeros((0, KEY_COUNT), dtype=bool), dt=dt)
 
-    shift = trim_shift(kept, stretch) if trim_silence else 0.0
-    spans = np.array([(key_for_pitch(n.pitch), *note_step_span(n, dt, stretch, shift)) for n in kept])
-    key, first, end = spans[:, 0], np.maximum(spans[:, 1], 0), spans[:, 2]
-    length = max(int(end.max()), 0)
+    # stretched, shifted onsets and offsets over dt; a time that overflows is refused below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        stretched = np.array([(n.onset, n.offset) for n in kept], dtype=np.float64) * stretch
+        shift = stretched[:, 0].min() if trim_silence else 0.0
+        steps = (stretched - shift) / dt
+    finite = np.isfinite(steps).all(axis=1)
+    if not finite.all():
+        note = kept[int(np.argmin(finite))]
+        raise ValueError(f"note {note.pitch} at {note.onset!r} s has no finite step at stretch {stretch!r}, dt {dt!r}")
+    # in floats until the grid is known to fit: a step far before 0 fits no integer
+    first = np.floor(steps[:, 0] + _STEP_EPS)
+    end = np.ceil(steps[:, 1] - _STEP_EPS)
+    length = max(end.max(), 0.0)
     if length > MAX_STEPS:
         latest = kept[int(np.argmax(end))]
         raise ValueError(
             f"note {latest.pitch} at {latest.onset!r} s ends at step {length:.10g} at stretch {stretch!r}, dt {dt!r}, "
             f"past the limit of {MAX_STEPS} steps"
         )
+    length = int(length)
     # difference array: +1 where a note's interval starts, -1 where it ends;
     # a note that ends by step 0 (negative times, no trim) fills nothing
-    live = first < end
+    start = np.maximum(first, 0.0)
+    live = start < end
+    key = np.array([key_for_pitch(n.pitch) for n in kept])[live]
     fill = np.zeros((length + 1, KEY_COUNT), dtype=np.int32)
-    np.add.at(fill, (first[live], key[live]), 1)
-    np.add.at(fill, (end[live], key[live]), -1)
+    np.add.at(fill, (start[live].astype(np.intp), key), 1)
+    np.add.at(fill, (end[live].astype(np.intp), key), -1)
     keys = np.cumsum(fill[:length], axis=0, out=fill[:length]) > 0
+    note_starts = [(int(first[i]), kept[i]) for i in np.flatnonzero(live & (first >= 0)).tolist()]
+    note_starts.sort(key=lambda pair: (pair[1].onset, pair[1].pitch, pair[1].channel))
 
     # pedal state sampled at step starts: the last event at or before each start
     times = np.array([p.time * stretch - shift for p in pedal], dtype=np.float64)
     order = np.argsort(times, kind="stable")
     levels = np.concatenate(([0], np.array([p.value for p in pedal], dtype=np.int64)[order]))
     reached = np.searchsorted(times[order], np.arange(length) * dt + _STEP_EPS * dt, side="right")
-    return GoalSequence(keys, sustain=levels[reached] >= _SUSTAIN_ON, dt=dt)
+    return GoalSequence(keys, sustain=levels[reached] >= _SUSTAIN_ON, dt=dt, note_starts=tuple(note_starts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared test helpers: a minimal standalone MIDI byte writer, goal rows and byte mutations.
+"""Shared test helpers: a minimal standalone MIDI byte writer, goal rows, byte mutations and corpus songs.
 
 The writer is deliberately independent of the package's parser so golden
 files exercise a real encode/decode boundary.
@@ -6,11 +6,15 @@ files exercise a real encode/decode boundary.
 
 from __future__ import annotations
 
+import runpy
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+from otpiano.hand import HandConfig
 
 
 def vlq(value: int) -> bytes:
@@ -171,3 +175,14 @@ def golden_songs() -> dict:
             tick += length
     songs["legato"] = simple_song(notes, us_per_beat=600000)
     return songs
+
+
+# perfbench's corpus families, seed 0 (grid; legato with tempo changes, off-keyboard notes, dangling note-ons
+# and a stray note-off), each with the hands it is rolled out with: grid songs with ten fingers (strict), legato
+# songs with four (best effort); name -> (SMF bytes, hands, best_effort)
+_CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "corpus.py"))
+ROLLOUT_SONGS = {
+    f"{kind}-{seconds}": (song.data, hands, best_effort)
+    for kind, hands, best_effort in [("grid", HandConfig.default(), False), ("legato", HandConfig.four_finger(), True)]
+    for seconds, song in zip((20, 40), _CORPUS["generate"](kind, 0, (20, 40)))
+}

@@ -1,4 +1,4 @@
-"""The two-pass SMF parser, kept as an independent reference.
+"""Two independent references: the two-pass SMF parser, and the per-note note-to-step rule.
 
 ``otpiano.midi.parse_midi`` reads each track once and matches its notes
 while it reads; this is the parser it replaced, which read every track
@@ -8,19 +8,26 @@ must return equal ``MidiSong``s (notes, pedal and problems, in order), or
 raise MalformedMidiError with the same message, on every input.  The one
 change to the old parser: a channel event's data byte above 0x7F raises
 MalformedMidiError here too, as it does in ``parse_midi``.
+
+``note_step_span``, ``keyboard_notes`` and ``trim_shift`` are the per-note
+rule that ``otpiano.midi.discretize`` replaced with one array computation
+over all notes; ``note_starts`` reads from it the ``(first step, note)``
+pairs that ``discretize`` must record.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_right
 from operator import itemgetter
 
 from otpiano.keyboard import MAX_PITCH, MIN_PITCH
-from otpiano.midi import MalformedMidiError, MidiSong, NoteEvent, PedalEvent
+from otpiano.midi import EmptySongError, MalformedMidiError, MidiSong, NoteEvent, PedalEvent
 
 _SUSTAIN_CONTROLLER = 64
 _DEFAULT_US_PER_BEAT = 500000
+_STEP_EPS = 1e-9  # tolerance for grid-boundary comparisons
 
 
 class _Reader:
@@ -229,3 +236,50 @@ def parse_midi(data: bytes) -> MidiSong:
         for tick, value in sorted(raw_pedal, key=lambda pair: pair[0])
     )
     return MidiSong(notes=tuple(notes), pedal=pedal, problems=tuple(problems))
+
+
+# ---------------------------------------------------------------------------
+# The per-note note-to-step rule
+# ---------------------------------------------------------------------------
+
+
+def _first_step(time: float, dt: float) -> int:
+    return int(math.floor(time / dt + _STEP_EPS))
+
+
+def _end_step(time: float, dt: float) -> int:
+    """Exclusive end step of an interval finishing at ``time``."""
+    return int(math.ceil(time / dt - _STEP_EPS))
+
+
+def note_step_span(note: NoteEvent, dt: float, stretch: float, shift: float) -> tuple[int, int]:
+    """Half-open step range [first, end) a note occupies after stretch/shift; a ValueError where a time over dt overflows."""
+    onset = note.onset * stretch - shift
+    offset = note.offset * stretch - shift
+    if not (math.isfinite(onset / dt) and math.isfinite(offset / dt)):
+        raise ValueError(f"note {note.pitch} at {note.onset!r} s has no finite step at stretch {stretch!r}, dt {dt!r}")
+    return _first_step(onset, dt), _end_step(offset, dt)
+
+
+def keyboard_notes(notes) -> list:
+    """The subset of notes within the 88-key pitch range, order preserved."""
+    return [n for n in notes if MIN_PITCH <= n.pitch <= MAX_PITCH]
+
+
+def trim_shift(notes, stretch: float) -> float:
+    """Time shift that maps the earliest playable stretched onset to t = 0."""
+    playable = keyboard_notes(notes)
+    if not playable:
+        raise EmptySongError("cannot trim silence: song has no playable notes")
+    return min(n.onset for n in playable) * stretch
+
+
+def note_starts(notes, dt: float, stretch: float, trim_silence: bool) -> list:
+    """``(first, note)`` of each keyboard note with ``0 <= first < end``, stably sorted by (onset, pitch, channel)."""
+    shift = trim_shift(notes, stretch) if trim_silence else 0.0
+    starts = []
+    for note in keyboard_notes(notes):
+        first, end = note_step_span(note, dt, stretch, shift)
+        if 0 <= first < end:
+            starts.append((first, note))
+    return sorted(starts, key=lambda pair: (pair[1].onset, pair[1].pitch, pair[1].channel))

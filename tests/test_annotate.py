@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gc
 import re
-import runpy
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 import numpy_reference as reference
 import otpiano.annotate as annotate_module
-from conftest import key_rows, simple_song
+from conftest import ROLLOUT_SONGS, key_rows, simple_song
 from reward_reference import collision_reward, press_reward, sustain_reward
 from otpiano.annotate import (
     ANNOTATION_HEADER,
@@ -45,7 +44,7 @@ from otpiano.hand import (
 )
 from otpiano.keyboard import KeyboardGeometry, KeyState, OutOfRangeError, key_press_point, press_point_table
 from otpiano.metrics import f1
-from otpiano.midi import GoalSequence, NoteEvent, discretize, goal_from_text, parse_midi
+from otpiano.midi import GoalSequence, NoteEvent, discretize, goal_from_text, goal_to_text, parse_midi
 from otpiano.reward import DEFAULT_PARAMS, RewardParams, ot_reward, total_reward
 from otpiano.store import EpisodeRecord
 
@@ -298,18 +297,9 @@ class _SteppingHandMotion(HandMotion):
         return super().step(*pairs)
 
 
-# perfbench's corpus families, seed 0: grid songs with ten fingers (strict), legato songs with four (best effort)
-_CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "corpus.py"))
-_ROLLOUT_SONGS = {
-    f"{kind}-{seconds}": (song.data, hands, best_effort)
-    for kind, hands, best_effort in [("grid", HANDS, False), ("legato", HandConfig.four_finger(), True)]
-    for seconds, song in zip((20, 40), _CORPUS["generate"](kind, 0, (20, 40)))
-}
-
-
-@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
+@pytest.mark.parametrize("name", list(ROLLOUT_SONGS))
 def test_skipping_settled_hands_leaves_corpus_rollouts_unchanged(name):
-    data, hands, best_effort = _ROLLOUT_SONGS[name]
+    data, hands, best_effort = ROLLOUT_SONGS[name]
     song = parse_midi(data)
     goals = discretize(song.notes, pedal=song.pedal)
     skipped = []
@@ -349,6 +339,7 @@ def test_readme_quick_start_runs_and_pairs_lists_each_fingered_key(tmp_path, mon
     for t in range(len(annotation)):
         assert annotation.pairs(t) == _pairs_of_cells(annotation.finger[t]), t
     assert any(annotation.pairs(t) for t in range(len(annotation)))
+    assert [record.pitch for record in scope["pig"]] == [48, 60, 64, 67, 72]  # every note, by onset then pitch
     # a key best-effort mode dropped has no finger, so pairs leaves it out
     dropped = _manual_annotation([[(39, FingerId(RIGHT, 1)), (40, FingerId(RIGHT, 2))]])
     dropped.finger[0, 41] = DROPPED
@@ -423,7 +414,8 @@ def test_the_mode_is_recorded_in_the_annotation_snapshot(tmp_path, best_effort):
 
 def _settings(out, **changes):
     values = dict(dt=0.05, stretch=1.25, trim_silence=True, best_effort=False, episode_len=20, lookahead=10)
-    return SongSettings(out, GEOM, HANDS, DEFAULT_PARAMS, pig_out=False, **{**values, **changes})
+    values["pig_out"] = False
+    return SongSettings(out, GEOM, HANDS, DEFAULT_PARAMS, **{**values, **changes})
 
 
 @pytest.mark.parametrize(
@@ -515,76 +507,102 @@ def test_pig_export_hand_conventions():
         NoteEvent(pitch=60, onset=0.0, offset=0.1, velocity=80, channel=0),
         NoteEvent(pitch=40, onset=0.0, offset=0.1, velocity=70, channel=1),
     ]
+    goals = discretize(notes, stretch=1.0, trim_silence=False)
     annotation = _manual_annotation(
         [[(39, FingerId(RIGHT, 1)), (19, FingerId(LEFT, 5))], [(39, FingerId(RIGHT, 1)), (19, FingerId(LEFT, 5))]]
     )
-    records = annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False)
+    records = annotation_to_pig(goals, annotation)
     by_pitch = {r.pitch: r for r in records}
     assert by_pitch[60].finger == "1" and by_pitch[60].channel == 0
     assert by_pitch[40].finger == "-5" and by_pitch[40].channel == 1
     assert by_pitch[60].onset == 0.0 and by_pitch[60].offset == 0.1
+    assert [r.note_id for r in records] == [0, 1] and [r.pitch for r in records] == [40, 60]  # by onset, then pitch
 
 
 def test_pig_export_uses_first_active_step():
     # finger changes mid-note; the onset label wins
     annotation = _manual_annotation([[(39, FingerId(RIGHT, 2))], [(39, FingerId(RIGHT, 3))]])
     notes = [NoteEvent(pitch=60, onset=0.0, offset=0.1, velocity=80, channel=0)]
-    (record,) = annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False)
+    goals = discretize(notes, stretch=1.0, trim_silence=False)
+    (record,) = annotation_to_pig(goals, annotation)
     assert record.finger == "2"
 
 
 def test_pig_export_respects_stretch_and_trim():
-    goals = _sequence([{39}] * 30)
-    annotation = annotate_song(goals, HANDS, GEOM)
     notes = [NoteEvent(pitch=60, onset=2.0, offset=2.0 + 30 * 0.05 / 1.25, velocity=80, channel=0)]
-    (record,) = annotation_to_pig(annotation, notes, stretch=1.25, trim_silence=True)
+    goals = discretize(notes, stretch=1.25, trim_silence=True)
+    assert len(goals) == 30 and goals.note_starts == ((0, notes[0]),)
+    annotation = annotate_song(goals, HANDS, GEOM)
+    (record,) = annotation_to_pig(goals, annotation)
     assert record.onset == 2.0  # original, unstretched time
 
 
 _NOT_POSITIVE = [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
 
 
+def _pig_export_run(out, **settings):
+    """``run_song`` with PIG output of one note, C4 from 0.5 to 0.6 s, under ``settings``."""
+    path = out / "note.mid"
+    path.write_bytes(simple_song([(60, 480, 576)]))
+    return run_song(path, _settings(out, pig_out=True, **settings))
+
+
 @pytest.mark.parametrize("trim_silence", [False, True], ids=["untrimmed", "trimmed"])
 @pytest.mark.parametrize("value", _NOT_POSITIVE, ids=str)
 @pytest.mark.parametrize("call, setting", [("discretize", "dt"), ("discretize", "stretch"), ("pig", "stretch")])
-def test_step_mapping_refuses_a_setting_that_is_not_positive_and_finite(call, setting, value, trim_silence):
+def test_step_mapping_refuses_a_setting_that_is_not_positive_and_finite(tmp_path, call, setting, value, trim_silence):
+    # the PIG export reads the steps discretize records, so a run that writes PIG files refuses the setting first
     notes = [NoteEvent(pitch=60, onset=0.5, offset=0.6, velocity=80, channel=0)]
     with pytest.raises(ValueError, match=f"^{setting} must be positive and finite, got {value!r}$"):
         if call == "discretize":
             discretize(notes, trim_silence=trim_silence, **{setting: value})
         else:
-            annotation = _manual_annotation([[(39, FingerId(RIGHT, 1))]] * 4)
-            annotation_to_pig(annotation, notes, stretch=value, trim_silence=trim_silence)
+            _pig_export_run(tmp_path, trim_silence=trim_silence, **{setting: value})
+    assert not list(tmp_path.glob("*.pig.txt"))
 
 
 @pytest.mark.parametrize("trim_silence", [False, True], ids=["untrimmed", "trimmed"])
 @pytest.mark.parametrize("dt, stretch", [(0.05, 1e308), (5e-324, 1.0)], ids=["huge stretch", "tiny dt"])
 @pytest.mark.parametrize("call", ["discretize", "pig"])
-def test_step_mapping_refuses_a_setting_that_overflows_a_note_step(call, dt, stretch, trim_silence):
+def test_step_mapping_refuses_a_setting_that_overflows_a_note_step(tmp_path, call, dt, stretch, trim_silence):
     # finite settings whose stretched times, or those over dt, overflow to infinity: refused before any grid
     notes = [NoteEvent(pitch=60, onset=0.5, offset=0.6, velocity=80, channel=0)]
     message = f"note 60 at 0.5 s has no finite step at stretch {stretch!r}, dt {dt!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        if call == "discretize":
+    if call == "discretize":
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             discretize(notes, dt=dt, stretch=stretch, trim_silence=trim_silence)
-        else:
-            annotation = _manual_annotation([[(39, FingerId(RIGHT, 1))]] * 4, dt=dt)
-            annotation_to_pig(annotation, notes, stretch=stretch, trim_silence=trim_silence)
+    else:
+        result = _pig_export_run(tmp_path, dt=dt, stretch=stretch, trim_silence=trim_silence)
+        assert result.error == f"ValueError: {message}"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["note.mid"]  # no PIG file, nor any other
 
 
 def test_pig_export_empty():
-    assert annotation_to_pig(_manual_annotation([]), [], stretch=1.0, trim_silence=False) == []
+    goals = discretize([], trim_silence=False)
+    assert annotation_to_pig(goals, _manual_annotation([])) == []
+
+
+def test_pig_export_refuses_goals_and_an_annotation_of_different_lengths():
+    goals = discretize([NoteEvent(60, 0.0, 0.1, 80, 0)], stretch=1.0, trim_silence=False)
+    with pytest.raises(ValueError, match="disagree on step count"):
+        annotation_to_pig(goals, _manual_annotation([[(39, FingerId(RIGHT, 1))]] * 3))
+
+
+def test_pig_export_of_goals_without_note_starts_is_empty():
+    # goals read back from their text carry no notes, so nothing can be labelled
+    goals = discretize([NoteEvent(60, 0.0, 0.1, 80, 0)], stretch=1.0, trim_silence=False)
+    annotation = annotate_song(goals, HANDS, GEOM)
+    assert len(annotation_to_pig(goals, annotation)) == 1
+    assert annotation_to_pig(goal_from_text(goal_to_text(goals)), annotation) == []
 
 
 def test_pig_export_shift_matches_discretize_with_junk_notes():
     # an early unplayable note must not desynchronize the step mapping
-    from otpiano.midi import discretize
-
     notes = [NoteEvent(pitch=10, onset=0.0, offset=0.1, velocity=50, channel=0),
              NoteEvent(pitch=60, onset=2.0, offset=2.5, velocity=80, channel=0)]
     goals = discretize(notes, dt=0.05, stretch=1.0, trim_silence=True)
     annotation = annotate_song(goals, HANDS, GEOM)
-    records = annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=True)
+    records = annotation_to_pig(goals, annotation)
     (record,) = records  # the junk note is skipped, the C4 resolves at step 0
     assert record.pitch == 60
     assert record.onset == 2.0
@@ -595,15 +613,25 @@ def test_pig_export_skips_a_note_that_covers_no_step():
     notes = [NoteEvent(60, 0.0, 0.2, 80, 0), NoteEvent(60, 0.05, 0.05 + 1e-12, 80, 0)]
     goals = discretize(notes, dt=0.05, stretch=1.0, trim_silence=False)
     annotation = annotate_song(goals, HANDS, GEOM)
-    (record,) = annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False)
+    (record,) = annotation_to_pig(goals, annotation)
     assert (record.onset, record.offset) == (0.0, 0.2)
+
+
+def test_pig_export_skips_a_note_that_starts_before_step_0():
+    # without trimming, a note held across time 0 fills steps from 0 on but has no first step on the grid
+    notes = [NoteEvent(60, -0.1, 0.1, 80, 0), NoteEvent(64, 0.0, 0.1, 80, 0)]
+    goals = discretize(notes, dt=0.05, stretch=1.0, trim_silence=False)
+    assert goals.keys[0, 39] and goals.note_starts == ((0, notes[1]),)
+    (record,) = annotation_to_pig(goals, annotate_song(goals, HANDS, GEOM))
+    assert record.pitch == 64
 
 
 def test_pig_export_unlabeled_note():
     # a note whose key has no finger at its first step is skipped, not an error
     annotation = _manual_annotation([[]])
     notes = [NoteEvent(pitch=60, onset=0.0, offset=0.04, velocity=80, channel=0)]
-    assert annotation_to_pig(annotation, notes, stretch=1.0, trim_silence=False) == []
+    goals = discretize(notes, stretch=1.0, trim_silence=False)
+    assert annotation_to_pig(goals, annotation) == []
 
 
 # ---------------------------------------------------------------------------

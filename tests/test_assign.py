@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import math
-import runpy
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import assign_reference
+from conftest import ROLLOUT_SONGS
 import numpy_reference as reference
 import otpiano.assign as assign_module
 from otpiano.annotate import annotate_song
@@ -655,18 +654,9 @@ def test_solves_within_the_tolerance_on_an_exact_tolerance_boundary():
         assert optimum - eps <= total <= optimum + eps
 
 
-# perfbench's corpus families, seed 0: grid songs with ten fingers (strict), legato songs with four (best effort)
-_CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "corpus.py"))
-_ROLLOUT_SONGS = {
-    f"{kind}-{seconds}": (song.data, hands, best_effort)
-    for kind, hands, best_effort in [("grid", HandConfig.default(), False), ("legato", HandConfig.four_finger(), True)]
-    for seconds, song in zip((20, 40), _CORPUS["generate"](kind, 0, (20, 40)))
-}
-
-
 def _assert_rollouts_unchanged(name, attribute, replacement):
     """The five arrays of a corpus song's rollout are the same bits with ``assign_module.<attribute>`` replaced."""
-    data, hands, best_effort = _ROLLOUT_SONGS[name]
+    data, hands, best_effort = ROLLOUT_SONGS[name]
     song = parse_midi(data)
     goals = discretize(song.notes, pedal=song.pedal)
     ours = annotate_song(goals, hands, GEOM, best_effort=best_effort)
@@ -677,12 +667,12 @@ def _assert_rollouts_unchanged(name, attribute, replacement):
         assert getattr(ours, array).tobytes() == getattr(theirs, array).tobytes(), array
 
 
-@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
+@pytest.mark.parametrize("name", list(ROLLOUT_SONGS))
 def test_row_minimum_start_leaves_corpus_rollouts_unchanged(name):
     _assert_rollouts_unchanged(name, "_augmenting_path_solve", assign_reference._augmenting_path_solve)
 
 
-@pytest.mark.parametrize("name", list(_ROLLOUT_SONGS))
+@pytest.mark.parametrize("name", list(ROLLOUT_SONGS))
 def test_tie_break_screen_leaves_corpus_rollouts_unchanged(name):
     lexicographic_optimum, calls = assign_module._lexicographic_optimum, []
 

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import runpy
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ROLLOUT_SONGS,
     control_change,
     golden_songs,
     huge_grid_song,
@@ -208,16 +207,11 @@ def test_parse_midi_raises_only_malformed_on_mutated_files(data):
     _parse_like_the_reference(data)
 
 
-# the benchmark's song families (grid; legato with tempo changes, off-keyboard
-# notes, dangling note-ons and a stray note-off) and the golden songs
-_CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "corpus.py"))
-_CORPUS_SONGS = [
-    *(song.data for kind in ("grid", "legato") for song in _CORPUS["generate"](kind, 0, (20, 40))),
-    *golden_songs().values(),
-]
+# the benchmark's song families and the golden songs
+_CORPUS_SONGS = [*(data for data, _, _ in ROLLOUT_SONGS.values()), *golden_songs().values()]
 
 
-@pytest.mark.parametrize("data", _CORPUS_SONGS, ids=["grid-20", "grid-40", "legato-20", "legato-40", *golden_songs()])
+@pytest.mark.parametrize("data", _CORPUS_SONGS, ids=[*ROLLOUT_SONGS, *golden_songs()])
 def test_parse_midi_matches_the_reference_on_corpus_songs(data):
     song = parse_midi(data)
     assert song.notes and song == midi_reference.parse_midi(data)
@@ -416,6 +410,13 @@ def test_note_event_rejects_an_offset_not_after_the_onset_like_the_reference(ons
     assert str(err.value) == str(ref_err.value) == f"offset {offset} must exceed onset {onset}"
 
 
+@pytest.mark.parametrize("onset,offset", [(0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)])
+def test_note_event_rejects_a_nan_time(onset, offset):
+    with pytest.raises(ValueError) as err:
+        NoteEvent(60, onset, offset, 80, 0)
+    assert str(err.value) == f"offset {offset} must exceed onset {onset}"
+
+
 def _active(seq, t):
     return set(np.flatnonzero(seq.keys[t]).tolist())
 
@@ -512,6 +513,13 @@ def test_discretize_allows_max_steps_exactly(monkeypatch):
     # a step count past ten digits is given to ten significant ones
     with pytest.raises(ValueError, match=r"ends at step 1\.2e\+301 at stretch 1e\+300"):
         discretize([_note(60, 0.5, 0.6)], stretch=1e300, trim_silence=False)
+
+
+def test_discretize_fills_from_step_0_a_note_that_starts_far_before_it():
+    # the note's first step, -2.5e31, fits no integer: it is clamped to 0 as a float
+    seq = discretize([_note(60, -1e30, 1.0)], trim_silence=False)
+    assert len(seq) == 25 and [_active(seq, t) for t in range(25)] == [{39}] * 25
+    assert seq.note_starts == ()
 
 
 def test_key_onsets_counts_activations_once():
@@ -799,14 +807,13 @@ def test_goal_sequence_refuses_an_empty_grid_of_the_wrong_shape(shape):
     assert GoalSequence(np.zeros(0, dtype=bool)).keys.shape == (0, 88)  # only a 1-D empty input is the 0-step grid
 
 
-def _reference_discretize(notes, dt, stretch, trim_silence, pedal):
-    """The per-note, per-step fill that the difference-array discretize replaced."""
-    kept = [n for n in notes if 21 <= n.pitch <= 108]
-    shift = min(n.onset for n in kept) * stretch if trim_silence else 0.0
+def _reference_discretize(notes, dt, stretch, trim_silence, pedal=()):
+    """The per-note, per-step fill that the difference-array discretize replaced, on the reference step rule."""
+    kept = midi_reference.keyboard_notes(notes)
+    shift = midi_reference.trim_shift(kept, stretch) if trim_silence else 0.0
     spans = []
     for note in kept:
-        first = int(np.floor((note.onset * stretch - shift) / dt + 1e-9))
-        end = int(np.ceil((note.offset * stretch - shift) / dt - 1e-9))
+        first, end = midi_reference.note_step_span(note, dt, stretch, shift)
         spans.append((note.pitch - 21, max(first, 0), end))
     length = max([0] + [end for _, _, end in spans])
     active = [set() for _ in range(length)]
@@ -841,3 +848,47 @@ def test_discretize_matches_per_step_reference(trim_silence):
         active, sustain = _reference_discretize(notes, 0.05, 1.25, trim_silence, pedal)
         assert [_active(seq, t) for t in range(len(seq))] == active
         assert seq.sustain.tolist() == sustain
+
+
+@st.composite
+def _step_mapping_cases(draw):
+    """Notes, dt, stretch and trim for the note-to-step rule.
+
+    Times fall on step boundaries, within or just past the 1e-9-step tolerance
+    of one, or anywhere, negative ones included; pitches may be off the
+    keyboard; some notes come twice, as an equal copy or as a twin with the
+    same onset, pitch and channel, so the sort's stability shows.
+    """
+    dt = draw(st.sampled_from([0.05, 0.03, 0.1]))
+    stretch = draw(st.sampled_from([1.0, 1.25, 0.8]))
+    nudges = st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9, 0.5])
+    boundary = st.builds(lambda k, nudge: (k + nudge) * dt / stretch, st.integers(-10, 40), nudges)
+    time = boundary | st.floats(-1.0, 3.0)
+    notes = []
+    for _ in range(draw(st.integers(1, 10))):
+        pitch = draw(st.integers(21, 108) | st.integers(0, 127))
+        onset, offset = draw(time), draw(time)
+        if not offset > onset:
+            offset = onset + draw(st.sampled_from([1e-12, 1e-3]) | st.floats(1e-12, 1.0))
+        notes.append(_note(pitch, onset, offset, 80, draw(st.integers(0, 1))))
+    for note in draw(st.lists(st.sampled_from(notes), max_size=3)):
+        twin = draw(st.booleans())
+        notes.append(_note(note.pitch, note.onset, note.offset + twin, 80 - twin, note.channel))
+    return draw(st.permutations(notes)), dt, stretch, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_mapping_cases())
+def test_note_starts_follow_the_reference_rule(case):
+    notes, dt, stretch, trim_silence = case
+    try:
+        expected = midi_reference.note_starts(notes, dt, stretch, trim_silence)
+    except EmptySongError:
+        with pytest.raises(EmptySongError):
+            discretize(notes, dt=dt, stretch=stretch, trim_silence=trim_silence)
+        return
+    seq = discretize(notes, dt=dt, stretch=stretch, trim_silence=trim_silence)
+    assert [(first, id(note)) for first, note in seq.note_starts] == [(first, id(note)) for first, note in expected]
+    assert all(type(first) is int for first, _ in seq.note_starts)
+    active, _ = _reference_discretize(notes, dt, stretch, trim_silence)
+    assert [_active(seq, t) for t in range(len(seq))] == active
